@@ -30,14 +30,15 @@ from .resolvent import (
     build_resolvent,
     build_resolvent_batch,
 )
-from .coupled import (
-    CoupledAmplitude,
-    CoupledBlocks,
-    coupled_full_matrix,
-    coupled_g11_element,
-    coupled_g12_element,
+from .coupled import CoupledAmplitude, CoupledBlocks
+from .spectra import (
+    Spectrum,
+    absorption_spectra,
+    absorption_spectrum,
+    deviation_metric,
+    raman_profile,
+    raman_profiles,
 )
-from .spectra import Spectrum, absorption_spectrum, deviation_metric, raman_profile
 from . import units
 
 __all__ = [
@@ -60,12 +61,11 @@ __all__ = [
     "build_resolvent_batch",
     "CoupledAmplitude",
     "CoupledBlocks",
-    "coupled_full_matrix",
-    "coupled_g11_element",
-    "coupled_g12_element",
     "Spectrum",
+    "absorption_spectra",
     "absorption_spectrum",
     "deviation_metric",
     "raman_profile",
+    "raman_profiles",
     "units",
 ]

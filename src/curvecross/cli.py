@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, NumericsError
-from .resolvent import iter_resolvents
-from .spectra import absorption_spectrum, raman_profile
+from .spectra import absorption_spectra, raman_profiles, scan_resolvents
 from .validate import run_suite
 
 EXIT_OK = 0
@@ -57,18 +56,22 @@ def _resolve_config(args):
     )
 
 
+def _write_spectra(out, kind, spectra, config):
+    """The coupled and uncoupled CSV tables of one job and its sidecar."""
+    for spec, label in zip(spectra, ("coupled", "uncoupled")):
+        path = os.path.join(out, f"{kind}_{label}.csv")
+        _write_csv(path, spec.omega, spec.intensity)
+        print(f"wrote {path} ({spec.omega.size} rows)")
+    _write_sidecar(os.path.join(out, f"{kind}.meta.txt"), config, kind)
+
+
 def _run_absorption(args):
     config = _resolve_config(args)
     model = config.to_model()
     grid = config.to_grid()
     omega = config.omega_grid()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    for coupled, name in ((True, "absorption_coupled.csv"), (False, "absorption_uncoupled.csv")):
-        spec = absorption_spectrum(model, omega, coupled=coupled, grid=grid)
-        _write_csv(os.path.join(out, name), spec.omega, spec.intensity)
-        print(f"wrote {os.path.join(out, name)} ({spec.omega.size} rows)")
-    _write_sidecar(os.path.join(out, "absorption.meta.txt"), config, "absorption")
+    os.makedirs(args.out, exist_ok=True)
+    _write_spectra(args.out, "absorption", absorption_spectra(model, omega, grid), config)
     return EXIT_OK
 
 
@@ -78,13 +81,8 @@ def _run_raman(args):
     grid = config.to_grid()
     omega = config.omega_grid()
     n_f = config.raman_final_state
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    for coupled, name in ((True, "raman_coupled.csv"), (False, "raman_uncoupled.csv")):
-        spec = raman_profile(model, n_f, omega, coupled=coupled, grid=grid)
-        _write_csv(os.path.join(out, name), spec.omega, spec.intensity)
-        print(f"wrote {os.path.join(out, name)} ({spec.omega.size} rows)")
-    _write_sidecar(os.path.join(out, "raman.meta.txt"), config, "raman")
+    os.makedirs(args.out, exist_ok=True)
+    _write_spectra(args.out, "raman", raman_profiles(model, n_f, omega, grid), config)
     return EXIT_OK
 
 
@@ -107,13 +105,10 @@ def _run_greens_probe(args):
     x_c = model.coupling.location
     out = args.out
     os.makedirs(out, exist_ok=True)
-    zs = model.resolvent_argument(omega)
-    rows = []
-    for curve in (model.allowed, model.forbidden):
-        values = np.array(
-            [ev.point(x_c, x_c) for ev in iter_resolvents(curve, zs, grid)]
-        )
-        rows.append(values)
+    rows = np.array(
+        [(ev1.point(x_c, x_c), ev2.point(x_c, x_c))
+         for ev1, ev2 in scan_resolvents(model, omega, grid)]
+    ).T
     path = os.path.join(out, "greens_probe.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("omega_cm1,g1_real,g1_imag,g2_real,g2_imag\n")

@@ -49,23 +49,24 @@ class CoupledBlocks:
                 "for Im z > 0"
             )
 
-    def g11(self, f, i):
-        direct = self.ev1.matrix_element(f, i)
+    def _diagonal_block(self, ev, g_other_cc, f, i):
+        """<f|Gjj|i> on the surface of ev, the other surface entering
+        through its point value at x_c.  Each distinct state's partial sums
+        are taken once and shared by the matrix element and the vectors."""
+        sums_f = ev.partial_sums(f)
+        direct = ev.matrix_element(sums_f, i)
         if self.k0 == 0.0:
             return CoupledAmplitude(direct, direct, 0.0j, 1.0 + 0.0j)
-        left = self.ev1.vector(f, self.x_c)
-        right = self.ev1.vector(i, self.x_c)
-        correction = self.k0**2 * left * self.g2_cc * right / self.denominator
+        left = ev.vector(sums_f, self.x_c)
+        right = left if np.array_equal(f, i) else ev.vector(i, self.x_c)
+        correction = self.k0**2 * left * g_other_cc * right / self.denominator
         return CoupledAmplitude(direct + correction, direct, correction, self.denominator)
 
+    def g11(self, f, i):
+        return self._diagonal_block(self.ev1, self.g2_cc, f, i)
+
     def g22(self, f, i):
-        direct = self.ev2.matrix_element(f, i)
-        if self.k0 == 0.0:
-            return CoupledAmplitude(direct, direct, 0.0j, 1.0 + 0.0j)
-        left = self.ev2.vector(f, self.x_c)
-        right = self.ev2.vector(i, self.x_c)
-        correction = self.k0**2 * left * self.g1_cc * right / self.denominator
-        return CoupledAmplitude(direct + correction, direct, correction, self.denominator)
+        return self._diagonal_block(self.ev2, self.g1_cc, f, i)
 
     def g12(self, f, i):
         if self.k0 == 0.0:
@@ -85,18 +86,3 @@ class CoupledBlocks:
             return np.zeros_like(self.ev2.grid.points, dtype=complex)
         transfer = self.k0 * self.ev1.vector(i, self.x_c) / self.denominator
         return transfer * self.ev2.row(self.x_c)
-
-
-def coupled_g11_element(ev1, ev2, k0, x_c, f, i):
-    """<f|G11|i> assembled from two single-surface resolvents at one z."""
-    return CoupledBlocks(ev1, ev2, k0, x_c).g11(f, i)
-
-
-def coupled_g12_element(ev1, ev2, k0, x_c, f, i):
-    """<f|G12|i>; linear in K0 to leading order."""
-    return CoupledBlocks(ev1, ev2, k0, x_c).g12(f, i)
-
-
-def coupled_full_matrix(ev1, ev2, k0, x_c):
-    """All four block evaluators sharing one set of cached point values."""
-    return CoupledBlocks(ev1, ev2, k0, x_c)

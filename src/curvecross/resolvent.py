@@ -20,6 +20,7 @@ as an independent oracle for the same object.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
@@ -152,6 +153,17 @@ def _segmented_cumulative(values, offsets, dx):
     return out
 
 
+class PartialSums(NamedTuple):
+    """One state's cumulative integrals against u- and u+ at one z, as
+    returned by ResolventEvaluator.partial_sums."""
+
+    evaluator: ResolventEvaluator
+    minus: np.ndarray
+    minus_integrand: np.ndarray
+    plus: np.ndarray
+    plus_integrand: np.ndarray
+
+
 class ResolventEvaluator:
     """Immutable evaluator of G(x, x0; z) for one curve at one complex z."""
 
@@ -219,19 +231,6 @@ class ResolventEvaluator:
         )
         return complex(np.exp(log_g))
 
-    def diagonal(self):
-        """G(x_i, x_i) on all grid nodes."""
-        logs = (
-            math.log(2.0 * self._mass)
-            + _log_abs(self._um)
-            + self._logm
-            + _log_abs(self._up)
-            + self._logp
-            - self._log_w.real
-        )
-        phase = _unit_phase(self._um) * _unit_phase(self._up) * np.exp(-1j * self._log_w.imag)
-        return phase * np.exp(logs)
-
     def row(self, x0):
         """G(x_i, x0) on all grid nodes for a fixed x0."""
         lm0 = self._log_solution_at(x0, "minus")
@@ -260,10 +259,14 @@ class ResolventEvaluator:
 
     # -- quadratures -------------------------------------------------------
 
-    def _partial_sums(self, f):
+    def partial_sums(self, f):
         """Cumulative integrals of f u- (accumulated from the left) and
-        f u+ (accumulated from the right), each returned as a mantissa
-        array carrying the matching solution's per-node log offsets."""
+        f u+ (accumulated from the right) at this z, each a mantissa array
+        carrying the matching solution's per-node log offsets.
+
+        matrix_element and vector accept the result in place of f, so a
+        state that enters several quadratures at one z is summed once.
+        """
         f = np.asarray(f, dtype=complex)
         if f.shape != self.grid.points.shape:
             raise ValueError("wavefunction must be sampled on the evaluator grid")
@@ -272,7 +275,14 @@ class ResolventEvaluator:
         f_minus = _segmented_cumulative(tm, self._logm, dx)
         tp = f * self._up
         f_plus = _segmented_cumulative(tp[::-1], self._logp[::-1], dx)[::-1]
-        return (f_minus, tm), (f_plus, tp)
+        return PartialSums(self, f_minus, tm, f_plus, tp)
+
+    def _sums(self, f):
+        if not isinstance(f, PartialSums):
+            return self.partial_sums(f)
+        if f.evaluator is not self:
+            raise ValueError("partial sums were taken with another evaluator")
+        return f
 
     def _interp_partial(self, cum, integrand, offsets, x):
         """Cumulative integral at off-node x via Hermite interpolation (the
@@ -294,10 +304,11 @@ class ResolventEvaluator:
         return value, ref
 
     def vector(self, f, x0):
-        """integral f(x) G(x, x0) dx for f sampled on the grid."""
-        (f_minus, tm), (f_plus, tp) = self._partial_sums(f)
-        fm0, lm0 = self._interp_partial(f_minus, tm, self._logm, x0)
-        fp0, lp0 = self._interp_partial(f_plus, -tp, self._logp, x0)
+        """integral f(x) G(x, x0) dx for f sampled on the grid (or its
+        partial_sums)."""
+        sums = self._sums(f)
+        fm0, lm0 = self._interp_partial(sums.minus, sums.minus_integrand, self._logm, x0)
+        fp0, lp0 = self._interp_partial(sums.plus, -sums.plus_integrand, self._logp, x0)
         lum = self._log_solution_at(x0, "minus")
         lup = self._log_solution_at(x0, "plus")
         base = math.log(2.0 * self._mass) - self._log_w
@@ -305,8 +316,10 @@ class ResolventEvaluator:
 
     def matrix_element(self, f, g):
         """double integral f(x) G(x, x0) g(x0) dx dx0, O(N) via the
-        u-/u+ factorization; the combined outer integrand is smooth."""
-        (f_minus, _), (f_plus, _) = self._partial_sums(f)
+        u-/u+ factorization; the combined outer integrand is smooth.  f may
+        be given as its partial_sums."""
+        sums = self._sums(f)
+        f_minus, f_plus = sums.minus, sums.plus
         g = np.asarray(g, dtype=complex)
         log_g = _log_abs(g)
         ph_g = _unit_phase(g)
@@ -374,13 +387,6 @@ def build_resolvent_batch(curve, zs, grid=None):
 def build_resolvent(curve, z, grid=None):
     """Evaluator of G(x, x0; z) for a single complex energy."""
     return build_resolvent_batch(curve, [z], grid)[0]
-
-
-def iter_resolvents(curve, zs, grid=None, chunk=64):
-    """Yield evaluators for a long z scan in memory-bounded chunks."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    for start in range(0, zs.size, chunk):
-        yield from build_resolvent_batch(curve, zs[start : start + chunk], grid)
 
 
 def _check_coverage(curve, zs, v_nodes):

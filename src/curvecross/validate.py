@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 from .coupled import CoupledBlocks
 from .model import Grid, harmonic_eigenstates
 from .resolvent import HarmonicSpectralSum, build_resolvent, build_resolvent_batch
-from .spectra import absorption_spectrum, deviation_metric, raman_profile
+from .spectra import absorption_spectra, deviation_metric, raman_profiles
 from .units import from_internal, to_internal
 from .wavepacket import DEFAULT_DT, verify_resolvent_identity
 
@@ -193,15 +193,8 @@ def check_wavepacket(model, omegas=(10800.0, 11400.0, 12000.0)):
 
 
 def check_raman_more_affected(model, grid, omega_grid):
-    d_a = deviation_metric(
-        absorption_spectrum(model, omega_grid, coupled=True, grid=grid),
-        absorption_spectrum(model, omega_grid, coupled=False, grid=grid),
-    )
-    n_f = 1
-    d_r = deviation_metric(
-        raman_profile(model, n_f, omega_grid, coupled=True, grid=grid),
-        raman_profile(model, n_f, omega_grid, coupled=False, grid=grid),
-    )
+    d_a = deviation_metric(*absorption_spectra(model, omega_grid, grid))
+    d_r = deviation_metric(*raman_profiles(model, 1, omega_grid, grid))
     passed = d_r > d_a > 0.0
     return CheckResult(
         "Raman more affected than absorption",

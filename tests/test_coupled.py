@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecross.coupled import (
-    CoupledBlocks,
-    coupled_full_matrix,
-    coupled_g11_element,
-    coupled_g12_element,
-)
+from curvecross.coupled import CoupledBlocks
 from curvecross.model import Grid, harmonic_eigenstates
 from curvecross.resolvent import build_resolvent
 
@@ -22,17 +17,17 @@ def pair(model, grid):
 
 def test_zero_coupling_reduces_exactly(pair, model):
     ev1, ev2, chi = pair
-    amp = coupled_g11_element(ev1, ev2, 0.0, model.coupling.location, chi[0], chi[0])
+    amp = CoupledBlocks(ev1, ev2, 0.0, model.coupling.location).g11(chi[0], chi[0])
     assert amp.value == ev1.matrix_element(chi[0], chi[0])
     assert amp.crossing_correction == 0.0
     assert amp.denominator == 1.0
-    assert coupled_g12_element(ev1, ev2, 0.0, model.coupling.location, chi[0], chi[0]) == 0.0
+    assert CoupledBlocks(ev1, ev2, 0.0, model.coupling.location).g12(chi[0], chi[0]) == 0.0
 
 
 def test_value_decomposition(pair, model):
     ev1, ev2, chi = pair
     k0 = model.coupling.strength
-    amp = coupled_g11_element(ev1, ev2, k0, model.coupling.location, chi[1], chi[0])
+    amp = CoupledBlocks(ev1, ev2, k0, model.coupling.location).g11(chi[1], chi[0])
     assert amp.value == amp.direct + amp.crossing_correction
     assert amp.crossing_correction != 0.0
 
@@ -41,14 +36,43 @@ def test_bra_ket_swap_symmetric(pair, model):
     ev1, ev2, chi = pair
     k0 = model.coupling.strength
     x_c = model.coupling.location
-    a = coupled_g11_element(ev1, ev2, k0, x_c, chi[1], chi[0]).value
-    b = coupled_g11_element(ev1, ev2, k0, x_c, chi[0], chi[1]).value
+    a = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi[1], chi[0]).value
+    b = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi[0], chi[1]).value
     assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_diagonal_blocks_equal_separate_quadratures(pair, model):
+    # sharing one state's partial sums between the matrix element and the
+    # vectors changes no bit of the partitioning formula's composition
+    ev1, ev2, chi = pair
+    k0 = model.coupling.strength
+    x_c = model.coupling.location
+    blocks = CoupledBlocks(ev1, ev2, k0, x_c)
+    for block, ev, g_other in ((blocks.g11, ev1, blocks.g2_cc), (blocks.g22, ev2, blocks.g1_cc)):
+        for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
+            amp = block(f, i)
+            direct = ev.matrix_element(f, i)
+            correction = (
+                k0**2 * ev.vector(f, x_c) * g_other * ev.vector(i, x_c) / blocks.denominator
+            )
+            assert amp.direct == direct
+            assert amp.crossing_correction == correction
+            assert amp.value == direct + correction
+
+
+def test_partial_sums_stand_in_for_their_state(pair, model):
+    ev1, ev2, chi = pair
+    x_c = model.coupling.location
+    sums = ev1.partial_sums(chi[1])
+    assert ev1.vector(sums, x_c) == ev1.vector(chi[1], x_c)
+    assert ev1.matrix_element(sums, chi[0]) == ev1.matrix_element(chi[1], chi[0])
+    with pytest.raises(ValueError):
+        ev2.vector(sums, x_c)
 
 
 def test_blocks_share_denominator(pair, model):
     ev1, ev2, chi = pair
-    blocks = coupled_full_matrix(ev1, ev2, model.coupling.strength, model.coupling.location)
+    blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
     a11 = blocks.g11(chi[0], chi[0])
     a22 = blocks.g22(chi[0], chi[0])
     assert a11.denominator == a22.denominator == blocks.denominator
@@ -61,7 +85,7 @@ def test_blocks_share_denominator(pair, model):
 
 def test_off_diagonal_blocks_swap_roles(pair, model):
     ev1, ev2, chi = pair
-    blocks = coupled_full_matrix(ev1, ev2, model.coupling.strength, model.coupling.location)
+    blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
     x_c = model.coupling.location
     g12 = blocks.g12(chi[0], chi[1])
     manual = (
@@ -83,7 +107,7 @@ def test_off_diagonal_blocks_swap_roles(pair, model):
 
 def test_g21_row_is_transfer_times_row(pair, model):
     ev1, ev2, chi = pair
-    blocks = coupled_full_matrix(ev1, ev2, model.coupling.strength, model.coupling.location)
+    blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
     row = blocks.g21_row(chi[0])
     x_c = model.coupling.location
     transfer = model.coupling.strength * ev1.vector(chi[0], x_c) / blocks.denominator
@@ -94,8 +118,8 @@ def test_halving_k0_nearly_halves_g12(pair, model):
     ev1, ev2, chi = pair
     k0 = model.coupling.strength
     x_c = model.coupling.location
-    full = coupled_g12_element(ev1, ev2, k0, x_c, chi[0], chi[0])
-    half = coupled_g12_element(ev1, ev2, 0.5 * k0, x_c, chi[0], chi[0])
+    full = CoupledBlocks(ev1, ev2, k0, x_c).g12(chi[0], chi[0])
+    half = CoupledBlocks(ev1, ev2, 0.5 * k0, x_c).g12(chi[0], chi[0])
     blocks = CoupledBlocks(ev1, ev2, k0, x_c)
     bound = abs(k0**2 * blocks.g1_cc * blocks.g2_cc)
     assert abs(2.0 * half - full) / abs(full) < bound
@@ -125,7 +149,7 @@ def test_mismatched_energies_rejected(model, grid):
     ev1 = build_resolvent(model.allowed, model.resolvent_argument(11000.0), grid)
     ev2 = build_resolvent(model.forbidden, model.resolvent_argument(11010.0), grid)
     with pytest.raises(ValueError):
-        coupled_full_matrix(ev1, ev2, model.coupling.strength, model.coupling.location)
+        CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
 
 
 def test_correction_grid_converged(model):

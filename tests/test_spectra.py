@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from curvecross import spectra
+from curvecross import cli, spectra
 from curvecross.errors import GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
     HarmonicCurve,
     franck_condon_matrix,
+    harmonic_eigenstates,
     huang_rhys_factor,
 )
+from curvecross.resolvent import build_resolvent_batch
 from curvecross.spectra import (
     Spectrum,
     absorption_spectrum,
@@ -24,6 +26,19 @@ def with_params(model, **kwargs):
     from dataclasses import replace
 
     return replace(model, **kwargs)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(curve, nz) of every sweep build the scans make."""
+    calls = []
+
+    def counting(curve, zs, grid=None):
+        calls.append((curve, len(zs)))
+        return build_resolvent_batch(curve, zs, grid)
+
+    monkeypatch.setattr(spectra, "build_resolvent_batch", counting)
+    return calls
 
 
 def test_spectrum_requires_increasing_omega():
@@ -175,3 +190,45 @@ def test_metadata_records_run(model, grid):
     assert spec.metadata["n_f"] == 2
     assert spec.metadata["coupled"] is True
     assert spec.metadata["grid"] == (grid.x_min, grid.x_max, grid.n)
+
+
+def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, monkeypatch):
+    # coupled and uncoupled tables come from the same sweeps: 11 energies in
+    # chunks of 4 make 3 allowed-surface and 3 forbidden-surface builds
+    monkeypatch.setattr(spectra, "SCAN_CHUNK", 4)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("[scan]\nomega_min_cm1 = 10700\nomega_max_cm1 = 10800\nomega_step_cm1 = 10\n")
+    for job in ("absorption", "raman"):
+        builds.clear()
+        assert cli.main([job, "--config", str(cfg), "--out", str(tmp_path / job)]) == 0
+        assert [nz for curve, nz in builds if curve == model.allowed] == [4, 4, 3]
+        assert [nz for curve, nz in builds if curve == model.forbidden] == [4, 4, 3]
+        assert len(builds) == 6
+
+
+def test_uncoupled_profile_sweeps_no_forbidden_surface(model, grid, builds):
+    omega = np.arange(10700.0, 11000.0, 100.0)
+    raman_profile(model, 1, omega, coupled=False, grid=grid)
+    assert builds == [(model.allowed, 3)]
+
+
+def test_scan_direct_is_allowed_matrix_element(model, grid):
+    omega = np.arange(10700.0, 11000.0, 100.0)
+    value, direct = spectra.scan(model, omega, 1, grid=grid)
+    chi = harmonic_eigenstates(model.ground, 1, grid.points)
+    evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), grid)
+    assert np.array_equal(direct, [ev.matrix_element(chi[1], chi[0]) for ev in evs])
+    assert not np.array_equal(value, direct)
+
+
+def test_pairs_match_single_views(model, grid):
+    omega = np.arange(10700.0, 11000.0, 100.0)
+    absorption = spectra.absorption_spectra(model, omega, grid)
+    raman = spectra.raman_profiles(model, 2, omega, grid)
+    for k, coupled in enumerate((True, False)):
+        for pair, single in (
+            (absorption, absorption_spectrum(model, omega, coupled=coupled, grid=grid)),
+            (raman, raman_profile(model, 2, omega, coupled=coupled, grid=grid)),
+        ):
+            assert np.array_equal(pair[k].intensity, single.intensity)
+            assert pair[k].metadata == single.metadata
