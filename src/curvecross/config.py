@@ -70,6 +70,9 @@ class RunConfig:
             err("grid_points", "needs at least 16 points")
         if self.grid_x_max_angstrom <= self.grid_x_min_angstrom:
             err("grid_x_max_angstrom", "must exceed grid_x_min_angstrom")
+        x_min, x_max = self.grid_x_min_angstrom, self.grid_x_max_angstrom
+        if not x_min <= self.crossing_position_angstrom <= x_max:
+            err("crossing_position_angstrom", f"must lie on the grid [{x_min}, {x_max}]")
         if self.omega_max_cm1 <= self.omega_min_cm1:
             err("omega_max_cm1", "must exceed omega_min_cm1")
         if self.raman_final_state < 1:

@@ -8,10 +8,18 @@ derivative.  The Green's function is then
 
     G(x, x0) = 2m u-(min(x, x0)) u+(max(x, x0)) / W,   W = u- u+' - u-' u+,
 
-symmetric by construction.  Solutions grow through hundreds of e-folds in
-the forbidden regions, so they are stored as mantissa arrays with
-per-node log-scale offsets and every downstream combination is assembled
-in log space.
+symmetric by construction.  The equation is linear, so one RK4 step over
+an interval is an exact 2x2 map of (u, u'); the sweeps compute these maps
+in closed form for all intervals and then apply them in turn, on Python
+floats for batches of up to SCALAR_ROWS energies and on numpy rows across
+energies for larger ones.  Both recurrences run on real and imaginary
+parts in real arithmetic, in one fixed order of correctly rounded
+operations, so an energy's solutions are bit for bit the same in any
+batch; numpy's complex ufuncs do not promise that, as their rounding
+depends on array alignment and SIMD lane.  Solutions grow through
+hundreds of e-folds in the forbidden regions, so they are stored as
+mantissa arrays with per-node log-scale offsets and every downstream
+combination is assembled in log space.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -20,6 +28,7 @@ as an independent oracle for the same object.
 from __future__ import annotations
 
 import math
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +39,12 @@ from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
 
 RESCALE_THRESHOLD = 1e100
 WRONSKIAN_FLOOR = 1e-13
+# Sweeps of at most this many energies run row by row on Python floats,
+# larger ones on numpy rows; on a 2-core x86 host the two paths cost the
+# same between nz = 7 and nz = 9.
+SCALAR_ROWS = 8
+# Nodes per block of step maps on the numpy-row path.
+MAP_BLOCK = 128
 
 
 def _log_abs(a):
@@ -46,47 +61,144 @@ def _unit_phase(a):
     return out
 
 
-def _sweep(c_nodes, c_mid, h, v0):
+def _step_maps(c_left, c_mid, c_right, c_imag, h):
+    """The RK4 step of u'' = c u over each interval, as an exact 2x2 map.
+
+    c_left, c_mid and c_right are Re c at the intervals' left nodes,
+    midpoints and right nodes, shape (nz, k); c_imag = -2m Im z is the
+    imaginary part, constant along the grid, shape (nz, 1).  One step takes
+    (u, u') to (a u + b u', c u + d u') with
+
+        a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
+        b = h + h^3/6 c_m
+        c = h/6 (c_l + 4 c_m + c_r) + h^3/12 c_m (c_l + c_r)
+        d = 1 + h^2/6 (2 c_m + c_r) + h^4/24 c_m c_r
+
+    evaluated in real arithmetic.  Returns the real and imaginary parts
+    (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im), each (nz, k).
+    """
+    s1, s2, s3, s4 = h / 6.0, h * h / 6.0, h**3 / 6.0, h**4 / 24.0
+    g2 = c_imag * c_imag
+    return (
+        1.0 + s2 * (c_left + 2.0 * c_mid) + s4 * (c_left * c_mid - g2),
+        c_imag * (3.0 * s2 + s4 * (c_left + c_mid)),
+        h + s3 * c_mid,
+        s3 * c_imag,
+        s1 * (c_left + 4.0 * c_mid + c_right)
+        + 0.5 * s3 * (c_mid * (c_left + c_right) - 2.0 * g2),
+        c_imag * (h + 0.5 * s3 * (c_left + 2.0 * c_mid + c_right)),
+        1.0 + s2 * (2.0 * c_mid + c_right) + s4 * (c_mid * c_right - g2),
+        c_imag * (3.0 * s2 + s4 * (c_mid + c_right)),
+    )
+
+
+def _sweep(c_nodes, c_mid, c_imag, h, v0):
     """Integrate u'' = c(x) u left to right with RK4, u(x_0) = 1, u'(x_0) = v0.
 
-    c is tabulated at nodes (nz, N) and interval midpoints (nz, N-1).
-    Returns mantissas of u and u' plus per-node log-scale offsets; the
-    pair is rescaled whenever |u| passes RESCALE_THRESHOLD.
+    Re c is tabulated at nodes (nz, N) and interval midpoints (nz, N-1);
+    c_imag (nz,) is Im c.  Each interval's step is its 2x2 map from
+    _step_maps, and the recurrence (u, u') <- T (u, u') runs on the real
+    and imaginary parts as four floats in one fixed order of correctly
+    rounded operations: _sweep_scalar for up to SCALAR_ROWS energies,
+    _sweep_rows above, with the same bits.  Returns mantissas of u and u'
+    plus per-node log-scale offsets; a row is rescaled to |u| = 1 whenever
+    |u| passes RESCALE_THRESHOLD.
     """
     nz, n = c_nodes.shape
     um = np.empty((nz, n), dtype=complex)
     ump = np.empty((nz, n), dtype=complex)
-    logs = np.empty((nz, n))
-    u = np.ones(nz, dtype=complex)
-    v = np.asarray(v0, dtype=complex).copy()
-    acc = np.zeros(nz)
-    um[:, 0] = u
-    ump[:, 0] = v
-    logs[:, 0] = acc
-    for i in range(n - 1):
-        ci = c_nodes[:, i]
-        cm = c_mid[:, i]
-        cn = c_nodes[:, i + 1]
-        k1u = v
-        k1v = ci * u
-        k2u = v + 0.5 * h * k1v
-        k2v = cm * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = cm * (u + 0.5 * h * k2u)
-        k4u = v + h * k3v
-        k4v = cn * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        mag = np.abs(u)
-        if np.any(mag > RESCALE_THRESHOLD):
-            scale = np.where(mag > RESCALE_THRESHOLD, mag, 1.0)
-            u = u / scale
-            v = v / scale
-            acc = acc + np.log(scale)
-        um[:, i + 1] = u
-        ump[:, i + 1] = v
-        logs[:, i + 1] = acc
-    return um, ump, logs
+    jumps = np.zeros((nz, n))
+    um[:, 0] = 1.0
+    ump[:, 0] = v0
+    sweep = _sweep_scalar if nz <= SCALAR_ROWS else _sweep_rows
+    sweep(c_nodes, c_mid, c_imag[:, None], h, um, ump, jumps)
+    return um, ump, np.cumsum(jumps, axis=1)
+
+
+def _sweep_scalar(c_nodes, c_mid, c_imag, h, um, ump, jumps):
+    """_sweep's recurrence one row at a time on Python floats: maps are read
+    and states written through buffers, with no per-node numpy call."""
+    maps = _step_maps(c_nodes[:, :-1], c_mid, c_nodes[:, 1:], c_imag, h)
+    maps = np.stack(np.broadcast_arrays(*maps), axis=-1)
+    limit = RESCALE_THRESHOLD**2
+    for k in range(um.shape[0]):
+        u_out = memoryview(um[k].view(float))
+        v_out = memoryview(ump[k].view(float))
+        ur, ui, vr, vi = u_out[0], u_out[1], v_out[0], v_out[1]
+        j = 2
+        for ar, ai, br, bi, cr, ci, dr, di in struct.iter_unpack("8d", maps[k]):
+            ur, ui, vr, vi = (
+                ar * ur - ai * ui + br * vr - bi * vi,
+                ai * ur + ar * ui + bi * vr + br * vi,
+                cr * ur - ci * ui + dr * vr - di * vi,
+                ci * ur + cr * ui + di * vr + dr * vi,
+            )
+            usq = ur * ur + ui * ui
+            if usq > limit:
+                scale = math.sqrt(usq)
+                ur, ui, vr, vi = ur / scale, ui / scale, vr / scale, vi / scale
+                jumps[k, j // 2] = math.log(scale)
+            u_out[j] = ur
+            u_out[j + 1] = ui
+            v_out[j] = vr
+            v_out[j + 1] = vi
+            j += 2
+
+
+def _sweep_rows(c_nodes, c_mid, c_imag, h, um, ump, jumps):
+    """_sweep's recurrence on numpy rows of all nz energies at once.
+
+    The state (Re u, Im u, Re u', Im u') is multiplied column by column by
+    a real 4x4 map per node and the four products are added in the order
+    _sweep_scalar uses.  Maps and states are kept for MAP_BLOCK nodes at a
+    time.
+    """
+    nz, n = c_nodes.shape
+    limit = RESCALE_THRESHOLD**2
+    u_flat = um.view(float).reshape(nz, n, 2)
+    v_flat = ump.view(float).reshape(nz, n, 2)
+    # maps[i, col, row]: the factor of state[col] in the new state[row]
+    maps = np.empty((MAP_BLOCK, 4, 4, nz))
+    states = np.empty((MAP_BLOCK, 4, nz))
+    prod = np.empty((4, 4, nz))
+    p0, p1, p2, p3 = prod
+    state = np.concatenate([u_flat[:, 0].T, v_flat[:, 0].T])
+    for start in range(0, n - 1, MAP_BLOCK):
+        stop = min(start + MAP_BLOCK, n - 1)
+        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = (
+            t.T
+            for t in _step_maps(
+                c_nodes[:, start:stop], c_mid[:, start:stop],
+                c_nodes[:, start + 1 : stop + 1], c_imag, h,
+            )
+        )
+        block = maps[: stop - start]
+        for row, entries in enumerate((
+            (a_re, -a_im, b_re, -b_im),
+            (a_im, a_re, b_im, b_re),
+            (c_re, -c_im, d_re, -d_im),
+            (c_im, c_re, d_im, d_re),
+        )):
+            for col, entry in enumerate(entries):
+                block[:, col, row] = entry
+        for i, t in enumerate(block):
+            np.multiply(t, state[:, None, :], out=prod)
+            state = states[i]
+            np.add(p0, p1, out=state)
+            np.add(state, p2, out=state)
+            np.add(state, p3, out=state)
+            # the sum of |u|^2 over all rows bounds each row's; the margin
+            # covers vdot's own rounding
+            u = state[:2]
+            if np.vdot(u, u) > 0.5 * limit:
+                usq = state[0] * state[0] + state[1] * state[1]
+                for k in np.flatnonzero(usq > limit):
+                    scale = math.sqrt(usq[k])
+                    state[:, k] /= scale
+                    jumps[k, start + i + 1] = math.log(scale)
+        done = states[: stop - start]
+        u_flat[:, start + 1 : stop + 1] = done[:, :2].transpose(2, 0, 1)
+        v_flat[:, start + 1 : stop + 1] = done[:, 2:].transpose(2, 0, 1)
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -350,14 +462,17 @@ def build_resolvent_batch(curve, zs, grid=None):
     v_mid = np.asarray(curve.evaluate(grid.midpoints), dtype=float)
     _check_coverage(curve, zs, v_nodes)
     m = curve.mass
-    c_nodes = 2.0 * m * (v_nodes[None, :] - zs[:, None])
-    c_mid = 2.0 * m * (v_mid[None, :] - zs[:, None])
+    # c = 2m(V - z): the real part varies along the grid, the imaginary
+    # part -2m Im z does not
+    c_nodes = 2.0 * m * (v_nodes[None, :] - zs.real[:, None])
+    c_mid = 2.0 * m * (v_mid[None, :] - zs.real[:, None])
+    c_imag = -(2.0 * m * zs.imag)
 
-    v0 = _wkb_log_derivative(c_nodes[:, 0], m, float(curve.gradient(x[0])))
-    um, ump, logm = _sweep(c_nodes, c_mid, grid.dx, v0)
+    v0 = _wkb_log_derivative(c_nodes[:, 0] + 1j * c_imag, m, float(curve.gradient(x[0])))
+    um, ump, logm = _sweep(c_nodes, c_mid, c_imag, grid.dx, v0)
 
-    v0r = _wkb_log_derivative(c_nodes[:, -1], m, -float(curve.gradient(x[-1])))
-    ur, urp, logr = _sweep(c_nodes[:, ::-1], c_mid[:, ::-1], grid.dx, v0r)
+    v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
+    ur, urp, logr = _sweep(c_nodes[:, ::-1], c_mid[:, ::-1], c_imag, grid.dx, v0r)
     up = ur[:, ::-1]
     upp = -urp[:, ::-1]
     logp = logr[:, ::-1]

@@ -20,10 +20,11 @@ from curvecross.resolvent import (
     build_resolvent_batch,
 )
 from curvecross.spectra import (
+    absorption_spectra,
     absorption_spectrum,
     default_scan,
     deviation_metric,
-    raman_profile,
+    raman_profiles,
 )
 from curvecross.wavepacket import DEFAULT_DT, verify_resolvent_identity
 
@@ -276,14 +277,8 @@ def test_criterion_8_raman_more_affected(setup, capsys):
 
     def deviations(step):
         omega = default_scan(step)
-        d_a = deviation_metric(
-            absorption_spectrum(model, omega, coupled=True, grid=grid),
-            absorption_spectrum(model, omega, coupled=False, grid=grid),
-        )
-        d_r = deviation_metric(
-            raman_profile(model, 1, omega, coupled=True, grid=grid),
-            raman_profile(model, 1, omega, coupled=False, grid=grid),
-        )
+        d_a = deviation_metric(*absorption_spectra(model, omega, grid=grid))
+        d_r = deviation_metric(*raman_profiles(model, 1, omega, grid=grid))
         return d_a, d_r
 
     d_a, d_r = deviations(10.0)

@@ -112,6 +112,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "line 2" in err and "mass_amu" in err
 
 
+def test_crossing_outside_grid_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("[model]\ncrossing_position_angstrom = 2.0\n")
+    assert main(["greens-probe", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "crossing_position_angstrom" in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["absorption", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -53,6 +53,14 @@ def test_parse_rejects_bad_value():
     assert "line 2" in str(err.value)
 
 
+def test_parse_rejects_crossing_outside_grid():
+    text = "[model]\ncrossing_position_angstrom = 2.0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line 2" in str(err.value)
+    assert "crossing_position_angstrom" in str(err.value)
+
+
 def test_parse_rejects_unknown_section():
     with pytest.raises(ConfigError):
         parse_config("[solver]\nx = 1\n")

@@ -3,7 +3,9 @@ import pytest
 
 from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
+    SCALAR_ROWS,
     HarmonicSpectralSum,
+    _step_maps,
     build_resolvent,
     build_resolvent_batch,
 )
@@ -53,11 +55,62 @@ def test_wronskian_constancy(model, grid):
 
 
 def test_batch_matches_single_build(model, grid):
-    zs = model.resolvent_argument(np.array([10800.0, 12000.0]))
-    batch = build_resolvent_batch(model.allowed, zs, grid)
-    for z, ev in zip(zs, batch):
-        single = build_resolvent(model.allowed, z, grid)
-        assert single.point(0.1, -0.2) == ev.point(0.1, -0.2)
+    # a batch of SCALAR_ROWS + 1 energies is swept on numpy rows, each
+    # single build on Python floats: the bits must not depend on the path
+    chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    for omega in (
+        np.array([10800.0, 12000.0]),
+        np.linspace(10000.0, 13000.0, SCALAR_ROWS + 1),
+    ):
+        zs = model.resolvent_argument(omega)
+        for curve in (model.allowed, model.forbidden):
+            batch = build_resolvent_batch(curve, zs, grid)
+            for z, ev in zip(zs, batch):
+                single = build_resolvent(curve, z, grid)
+                assert single.point(0.1, -0.2) == ev.point(0.1, -0.2)
+                assert single.matrix_element(chi0, chi0) == ev.matrix_element(chi0, chi0)
+                assert single.wronskian_drift == ev.wronskian_drift
+
+
+def _rk4_step(ci, cm, cn, h, u, v):
+    """One step of u'' = c u by classical RK4 in complex arithmetic, c
+    given at the left node, the midpoint and the right node."""
+    k1u = v
+    k1v = ci * u
+    k2u = v + 0.5 * h * k1v
+    k2v = cm * (u + 0.5 * h * k1u)
+    k3u = v + 0.5 * h * k2v
+    k3v = cm * (u + 0.5 * h * k2u)
+    k4u = v + h * k3v
+    k4v = cn * (u + h * k3u)
+    u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return u, v
+
+
+def test_step_maps_equal_rk4_step(model, grid):
+    # the closed-form maps are the RK4 step applied to the unit vectors, at
+    # a confining energy and above the Morse dissociation limit
+    forbidden = model.forbidden
+    h = grid.dx
+    for omega in (11200.0, 1.2 * (forbidden.origin_energy + forbidden.well_depth)):
+        z = model.resolvent_argument(omega)
+        for curve in (model.allowed, forbidden):
+            m = curve.mass
+            c_nodes = 2.0 * m * (curve.evaluate(grid.points) - z)
+            c_mid = 2.0 * m * (curve.evaluate(grid.midpoints) - z)
+            ci, cn = c_nodes[:-1], c_nodes[1:]
+            one, zero = np.ones_like(c_mid), np.zeros_like(c_mid)
+            a, c = _rk4_step(ci, c_mid, cn, h, one, zero)
+            b, d = _rk4_step(ci, c_mid, cn, h, zero, one)
+            parts = _step_maps(
+                ci.real[None], c_mid.real[None], cn.real[None],
+                np.array([[-2.0 * m * z.imag]]), h,
+            )
+            closed = [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
+            for got, ref in zip(closed, (a, b, c, d)):
+                rel = np.abs(got[0] - ref) / np.abs(ref)
+                assert np.max(rel) <= 1e-14
 
 
 def test_rejects_nonpositive_damping(model, grid):
