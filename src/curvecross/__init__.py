@@ -16,11 +16,9 @@ from .model import (
     HarmonicCurve,
     MorseCurve,
     TwoStateModel,
-    VibrationalState,
     find_crossing,
     franck_condon_matrix,
     franck_condon_overlap,
-    harmonic_eigenstate,
     harmonic_eigenstates,
     huang_rhys_factor,
 )
@@ -48,11 +46,9 @@ __all__ = [
     "HarmonicCurve",
     "MorseCurve",
     "TwoStateModel",
-    "VibrationalState",
     "find_crossing",
     "franck_condon_matrix",
     "franck_condon_overlap",
-    "harmonic_eigenstate",
     "harmonic_eigenstates",
     "huang_rhys_factor",
     "HarmonicSpectralSum",

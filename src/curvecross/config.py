@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .model import DeltaCoupling, Grid, HarmonicCurve, MorseCurve, TwoStateModel
+from .model import (
+    MAX_EIGENSTATE,
+    DeltaCoupling,
+    Grid,
+    HarmonicCurve,
+    MorseCurve,
+    TwoStateModel,
+)
 from .units import to_internal
 
 
@@ -75,8 +82,8 @@ class RunConfig:
             err("crossing_position_angstrom", f"must lie on the grid [{x_min}, {x_max}]")
         if self.omega_max_cm1 <= self.omega_min_cm1:
             err("omega_max_cm1", "must exceed omega_min_cm1")
-        if self.raman_final_state < 1:
-            err("raman_final_state", "must be >= 1")
+        if not 1 <= self.raman_final_state <= MAX_EIGENSTATE:
+            err("raman_final_state", f"must lie in 1..{MAX_EIGENSTATE}")
         return self
 
     # -- construction of internal-unit objects ---------------------------

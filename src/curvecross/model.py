@@ -129,13 +129,10 @@ class TwoStateModel:
     forbidden: PotentialCurve
     coupling: DeltaCoupling
     damping: float
-    electronic_gap: float | None = None
 
     def __post_init__(self):
         if self.damping <= 0.0:
             raise ValueError("damping must be positive")
-        if self.electronic_gap is None:
-            object.__setattr__(self, "electronic_gap", self.allowed.origin_energy)
 
     def resolvent_argument(self, photon_energy):
         """Complex energy z for a photon energy, measured from the ground
@@ -182,31 +179,6 @@ class Grid:
 
 
 DEFAULT_GRID = Grid(-1.5, 1.5, 4096)
-
-
-@dataclass(frozen=True)
-class VibrationalState:
-    """Harmonic vibrational eigenstate |n> of a curve."""
-
-    curve: HarmonicCurve
-    n: int
-
-    @property
-    def energy(self):
-        return self.curve.eigenvalue(self.n)
-
-    def wavefunction(self, x):
-        table = harmonic_eigenstates(self.curve, self.n, x)
-        return table[self.n]
-
-
-def harmonic_eigenstate(curve, n):
-    """Eigenstate n of a harmonic curve (n <= 200)."""
-    if not isinstance(curve, HarmonicCurve):
-        raise UnsupportedCurveError("eigenstates are available for harmonic curves only")
-    if n < 0 or n > MAX_EIGENSTATE:
-        raise ValueError(f"quantum number must be in 0..{MAX_EIGENSTATE}")
-    return VibrationalState(curve, n)
 
 
 def harmonic_eigenstates(curve, n_max, x):

@@ -16,10 +16,25 @@ energies for larger ones.  Both recurrences run on real and imaginary
 parts in real arithmetic, in one fixed order of correctly rounded
 operations, so an energy's solutions are bit for bit the same in any
 batch; numpy's complex ufuncs do not promise that, as their rounding
-depends on array alignment and SIMD lane.  Solutions grow through
-hundreds of e-folds in the forbidden regions, so they are stored as
-mantissa arrays with per-node log-scale offsets and every downstream
-combination is assembled in log space.
+depends on array alignment and SIMD lane.
+
+Solutions grow through hundreds of e-folds in the forbidden regions, more
+than a float64 can span on a wide grid.  The sweeps rescale as they go,
+and each solution is stored as its log-derivative y = u'/u and its log
+ell = log u per node (B. R. Johnson, J. Comput. Phys. 13, 445 (1973)).
+Everything downstream is a bounded ratio:
+
+    G(x_j, x_j) = 2m / (y+ - y-)                         on the nodes,
+    G(x, x0)    = G(x_j, x_j) u-(x)/u-(x_j) u+(x0)/u+(x_j)   off them,
+
+with u(x)/u(x_j) from cubic Hermite interpolation in the cell.  For a
+state f, A(x) = (integral of f u- up to x) / u-(x) and its mirror
+B(x) = (integral of f u+ beyond x) / u+(x) give
+
+    <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
+
+and A, B follow from one-step recurrences whose coefficients are ratios
+of u at neighbouring nodes.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -27,12 +42,13 @@ as an independent oracle for the same object.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 
 from .errors import DegenerateWronskianError
 from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
@@ -45,20 +61,6 @@ WRONSKIAN_FLOOR = 1e-13
 SCALAR_ROWS = 8
 # Nodes per block of step maps on the numpy-row path.
 MAP_BLOCK = 128
-
-
-def _log_abs(a):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(a))
-
-
-def _unit_phase(a):
-    a = np.asarray(a, dtype=complex)
-    mag = np.abs(a)
-    out = np.zeros_like(a)
-    nz = mag > 1e-300  # subnormal magnitudes carry no usable phase
-    out[nz] = a[nz] / mag[nz]
-    return out
 
 
 def _step_maps(c_left, c_mid, c_right, c_imag, h):
@@ -100,9 +102,10 @@ def _sweep(c_nodes, c_mid, c_imag, h, v0):
     _step_maps, and the recurrence (u, u') <- T (u, u') runs on the real
     and imaginary parts as four floats in one fixed order of correctly
     rounded operations: _sweep_scalar for up to SCALAR_ROWS energies,
-    _sweep_rows above, with the same bits.  Returns mantissas of u and u'
-    plus per-node log-scale offsets; a row is rescaled to |u| = 1 whenever
-    |u| passes RESCALE_THRESHOLD.
+    _sweep_rows above, with the same bits.  The recurrence rescales a row to
+    |u| = 1 whenever |u| passes RESCALE_THRESHOLD; the scales are added back
+    into the result, (ell, y) = (log u, u'/u) per node, formed in the
+    sweep's own buffers.
     """
     nz, n = c_nodes.shape
     um = np.empty((nz, n), dtype=complex)
@@ -112,7 +115,19 @@ def _sweep(c_nodes, c_mid, c_imag, h, v0):
     ump[:, 0] = v0
     sweep = _sweep_scalar if nz <= SCALAR_ROWS else _sweep_rows
     sweep(c_nodes, c_mid, c_imag[:, None], h, um, ump, jumps)
-    return um, ump, np.cumsum(jumps, axis=1)
+    y = np.divide(ump, um, out=ump)
+    ell = _log(um, out=um)
+    ell.real += np.cumsum(jumps, axis=1, out=jumps)
+    return ell, y
+
+
+def _log(a, out):
+    """log a for a complex array, written into out (which may be a), from
+    real ufuncs: numpy's complex log costs several times more."""
+    phase = np.angle(a)
+    np.log(np.abs(a), out=out.real)
+    out.imag = phase
+    return out
 
 
 def _sweep_scalar(c_nodes, c_mid, c_imag, h, um, ump, jumps):
@@ -213,168 +228,142 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _from_log(log_scale, value):
-    """value * exp(log_scale) with the magnitudes combined in log space,
-    so a huge scale times a tiny value never passes through inf * 0."""
-    mag = abs(value)
-    if mag == 0.0 or not np.isfinite(log_scale.real):
-        return 0.0j
-    total = math.log(mag) + log_scale.real
-    if total < -745.0:
-        return 0.0j
-    return complex((value / mag) * np.exp(total + 1j * log_scale.imag))
+def _running_sums(f, ell, h):
+    """A_k = (integral of f u from x_0 to x_k) / u(x_k), with u = exp(ell).
 
-
-def _cumulative(values, dx):
-    if np.iscomplexobj(values):
-        return cumulative_simpson(values.real, dx=dx, initial=0.0) + 1j * cumulative_simpson(
-            values.imag, dx=dx, initial=0.0
-        )
-    return cumulative_simpson(values, dx=dx, initial=0.0)
-
-
-def _segmented_cumulative(values, offsets, dx):
-    """Cumulative integral of values(i) * exp(offsets(i)) from the left,
-    returned as a mantissa array with the same per-node offsets.
-
-    offsets must be piecewise constant and non-decreasing (the rescale
-    ledger of an integration sweep); each constant segment is integrated
-    at its own scale and the running total is re-expressed in the scale
-    of every later segment, so interior values never collapse into
-    subnormals no matter how large the overall dynamic range is.
+    Runs A_{k+1} = rho_k A_k + q_k with rho_k = u(x_k)/u(x_{k+1}) on Python
+    complex numbers.  q_k, the integral of f u / u(x_{k+1}) over
+    [x_k, x_{k+1}], takes the 4-point cubic rule h/24 (-1, 13, 13, -1) on
+    nodes k-1..k+2, and the 3-point rule h/12 (5, 8, -1) on the first and
+    last interval.  Every factor is a ratio of u at nearby nodes, so A stays
+    bounded however far u grows across the grid.  (Cumulative Simpson would
+    alternate its stencil between odd and even nodes, an error that the
+    outer Simpson rule of matrix_element does not cancel: a few parts in
+    1e6 on the Morse surface at the default grid.)
     """
-    n = values.size
-    out = np.empty(n, dtype=complex)
-    starts = np.flatnonzero(np.diff(offsets) != 0.0) + 1
-    bounds = [0, *starts.tolist(), n]
-    carry = 0.0j
-    carry_log = -np.inf
-    for s in range(len(bounds) - 1):
-        a, b = bounds[s], bounds[s + 1]
-        level = offsets[a]
-        if a == 0:
-            cum = _cumulative(values[a:b], dx)
-        else:
-            prev = values[a - 1] * math.exp(offsets[a - 1] - level)
-            cum = _cumulative(np.concatenate(([prev], values[a:b])), dx)[1:]
-        if np.isfinite(carry_log):
-            cum = cum + carry * math.exp(carry_log - level)
-        out[a:b] = cum
-        carry = out[b - 1]
-        carry_log = level
-    return out
+    rho = np.exp(ell[:-1] - ell[1:])
+    back = f[:-1] * rho  # f u at x_k, over u(x_{k+1})
+    ahead = f[1:] / rho  # f u at x_{k+1}, over u(x_k)
+    q = np.empty(rho.size, dtype=complex)
+    q[0] = h / 12.0 * (5.0 * back[0] + 8.0 * f[1] - ahead[1])
+    q[1:-1] = h / 24.0 * (13.0 * (back[1:-1] + f[2:-1]) - back[:-2] * rho[1:-1] - ahead[2:])
+    q[-1] = h / 12.0 * (5.0 * f[-1] + 8.0 * back[-1] - back[-2] * rho[-1])
+    a = 0j
+    sums = [a]
+    append = sums.append
+    for r, dq in zip(rho.tolist(), q.tolist()):
+        a = r * a + dq
+        append(a)
+    return np.array(sums)
+
+
+def _hermite(t, v0, s0, v1, s1):
+    """Cubic Hermite interpolant at fraction t of a cell, from the end
+    values v0, v1 and the end slopes times the cell width s0, s1; returns
+    the value and the slope times the cell width."""
+    value = (
+        (1.0 + 2.0 * t) * (1.0 - t) ** 2 * v0
+        + t * (1.0 - t) ** 2 * s0
+        + t**2 * (3.0 - 2.0 * t) * v1
+        + t**2 * (t - 1.0) * s1
+    )
+    slope = (
+        6.0 * t * (t - 1.0) * (v0 - v1)
+        + (1.0 - t) * (1.0 - 3.0 * t) * s0
+        + t * (3.0 * t - 2.0) * s1
+    )
+    return value, slope
 
 
 class PartialSums(NamedTuple):
-    """One state's cumulative integrals against u- and u+ at one z, as
-    returned by ResolventEvaluator.partial_sums."""
+    """One state f at one z, as returned by ResolventEvaluator.partial_sums:
+    minus = (integral of f u- from the left edge to x) / u-(x), plus =
+    (integral of f u+ from x to the right edge) / u+(x), on the nodes."""
 
     evaluator: ResolventEvaluator
+    f: np.ndarray
     minus: np.ndarray
-    minus_integrand: np.ndarray
     plus: np.ndarray
-    plus_integrand: np.ndarray
 
 
 class ResolventEvaluator:
-    """Immutable evaluator of G(x, x0; z) for one curve at one complex z."""
+    """Immutable evaluator of G(x, x0; z) for one curve at one complex z,
+    holding y = u'/u and ell = log u of u- and u+ on the grid nodes."""
 
-    def __init__(self, curve, z, grid, um, ump, logm, up, upp, logp, log_w, drift):
+    def __init__(self, curve, z, grid, y_minus, ell_minus, y_plus, ell_plus, drift):
         self.curve = curve
         self.z = complex(z)
         self.grid = grid
-        self._um = um
-        self._ump = ump
-        self._logm = logm
-        self._up = up
-        self._upp = upp
-        self._logp = logp
-        self._log_w = log_w
+        self._ym = y_minus
+        self._lm = ell_minus
+        self._yp = y_plus
+        self._lp = ell_plus
         self.wronskian_drift = drift
         self._mass = curve.mass
 
-    # -- solution access -------------------------------------------------
+    # -- local interpolation ----------------------------------------------
 
-    def _solution_at(self, x, side):
-        """(value, derivative, logscale) of u- or u+ at arbitrary x,
-        cubic-Hermite interpolated inside the containing cell."""
-        u, du, logs = (
-            (self._um, self._ump, self._logm)
-            if side == "minus"
-            else (self._up, self._upp, self._logp)
-        )
+    def _cell(self, x):
         grid = self.grid
         if not grid.x_min <= x <= grid.x_max:
             raise ValueError(f"x = {x} outside the grid [{grid.x_min}, {grid.x_max}]")
         j = grid.index_below(x)
-        h = grid.dx
-        t = (x - grid.points[j]) / h
-        ref = max(logs[j], logs[j + 1])
-        s0 = math.exp(logs[j] - ref)
-        s1 = math.exp(logs[j + 1] - ref)
-        u0, u1 = u[j] * s0, u[j + 1] * s1
-        m0, m1 = du[j] * s0 * h, du[j + 1] * s1 * h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t**2 * (3.0 - 2.0 * t)
-        h11 = t**2 * (t - 1.0)
-        val = h00 * u0 + h10 * m0 + h01 * u1 + h11 * m1
-        d00 = 6.0 * t * (t - 1.0)
-        d10 = (1.0 - t) * (1.0 - 3.0 * t)
-        d01 = -d00
-        d11 = t * (3.0 * t - 2.0)
-        der = (d00 * u0 + d10 * m0 + d01 * u1 + d11 * m1) / h
-        return val, der, ref
+        return j, (x - grid.points[j]) / grid.dx
 
-    def _log_solution_at(self, x, side):
-        val, _, ref = self._solution_at(x, side)
-        return np.log(val) + ref
+    def _interpolate(self, ell, j, t, v0, d0, v1, d1):
+        """F(x) / u(x_j) at x = x_j + t h, cubic-Hermite interpolated from
+        F = v u and F' = d u at the cell's two nodes; returns it and h times
+        its derivative.  With v = 1 and d = y this is the ratio u(x)/u(x_j)."""
+        h = self.grid.dx
+        e = cmath.exp(ell[j + 1] - ell[j])
+        return _hermite(t, v0, h * d0, v1 * e, h * d1 * e)
+
+    def _ratios(self, j, t):
+        """u-(x)/u-(x_j) and u+(x)/u+(x_j), each with h times its derivative."""
+        return self._ratio(self._ym, self._lm, j, t), self._ratio(self._yp, self._lp, j, t)
+
+    def _ratio(self, y, ell, j, t):
+        return self._interpolate(ell, j, t, 1.0, y[j], 1.0, y[j + 1])
+
+    def _node_value(self, j):
+        """G(x_j, x_j) = 2m u- u+ / W = 2m / (y+ - y-)."""
+        return 2.0 * self._mass / (self._yp[j] - self._ym[j])
 
     # -- Green's function values ------------------------------------------
 
     def point(self, x, x0):
         """G(x, x0), interpolating off-node arguments."""
         lo, hi = (x, x0) if x <= x0 else (x0, x)
-        log_g = (
-            math.log(2.0 * self._mass)
-            + self._log_solution_at(lo, "minus")
-            + self._log_solution_at(hi, "plus")
-            - self._log_w
-        )
-        return complex(np.exp(log_g))
+        j, t = self._cell(lo)
+        i, s = self._cell(hi)
+        r_minus, _ = self._ratio(self._ym, self._lm, j, t)
+        r_plus, _ = self._ratio(self._yp, self._lp, i, s)
+        shift = cmath.exp(self._lp[i] - self._lp[j])
+        return complex(self._node_value(j) * r_minus * r_plus * shift)
 
     def row(self, x0):
         """G(x_i, x0) on all grid nodes for a fixed x0."""
-        lm0 = self._log_solution_at(x0, "minus")
-        lp0 = self._log_solution_at(x0, "plus")
-        base = math.log(2.0 * self._mass) - self._log_w
-        x = self.grid.points
-        use_left = x <= x0
-        log_mag = np.where(
-            use_left,
-            (base + lp0).real + _log_abs(self._um) + self._logm,
-            (base + lm0).real + _log_abs(self._up) + self._logp,
-        )
-        phase = np.where(
-            use_left,
-            _unit_phase(self._um) * np.exp(1j * (base + lp0).imag),
-            _unit_phase(self._up) * np.exp(1j * (base + lm0).imag),
-        )
-        return phase * np.exp(log_mag)
+        j, t = self._cell(x0)
+        (r_minus, _), (r_plus, _) = self._ratios(j, t)
+        g = self._node_value(j)
+        k = int(np.searchsorted(self.grid.points, x0, side="right"))
+        return np.concatenate((
+            g * r_plus * np.exp(self._lm[:k] - self._lm[j]),
+            g * r_minus * np.exp(self._lp[k:] - self._lp[j]),
+        ))
 
     def derivative_jump(self, x):
         """d/dx G(x, x0) jump across x = x0; equals 2m for the exact G."""
-        um, dum, rm = self._solution_at(x, "minus")
-        up, dup, rp = self._solution_at(x, "plus")
-        w_local = np.log(um * dup - dum * up) + rm + rp
-        return complex(2.0 * self._mass * np.exp(w_local - self._log_w))
+        j, t = self._cell(x)
+        (r_minus, s_minus), (r_plus, s_plus) = self._ratios(j, t)
+        jump = self._node_value(j) * (r_minus * s_plus - s_minus * r_plus) / self.grid.dx
+        return complex(jump)
 
     # -- quadratures -------------------------------------------------------
 
     def partial_sums(self, f):
-        """Cumulative integrals of f u- (accumulated from the left) and
-        f u+ (accumulated from the right) at this z, each a mantissa array
-        carrying the matching solution's per-node log offsets.
+        """Running integrals of f u- from the left and of f u+ from the
+        right, each divided by the solution at its node (PartialSums).
 
         matrix_element and vector accept the result in place of f, so a
         state that enters several quadratures at one z is summed once.
@@ -382,12 +371,10 @@ class ResolventEvaluator:
         f = np.asarray(f, dtype=complex)
         if f.shape != self.grid.points.shape:
             raise ValueError("wavefunction must be sampled on the evaluator grid")
-        dx = self.grid.dx
-        tm = f * self._um
-        f_minus = _segmented_cumulative(tm, self._logm, dx)
-        tp = f * self._up
-        f_plus = _segmented_cumulative(tp[::-1], self._logp[::-1], dx)[::-1]
-        return PartialSums(self, f_minus, tm, f_plus, tp)
+        h = self.grid.dx
+        minus = _running_sums(f, self._lm, h)
+        plus = _running_sums(f[::-1], self._lp[::-1], h)[::-1]
+        return PartialSums(self, f, minus, plus)
 
     def _sums(self, f):
         if not isinstance(f, PartialSums):
@@ -396,57 +383,28 @@ class ResolventEvaluator:
             raise ValueError("partial sums were taken with another evaluator")
         return f
 
-    def _interp_partial(self, cum, integrand, offsets, x):
-        """Cumulative integral at off-node x via Hermite interpolation (the
-        integrand is the cumulative's exact derivative up to sign); returns
-        (mantissa, log offset)."""
-        grid = self.grid
-        j = grid.index_below(x)
-        h = grid.dx
-        t = (x - grid.points[j]) / h
-        ref = max(offsets[j], offsets[j + 1])
-        s0 = math.exp(offsets[j] - ref)
-        s1 = math.exp(offsets[j + 1] - ref)
-        m0, m1 = integrand[j] * s0 * h, integrand[j + 1] * s1 * h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t**2 * (3.0 - 2.0 * t)
-        h11 = t**2 * (t - 1.0)
-        value = h00 * cum[j] * s0 + h10 * m0 + h01 * cum[j + 1] * s1 + h11 * m1
-        return value, ref
-
     def vector(self, f, x0):
-        """integral f(x) G(x, x0) dx for f sampled on the grid (or its
-        partial_sums)."""
+        """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f sampled
+        on the grid (or its partial_sums), with A and B the partial sums
+        Hermite-interpolated off the nodes."""
         sums = self._sums(f)
-        fm0, lm0 = self._interp_partial(sums.minus, sums.minus_integrand, self._logm, x0)
-        fp0, lp0 = self._interp_partial(sums.plus, -sums.plus_integrand, self._logp, x0)
-        lum = self._log_solution_at(x0, "minus")
-        lup = self._log_solution_at(x0, "plus")
-        base = math.log(2.0 * self._mass) - self._log_w
-        return _from_log(base + lup + lm0, fm0) + _from_log(base + lum + lp0, fp0)
+        j, t = self._cell(x0)
+        (r_minus, _), (r_plus, _) = self._ratios(j, t)
+        s, a, b = sums.f, sums.minus, sums.plus
+        # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j); d/dx (A u-) = f u-,
+        # d/dx (B u+) = -f u+
+        a0, _ = self._interpolate(self._lm, j, t, a[j], s[j], a[j + 1], s[j + 1])
+        b0, _ = self._interpolate(self._lp, j, t, b[j], -s[j], b[j + 1], -s[j + 1])
+        return complex(self._node_value(j) * (a0 * r_plus + b0 * r_minus))
 
     def matrix_element(self, f, g):
-        """double integral f(x) G(x, x0) g(x0) dx dx0, O(N) via the
-        u-/u+ factorization; the combined outer integrand is smooth.  f may
-        be given as its partial_sums."""
+        """double integral f(x) G(x, x0) g(x0) dx dx0 = integral of
+        g G(x, x) (A + B) over the nodes, O(N); f may be given as its
+        partial_sums."""
         sums = self._sums(f)
-        f_minus, f_plus = sums.minus, sums.plus
         g = np.asarray(g, dtype=complex)
-        log_g = _log_abs(g)
-        ph_g = _unit_phase(g)
-
-        ell = self._logm + self._logp
-        w1 = log_g + _log_abs(self._up) + _log_abs(f_minus) + ell
-        w2 = log_g + _log_abs(self._um) + _log_abs(f_plus) + ell
-        big = float(max(np.max(w1), np.max(w2)))
-        if not np.isfinite(big):
-            return 0.0j
-        with np.errstate(under="ignore"):
-            t1 = ph_g * _unit_phase(self._up) * _unit_phase(f_minus) * np.exp(w1 - big)
-            t2 = ph_g * _unit_phase(self._um) * _unit_phase(f_plus) * np.exp(w2 - big)
-        total = simpson(t1 + t2, dx=self.grid.dx)
-        return _from_log(math.log(2.0 * self._mass) + big - self._log_w, complex(total))
+        diagonal = 2.0 * self._mass / (self._yp - self._ym)
+        return complex(simpson(g * diagonal * (sums.minus + sums.plus), dx=self.grid.dx))
 
 
 def build_resolvent_batch(curve, zs, grid=None):
@@ -469,32 +427,31 @@ def build_resolvent_batch(curve, zs, grid=None):
     c_imag = -(2.0 * m * zs.imag)
 
     v0 = _wkb_log_derivative(c_nodes[:, 0] + 1j * c_imag, m, float(curve.gradient(x[0])))
-    um, ump, logm = _sweep(c_nodes, c_mid, c_imag, grid.dx, v0)
+    ell_minus, y_minus = _sweep(c_nodes, c_mid, c_imag, grid.dx, v0)
 
     v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
-    ur, urp, logr = _sweep(c_nodes[:, ::-1], c_mid[:, ::-1], c_imag, grid.dx, v0r)
-    up = ur[:, ::-1]
-    upp = -urp[:, ::-1]
-    logp = logr[:, ::-1]
+    ell_r, y_r = _sweep(c_nodes[:, ::-1], c_mid[:, ::-1], c_imag, grid.dx, v0r)
+    ell_plus = ell_r[:, ::-1]
+    y_plus = np.negative(y_r, out=y_r)[:, ::-1]
 
-    w = um * upp - ump * up
-    ell = logm + logp
     evaluators = []
     for k, z in enumerate(zs):
-        r = int(np.argmax(_log_abs(w[k])))
-        scale = np.abs(um[k, r] * upp[k, r]) + np.abs(ump[k, r] * up[k, r])
-        if np.abs(w[k, r]) < WRONSKIAN_FLOOR * scale:
+        ym, yp = y_minus[k], y_plus[k]
+        dy = yp - ym
+        if np.all(np.abs(dy) < WRONSKIAN_FLOOR * (np.abs(yp) + np.abs(ym))):
             raise DegenerateWronskianError(
                 f"boundary solutions degenerate at z = {z}; grid or seeding failed"
             )
-        log_w = complex(np.log(w[k, r]) + ell[k, r])
-        d_mag = _log_abs(w[k]) + ell[k] - log_w.real
-        d_phase = np.angle(w[k] * np.exp(-1j * log_w.imag))
-        drift = float(np.max(np.abs(d_mag + 1j * d_phase)))
+        # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
+        # solutions; the drift is its largest departure from the left edge,
+        # the phase taken modulo 2 pi
+        log_w = _log(dy, out=dy)
+        log_w += ell_minus[k] + ell_plus[k]
+        log_w -= log_w[0]
+        phase = np.remainder(log_w.imag + np.pi, 2.0 * np.pi) - np.pi
+        drift = float(np.max(np.hypot(log_w.real, phase)))
         evaluators.append(
-            ResolventEvaluator(
-                curve, z, grid, um[k], ump[k], logm[k], up[k], upp[k], logp[k], log_w, drift
-            )
+            ResolventEvaluator(curve, z, grid, ym, ell_minus[k], yp, ell_plus[k], drift)
         )
     return evaluators
 

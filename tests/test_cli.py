@@ -120,6 +120,16 @@ def test_crossing_outside_grid_exits_2(tmp_path, capsys):
     assert "line 2" in err and "crossing_position_angstrom" in err
 
 
+def test_raman_final_state_above_table_exits_2(tmp_path, capsys):
+    assert main(["raman", "--nf", "250", "--out", str(tmp_path / "run")]) == 2
+    assert "raman_final_state" in capsys.readouterr().err
+    cfg = tmp_path / "high.cfg"
+    cfg.write_text("# final state beyond the eigenstate table\n[raman]\nraman_final_state = 201\n")
+    assert main(["raman", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "raman_final_state" in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["absorption", "--config", str(tmp_path / "nope.cfg")]) == 2
 

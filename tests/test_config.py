@@ -61,6 +61,15 @@ def test_parse_rejects_crossing_outside_grid():
     assert "crossing_position_angstrom" in str(err.value)
 
 
+def test_parse_rejects_raman_final_state_above_table():
+    text = "[raman]\nraman_final_state = 201\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line 2" in str(err.value)
+    assert "raman_final_state" in str(err.value)
+    assert parse_config("[raman]\nraman_final_state = 200\n")[0].raman_final_state == 200
+
+
 def test_parse_rejects_unknown_section():
     with pytest.raises(ConfigError):
         parse_config("[solver]\nx = 1\n")

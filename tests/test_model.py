@@ -18,7 +18,6 @@ from curvecross.model import (
     find_crossing,
     franck_condon_matrix,
     franck_condon_overlap,
-    harmonic_eigenstate,
     harmonic_eigenstates,
     huang_rhys_factor,
 )
@@ -70,16 +69,15 @@ def test_curve_validation():
 
 
 def test_ground_state_is_normalized_gaussian(model, grid):
-    state = harmonic_eigenstate(model.ground, 0)
-    chi = state.wavefunction(grid.points)
+    chi = harmonic_eigenstates(model.ground, 0, grid.points)[0]
     assert np.all(chi > 0)
     assert simpson(chi * chi, dx=grid.dx) == pytest.approx(1.0, abs=1e-10)
-    assert state.energy == pytest.approx(200.0)
+    assert model.ground.eigenvalue(0) == pytest.approx(200.0)
 
 
 def test_first_excited_vanishes_at_minimum(model):
-    state = harmonic_eigenstate(model.allowed, 1)
-    assert state.wavefunction(np.array([0.1]))[0] == 0.0
+    chi = harmonic_eigenstates(model.allowed, 1, np.array([0.1]))[1]
+    assert chi[0] == 0.0
 
 
 def test_high_state_norm(model):
@@ -103,10 +101,11 @@ def test_parity(model):
 
 
 def test_eigenstate_limits(model):
+    x = np.array([0.0])
     with pytest.raises(ValueError):
-        harmonic_eigenstate(model.ground, 201)
+        harmonic_eigenstates(model.ground, 201, x)
     with pytest.raises(UnsupportedCurveError):
-        harmonic_eigenstate(model.forbidden, 0)
+        harmonic_eigenstates(model.forbidden, 0, x)
 
 
 # -- Morse bound energies -------------------------------------------------
@@ -239,10 +238,6 @@ def test_model_requires_positive_damping(model):
             coupling=model.coupling,
             damping=0.0,
         )
-
-
-def test_electronic_gap_defaults_to_allowed_origin(model):
-    assert model.electronic_gap == model.allowed.origin_energy
 
 
 def test_resolvent_argument(model):

@@ -72,6 +72,38 @@ def test_batch_matches_single_build(model, grid):
                 assert single.wronskian_drift == ev.wronskian_drift
 
 
+def test_morse_quadrature_converges(model, grid):
+    # <chi1|G2|chi0> on the default grid against a grid four times finer
+    # with the same end points
+    fine = Grid(grid.x_min, grid.x_max, 4 * (grid.n - 1) + 1)
+    for omega in (9800.0, 11000.0, 12500.0):
+        z = model.resolvent_argument(omega)
+        values = []
+        for g in (grid, fine):
+            chi = harmonic_eigenstates(model.ground, 1, g.points)
+            values.append(build_resolvent(model.forbidden, z, g).matrix_element(chi[1], chi[0]))
+        coarse, refined = values
+        assert abs(coarse - refined) <= 1e-7 * abs(refined)
+
+
+def test_values_survive_dynamic_range_beyond_float64(model, grid):
+    # 1024 more cells of the default spacing on either side: every default
+    # node is a node here too, and u+- span about 2100 e-folds across the
+    # wide grid, more than a float64 can hold
+    pad = 1024 * grid.dx
+    wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
+    x_c = model.coupling.location
+    for omega in (9800.0, 11000.0, 12500.0):
+        z = model.resolvent_argument(omega)
+        results = []
+        for g in (grid, wide):
+            chi = harmonic_eigenstates(model.ground, 1, g.points)
+            ev = build_resolvent(model.allowed, z, g)
+            results.append((ev.matrix_element(chi[1], chi[0]), ev.point(x_c, x_c)))
+        for default, widened in zip(*results):
+            assert abs(widened - default) <= 1e-8 * abs(default)
+
+
 def _rk4_step(ci, cm, cn, h, u, v):
     """One step of u'' = c u by classical RK4 in complex arithmetic, c
     given at the left node, the midpoint and the right node."""
