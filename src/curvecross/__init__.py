@@ -32,9 +32,7 @@ from .coupled import CoupledAmplitude, CoupledBlocks
 from .spectra import (
     Spectrum,
     absorption_spectra,
-    absorption_spectrum,
     deviation_metric,
-    raman_profile,
     raman_profiles,
 )
 from . import units
@@ -59,9 +57,7 @@ __all__ = [
     "CoupledBlocks",
     "Spectrum",
     "absorption_spectra",
-    "absorption_spectrum",
     "deviation_metric",
-    "raman_profile",
     "raman_profiles",
     "units",
 ]

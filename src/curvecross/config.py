@@ -19,6 +19,7 @@ from .model import (
     MorseCurve,
     TwoStateModel,
 )
+from .spectra import photon_energies
 from .units import to_internal
 
 
@@ -129,13 +130,7 @@ class RunConfig:
         return Grid(self.grid_x_min_angstrom, self.grid_x_max_angstrom, self.grid_points)
 
     def omega_grid(self):
-        import numpy as np
-
-        return np.arange(
-            self.omega_min_cm1,
-            self.omega_max_cm1 + 0.5 * self.omega_step_cm1,
-            self.omega_step_cm1,
-        )
+        return photon_energies(self.omega_min_cm1, self.omega_max_cm1, self.omega_step_cm1)
 
     def echo_lines(self):
         """Config echo as a parseable file: feeding it back reproduces the run."""

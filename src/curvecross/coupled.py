@@ -5,8 +5,9 @@ With a point coupling K0 delta(x - x_c), block elimination closes exactly:
     G11 = G1 + K0^2 G1|x_c> G2(x_c,x_c) <x_c|G1 / (1 - K0^2 G1(x_c,x_c) G2(x_c,x_c))
     G12 = K0 G1|x_c> <x_c|G2 / (same denominator)
 
-and G21, G22 follow by swapping the surface roles.  All four blocks share
-the two point values at x_c and the denominator, computed once per z.
+The blocks share the two point values at x_c and the denominator, computed
+once per z.  At K0 = 0 the correction is exactly zero and the denominator
+exactly one, so G11 is the bare G1 bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class CoupledAmplitude:
 
 
 class CoupledBlocks:
-    """All four block evaluators at one z, sharing cached point values."""
+    """The coupled block evaluators at one z, sharing cached point values."""
 
     def __init__(self, ev1, ev2, k0, x_c):
         if ev1.z != ev2.z:
@@ -49,40 +50,24 @@ class CoupledBlocks:
                 "for Im z > 0"
             )
 
-    def _diagonal_block(self, ev, g_other_cc, f, i):
-        """<f|Gjj|i> on the surface of ev, the other surface entering
-        through its point value at x_c.  Each distinct state's partial sums
-        are taken once and shared by the matrix element and the vectors."""
+    def g11(self, f, i):
+        """<f|G11|i>, the forbidden surface entering through G2(x_c, x_c).
+        Each distinct state's partial sums are taken once and shared by the
+        matrix element and the vectors."""
+        ev = self.ev1
         sums_f = ev.partial_sums(f)
         direct = ev.matrix_element(sums_f, i)
-        if self.k0 == 0.0:
-            return CoupledAmplitude(direct, direct, 0.0j, 1.0 + 0.0j)
         left = ev.vector(sums_f, self.x_c)
         right = left if np.array_equal(f, i) else ev.vector(i, self.x_c)
-        correction = self.k0**2 * left * g_other_cc * right / self.denominator
+        correction = self.k0**2 * left * self.g2_cc * right / self.denominator
         return CoupledAmplitude(direct + correction, direct, correction, self.denominator)
 
-    def g11(self, f, i):
-        return self._diagonal_block(self.ev1, self.g2_cc, f, i)
-
-    def g22(self, f, i):
-        return self._diagonal_block(self.ev2, self.g1_cc, f, i)
-
     def g12(self, f, i):
-        if self.k0 == 0.0:
-            return 0.0j
         return self.k0 * self.ev1.vector(f, self.x_c) * self.ev2.vector(i, self.x_c) / self.denominator
-
-    def g21(self, f, i):
-        if self.k0 == 0.0:
-            return 0.0j
-        return self.k0 * self.ev2.vector(f, self.x_c) * self.ev1.vector(i, self.x_c) / self.denominator
 
     def g21_row(self, i):
         """(G21 i)(x) on the grid of the second surface: the amplitude
         transferred to the forbidden surface from a state i on the allowed
         one."""
-        if self.k0 == 0.0:
-            return np.zeros_like(self.ev2.grid.points, dtype=complex)
         transfer = self.k0 * self.ev1.vector(i, self.x_c) / self.denominator
         return transfer * self.ev2.row(self.x_c)

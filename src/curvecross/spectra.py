@@ -7,12 +7,15 @@ forbidden surface automatically.  Absorption takes the 1,1 block only:
 the forbidden surface carries no transition dipole, so the initial and
 final vibronic states have zero second component.  One scan yields both
 the coupled amplitude and its uncoupled part, the allowed-surface term of
-the partitioning formula, from the same sweeps.
+the partitioning formula, from the same sweeps; `absorption_spectra` and
+`raman_profiles` return that (coupled, uncoupled) pair.  There is no
+separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,27 +56,24 @@ def model_fingerprint(model, grid):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def scan_resolvents(model, omega_grid, grid, forbidden=True):
+def scan_resolvents(model, omega_grid, grid):
     """Yield (ev1, ev2), the allowed- and forbidden-surface evaluators at
     each photon energy, sweeping each surface once per chunk of SCAN_CHUNK
-    energies; ev2 is None when forbidden is false."""
+    energies."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     for start in range(0, omega_grid.size, SCAN_CHUNK):
         zs = model.resolvent_argument(omega_grid[start : start + SCAN_CHUNK])
         evs1 = build_resolvent_batch(model.allowed, zs, grid)
-        if forbidden:
-            yield from zip(evs1, build_resolvent_batch(model.forbidden, zs, grid))
-        else:
-            yield from ((ev1, None) for ev1 in evs1)
+        yield from zip(evs1, build_resolvent_batch(model.forbidden, zs, grid))
 
 
-def scan(model, omega_grid, n_f=0, coupled=True, grid=None):
+def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
     and without it, from one pass of sweeps.
 
     Returns (value, direct): the coupled amplitudes and their uncoupled
-    part, the allowed-surface matrix element.  The forbidden surface is
-    swept only when coupled and K0 != 0; otherwise value is direct.
+    part, the allowed-surface matrix element.  For a K0 = 0 model the two
+    are equal bit for bit.
     """
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
@@ -82,31 +82,25 @@ def scan(model, omega_grid, n_f=0, coupled=True, grid=None):
     states = harmonic_eigenstates(model.ground, n_f, grid.points)
     chi_i = states[0]
     chi_f = states[n_f]
-    k0 = model.coupling.strength if coupled else 0.0
+    k0 = model.coupling.strength
     x_c = model.coupling.location
     value = np.empty(np.size(omega_grid), dtype=complex)
     direct = np.empty_like(value)
-    pairs = scan_resolvents(model, omega_grid, grid, forbidden=k0 != 0.0)
-    for k, (ev1, ev2) in enumerate(pairs):
-        if ev2 is None:
-            value[k] = direct[k] = ev1.matrix_element(chi_f, chi_i)
-        else:
-            amplitude = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi_f, chi_i)
-            value[k] = amplitude.value
-            direct[k] = amplitude.direct
+    for k, (ev1, ev2) in enumerate(scan_resolvents(model, omega_grid, grid)):
+        amplitude = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi_f, chi_i)
+        value[k] = amplitude.value
+        direct[k] = amplitude.direct
     return value, direct
 
 
-def _spectra(model, omega_grid, n_f, couplings, grid):
-    """One scan, viewed as the spectrum of each flag in couplings: the
-    absorption spectrum for n_f = 0, else the Raman profile into n_f."""
+def _spectra(model, omega_grid, n_f, grid):
+    """(coupled, uncoupled) spectra of one scan: the absorption spectrum
+    for n_f = 0, else the Raman profile into n_f."""
     if grid is None:
         grid = DEFAULT_GRID
-    value, direct = scan(model, omega_grid, n_f, any(couplings), grid)
     omega = np.asarray(omega_grid, dtype=float)
     spectra = []
-    for coupled in couplings:
-        amplitudes = value if coupled else direct
+    for coupled, amplitudes in zip((True, False), scan(model, omega, n_f, grid)):
         metadata = {
             "fingerprint": model_fingerprint(model, grid),
             "grid": (grid.x_min, grid.x_max, grid.n),
@@ -121,33 +115,18 @@ def _spectra(model, omega_grid, n_f, couplings, grid):
     return tuple(spectra)
 
 
-def _check_raman_final_state(n_f):
-    if n_f < 1:
-        raise ValueError("the Raman final state must satisfy n_f >= 1")
-
-
-def absorption_spectrum(model, omega_grid, coupled=True, grid=None):
-    """Electronic absorption intensity Re[i <chi_i|G11(z)|chi_i>] over the
-    scan; proportionality constant fixed to 1."""
-    return _spectra(model, omega_grid, 0, (coupled,), grid)[0]
-
-
-def raman_profile(model, n_f, omega_grid, coupled=True, grid=None):
-    """Raman excitation profile |i <chi_f|G11(z)|chi_i>|^2 into the ground
-    curve's final state n_f (n_f >= 1)."""
-    _check_raman_final_state(n_f)
-    return _spectra(model, omega_grid, n_f, (coupled,), grid)[0]
-
-
 def absorption_spectra(model, omega_grid, grid=None):
-    """(coupled, uncoupled) absorption spectra from one scan."""
-    return _spectra(model, omega_grid, 0, (True, False), grid)
+    """(coupled, uncoupled) absorption intensities Re[i <chi_i|G11(z)|chi_i>]
+    from one scan; proportionality constant fixed to 1."""
+    return _spectra(model, omega_grid, 0, grid)
 
 
 def raman_profiles(model, n_f, omega_grid, grid=None):
-    """(coupled, uncoupled) Raman excitation profiles from one scan."""
-    _check_raman_final_state(n_f)
-    return _spectra(model, omega_grid, n_f, (True, False), grid)
+    """(coupled, uncoupled) Raman excitation profiles |i <chi_f|G11(z)|chi_i>|^2
+    into the ground curve's final state n_f (n_f >= 1), from one scan."""
+    if n_f < 1:
+        raise ValueError("the Raman final state must satisfy n_f >= 1")
+    return _spectra(model, omega_grid, n_f, grid)
 
 
 def deviation_metric(coupled_spectrum, uncoupled_spectrum):
@@ -161,6 +140,14 @@ def deviation_metric(coupled_spectrum, uncoupled_spectrum):
     return float(num / den)
 
 
+def photon_energies(omega_min, omega_max, step):
+    """The energies omega_min + step k, k = 0, 1, ..., that do not exceed
+    omega_max.  One candidate past the rounded count is tried, so a window
+    ending on its last step keeps that endpoint."""
+    omega = omega_min + step * np.arange(math.floor((omega_max - omega_min) / step) + 2)
+    return omega[omega <= omega_max]
+
+
 def default_scan(step=10.0):
     """The standard 9500..13500 cm^-1 window."""
-    return np.arange(9500.0, 13500.0 + 0.5 * step, step)
+    return photon_energies(9500.0, 13500.0, step)

@@ -47,8 +47,7 @@ class WavepacketState:
 class SplitStepPropagator:
     """Strang-split propagator for the delta-coupled two-surface model."""
 
-    def __init__(self, model, grid=None, dt=DEFAULT_DT, delta_width=4.0,
-                 absorber=True, k0=None):
+    def __init__(self, model, grid=None, dt=DEFAULT_DT, delta_width=4.0, absorber=True):
         if delta_width < 2.0:
             raise ValueError("the coupling Gaussian needs delta_width >= 2 grid steps")
         self.model = model
@@ -64,11 +63,10 @@ class SplitStepPropagator:
 
         v1 = np.asarray(model.allowed.evaluate(x), dtype=float)
         v2 = np.asarray(model.forbidden.evaluate(x), dtype=float)
-        strength = model.coupling.strength if k0 is None else float(k0)
         sigma = delta_width * dx
         gauss = np.exp(-0.5 * ((x - model.coupling.location) / sigma) ** 2)
         gauss /= np.sum(gauss) * dx
-        coupling = strength * gauss
+        coupling = model.coupling.strength * gauss
 
         mu = 0.5 * (v1 + v2)
         delta = 0.5 * (v1 - v2)
@@ -122,11 +120,10 @@ def initial_state(model, grid=None):
     return WavepacketState(chi.astype(complex), np.zeros_like(chi, dtype=complex), 0.0)
 
 
-def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None,
-              absorber=True, k0=None):
+def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None, absorber=True):
     """Yield the state at t = 0, dt, 2dt, ... through t_final."""
     prop = SplitStepPropagator(model, grid=grid, dt=dt, delta_width=delta_width,
-                               absorber=absorber, k0=k0)
+                               absorber=absorber)
     state = initial
     yield state
     steps = int(math.ceil(t_final / dt - 1e-9))
@@ -202,7 +199,7 @@ def verify_resolvent_identity(model, omega_samples, dt=DEFAULT_DT, delta_width=4
     gamma = model.damping
     t_final = decay_target / gamma
     omegas = np.atleast_1d(np.asarray(omega_samples, dtype=float))
-    z_args = omegas + 0.5 * model.ground.frequency
+    z_args = model.resolvent_argument(omegas).real
 
     start = initial_state(model, wp_grid)
     series = propagate(model, start, dt, t_final, delta_width=delta_width, grid=wp_grid)

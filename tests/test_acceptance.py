@@ -21,7 +21,6 @@ from curvecross.resolvent import (
 )
 from curvecross.spectra import (
     absorption_spectra,
-    absorption_spectrum,
     default_scan,
     deviation_metric,
     raman_profiles,
@@ -150,7 +149,7 @@ def test_criterion_4_uncoupled_absorption_analytics(setup, capsys):
     start = time.time()
     sharp = replace(model, damping=20.0)
     omega = np.arange(10600.0, 12520.0, 2.0)
-    spec = absorption_spectrum(sharp, omega, coupled=False, grid=grid)
+    _, spec = absorption_spectra(sharp, omega, grid=grid)
     peaks = local_maxima(omega, spec.intensity)
     s = huang_rhys_factor(model.ground, model.allowed)
     heights = []

@@ -1,3 +1,7 @@
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from curvecross.config import RunConfig, apply_overrides, parse_config
@@ -107,3 +111,29 @@ def test_overrides():
     assert cfg.allowed_displacement_angstrom == 0.0
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), gamma=-5.0)
+
+
+@pytest.mark.parametrize(
+    "omega_min, omega_max, step, expected",
+    [
+        (0.0, 15.000001, 10.0, [0.0, 10.0]),
+        (9500.0, 9500.6, 1.0, [9500.0]),
+        (9500.0, 9502.5, 1.0, [9500.0, 9501.0, 9502.0]),
+        # (9500.3 - 9500) / 0.1 rounds below 3, yet 9500 + 3 * 0.1 is 9500.3
+        (9500.0, 9500.3, 0.1, (9500.0 + 0.1 * np.arange(4)).tolist()),
+        (9500.0, 13500.0, 10.0, (9500.0 + 10.0 * np.arange(401)).tolist()),
+    ],
+)
+def test_omega_grid_stops_at_omega_max(omega_min, omega_max, step, expected):
+    cfg = RunConfig(omega_min_cm1=omega_min, omega_max_cm1=omega_max, omega_step_cm1=step)
+    assert cfg.omega_grid().tolist() == expected
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg, lines = parse_config(blocks[0])
+    assert cfg.raman_final_state == 1
+    assert cfg.grid_points == 4096
+    assert "raman_final_state" in lines

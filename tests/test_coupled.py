@@ -16,12 +16,17 @@ def pair(model, grid):
 
 
 def test_zero_coupling_reduces_exactly(pair, model):
+    # no special case for K0 = 0: the partitioning formula itself gives a
+    # zero correction over a unit denominator
     ev1, ev2, chi = pair
-    amp = CoupledBlocks(ev1, ev2, 0.0, model.coupling.location).g11(chi[0], chi[0])
-    assert amp.value == ev1.matrix_element(chi[0], chi[0])
-    assert amp.crossing_correction == 0.0
-    assert amp.denominator == 1.0
-    assert CoupledBlocks(ev1, ev2, 0.0, model.coupling.location).g12(chi[0], chi[0]) == 0.0
+    blocks = CoupledBlocks(ev1, ev2, 0.0, model.coupling.location)
+    for f, i in ((chi[0], chi[0]), (chi[1], chi[0])):
+        amp = blocks.g11(f, i)
+        assert amp.value == ev1.matrix_element(f, i)
+        assert amp.crossing_correction == 0.0
+        assert amp.denominator == 1.0
+    assert blocks.g12(chi[0], chi[0]) == 0.0
+    assert not np.any(blocks.g21_row(chi[0]))
 
 
 def test_value_decomposition(pair, model):
@@ -48,16 +53,15 @@ def test_diagonal_blocks_equal_separate_quadratures(pair, model):
     k0 = model.coupling.strength
     x_c = model.coupling.location
     blocks = CoupledBlocks(ev1, ev2, k0, x_c)
-    for block, ev, g_other in ((blocks.g11, ev1, blocks.g2_cc), (blocks.g22, ev2, blocks.g1_cc)):
-        for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
-            amp = block(f, i)
-            direct = ev.matrix_element(f, i)
-            correction = (
-                k0**2 * ev.vector(f, x_c) * g_other * ev.vector(i, x_c) / blocks.denominator
-            )
-            assert amp.direct == direct
-            assert amp.crossing_correction == correction
-            assert amp.value == direct + correction
+    for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
+        amp = blocks.g11(f, i)
+        direct = ev1.matrix_element(f, i)
+        correction = (
+            k0**2 * ev1.vector(f, x_c) * blocks.g2_cc * ev1.vector(i, x_c) / blocks.denominator
+        )
+        assert amp.direct == direct
+        assert amp.crossing_correction == correction
+        assert amp.value == direct + correction
 
 
 def test_partial_sums_stand_in_for_their_state(pair, model):
@@ -74,16 +78,10 @@ def test_blocks_share_denominator(pair, model):
     ev1, ev2, chi = pair
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
     a11 = blocks.g11(chi[0], chi[0])
-    a22 = blocks.g22(chi[0], chi[0])
-    assert a11.denominator == a22.denominator == blocks.denominator
-    # with identical bra and ket the operator symmetry makes the two
-    # off-diagonal elements coincide
-    assert blocks.g12(chi[0], chi[0]) == pytest.approx(
-        blocks.g21(chi[0], chi[0]), rel=1e-12
-    )
+    assert a11.denominator == blocks.denominator
 
 
-def test_off_diagonal_blocks_swap_roles(pair, model):
+def test_off_diagonal_block_is_vector_product(pair, model):
     ev1, ev2, chi = pair
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
     x_c = model.coupling.location
@@ -95,14 +93,6 @@ def test_off_diagonal_blocks_swap_roles(pair, model):
         / blocks.denominator
     )
     assert g12 == pytest.approx(manual, rel=1e-12)
-    g21 = blocks.g21(chi[0], chi[1])
-    manual21 = (
-        model.coupling.strength
-        * ev2.vector(chi[0], x_c)
-        * ev1.vector(chi[1], x_c)
-        / blocks.denominator
-    )
-    assert g21 == pytest.approx(manual21, rel=1e-12)
 
 
 def test_g21_row_is_transfer_times_row(pair, model):

@@ -15,10 +15,10 @@ from curvecross.model import (
 from curvecross.resolvent import build_resolvent_batch
 from curvecross.spectra import (
     Spectrum,
-    absorption_spectrum,
+    absorption_spectra,
     default_scan,
     deviation_metric,
-    raman_profile,
+    raman_profiles,
 )
 
 
@@ -54,7 +54,7 @@ def test_sharp_line_positions_and_poisson_heights(model, grid):
     # the Huang-Rhys factor
     sharp = with_params(model, damping=20.0)
     omega = np.arange(10600.0, 12520.0, 2.0)
-    spec = absorption_spectrum(sharp, omega, coupled=False, grid=grid)
+    _, spec = absorption_spectra(sharp, omega, grid=grid)
     intensity = spec.intensity
     peaks = np.flatnonzero(
         (intensity[1:-1] > intensity[:-2]) & (intensity[1:-1] > intensity[2:])
@@ -77,7 +77,7 @@ def test_broadband_integral_matches_lorentzian_sum(model, grid):
     # integral equals the Franck-Condon-weighted sum of Lorentzian
     # window integrals
     omega = default_scan()
-    spec = absorption_spectrum(model, omega, coupled=False, grid=grid)
+    _, spec = absorption_spectra(model, omega, grid=grid)
     assert np.all(np.diff(spec.intensity) != 0.0)
     fc = franck_condon_matrix(model.ground, model.allowed, 0, 60)[0]
     energies = model.allowed.eigenvalue(np.arange(61).astype(float))
@@ -93,7 +93,7 @@ def test_broadband_integral_matches_lorentzian_sum(model, grid):
 
 
 def test_absorption_positive(model, grid):
-    spec = absorption_spectrum(model, default_scan(), coupled=True, grid=grid)
+    spec, _ = absorption_spectra(model, default_scan(), grid=grid)
     assert np.min(spec.intensity) > -1e-12
 
 
@@ -101,7 +101,7 @@ def test_uncoupled_absorption_matches_lorentzian_fc_sum(model, grid):
     # pointwise across the window, the band is the Franck-Condon-weighted
     # Lorentzian comb
     omega = default_scan()
-    spec = absorption_spectrum(model, omega, coupled=False, grid=grid)
+    _, spec = absorption_spectra(model, omega, grid=grid)
     fc = franck_condon_matrix(model.ground, model.allowed, 0, 60)[0]
     energies = model.allowed.eigenvalue(np.arange(61).astype(float))
     z = omega + 0.5 * model.ground.frequency + 1j * model.damping
@@ -111,7 +111,7 @@ def test_uncoupled_absorption_matches_lorentzian_fc_sum(model, grid):
 
 def test_uncoupled_raman_matches_fc_sum(model, grid):
     omega = default_scan()
-    spec = raman_profile(model, 1, omega, coupled=False, grid=grid)
+    _, spec = raman_profiles(model, 1, omega, grid=grid)
     fc = franck_condon_matrix(model.ground, model.allowed, 1, 60)
     energies = model.allowed.eigenvalue(np.arange(61).astype(float))
     zs = omega + 0.5 * model.ground.frequency + 1j * model.damping
@@ -131,65 +131,63 @@ def test_raman_dies_without_displacement(model, grid):
     )
     flat = with_params(model, allowed=undisplaced)
     omega = np.arange(10500.0, 12500.0, 100.0)
-    spec = raman_profile(flat, 1, omega, coupled=False, grid=grid)
-    assert np.max(spec.intensity) < 1e-20
+    coupled, uncoupled = raman_profiles(flat, 1, omega, grid=grid)
+    assert np.max(uncoupled.intensity) < 1e-20
     # the crossing provides its own pathway: with coupling on, the profile
     # is small but genuinely nonzero
-    coupled = raman_profile(flat, 1, omega, coupled=True, grid=grid)
     assert np.max(coupled.intensity) > 1e-12
 
 
 def test_raman_requires_excited_final_state(model, grid):
     with pytest.raises(ValueError):
-        raman_profile(model, 0, default_scan(), grid=grid)
+        raman_profiles(model, 0, default_scan(), grid=grid)
 
 
 def test_deviation_metric_trivia(model, grid):
     omega = np.arange(10500.0, 11500.0, 50.0)
-    a = absorption_spectrum(model, omega, coupled=False, grid=grid)
+    _, a = absorption_spectra(model, omega, grid=grid)
     assert deviation_metric(a, a) == 0.0
     uncoupled_model = with_params(model, coupling=DeltaCoupling(0.0, model.coupling.location))
-    via_coupled_path = absorption_spectrum(uncoupled_model, omega, coupled=True, grid=grid)
-    assert deviation_metric(via_coupled_path, a) == 0.0
+    coupled, uncoupled = absorption_spectra(uncoupled_model, omega, grid=grid)
+    assert deviation_metric(coupled, a) == 0.0
+    assert deviation_metric(coupled, uncoupled) == 0.0
 
 
 def test_deviation_metric_grid_mismatch(model, grid):
     omega = np.arange(10500.0, 11500.0, 100.0)
-    a = absorption_spectrum(model, omega, coupled=False, grid=grid)
-    b = absorption_spectrum(model, omega + 10.0, coupled=False, grid=grid)
+    _, a = absorption_spectra(model, omega, grid=grid)
+    _, b = absorption_spectra(model, omega + 10.0, grid=grid)
     with pytest.raises(GridMismatchError):
         deviation_metric(a, b)
 
 
 def test_coupling_changes_both_spectra(model, grid):
     omega = np.arange(9500.0, 13510.0, 40.0)
-    d_a = deviation_metric(
-        absorption_spectrum(model, omega, coupled=True, grid=grid),
-        absorption_spectrum(model, omega, coupled=False, grid=grid),
-    )
-    d_r = deviation_metric(
-        raman_profile(model, 1, omega, coupled=True, grid=grid),
-        raman_profile(model, 1, omega, coupled=False, grid=grid),
-    )
+    d_a = deviation_metric(*absorption_spectra(model, omega, grid=grid))
+    d_r = deviation_metric(*raman_profiles(model, 1, omega, grid=grid))
     assert d_a > 0.01
     assert d_r > d_a
 
 
 def test_scan_determinism_across_chunking(model, grid, monkeypatch):
     omega = np.arange(10700.0, 11200.0, 50.0)
-    full = absorption_spectrum(model, omega, coupled=True, grid=grid)
+    full = absorption_spectra(model, omega, grid=grid)
     monkeypatch.setattr(spectra, "SCAN_CHUNK", 3)
-    chunked = absorption_spectrum(model, omega, coupled=True, grid=grid)
-    assert np.array_equal(full.intensity, chunked.intensity)
+    chunked = absorption_spectra(model, omega, grid=grid)
+    for a, b in zip(full, chunked):
+        assert np.array_equal(a.intensity, b.intensity)
 
 
 def test_metadata_records_run(model, grid):
     omega = np.arange(10700.0, 11000.0, 100.0)
-    spec = raman_profile(model, 2, omega, coupled=True, grid=grid)
-    assert spec.kind == "raman"
-    assert spec.metadata["n_f"] == 2
-    assert spec.metadata["coupled"] is True
-    assert spec.metadata["grid"] == (grid.x_min, grid.x_max, grid.n)
+    coupled, uncoupled = raman_profiles(model, 2, omega, grid=grid)
+    for spec in (coupled, uncoupled):
+        assert spec.kind == "raman"
+        assert spec.metadata["n_f"] == 2
+        assert spec.metadata["grid"] == (grid.x_min, grid.x_max, grid.n)
+    assert coupled.metadata["coupled"] is True
+    assert uncoupled.metadata["coupled"] is False
+    assert coupled.metadata["fingerprint"] == uncoupled.metadata["fingerprint"]
 
 
 def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, monkeypatch):
@@ -206,10 +204,16 @@ def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, mon
         assert len(builds) == 6
 
 
-def test_uncoupled_profile_sweeps_no_forbidden_surface(model, grid, builds):
+def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
+    # K0 = 0 takes the one scan path: each surface swept once, and the
+    # coupled profile equal to the uncoupled one bit for bit
     omega = np.arange(10700.0, 11000.0, 100.0)
-    raman_profile(model, 1, omega, coupled=False, grid=grid)
-    assert builds == [(model.allowed, 3)]
+    uncoupled_model = with_params(model, coupling=DeltaCoupling(0.0, model.coupling.location))
+    coupled, uncoupled = raman_profiles(uncoupled_model, 1, omega, grid=grid)
+    assert builds == [(model.allowed, 3), (model.forbidden, 3)]
+    assert np.array_equal(coupled.intensity, uncoupled.intensity)
+    _, reference = raman_profiles(model, 1, omega, grid=grid)
+    assert np.array_equal(uncoupled.intensity, reference.intensity)
 
 
 def test_scan_direct_is_allowed_matrix_element(model, grid):
@@ -219,16 +223,3 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), grid)
     assert np.array_equal(direct, [ev.matrix_element(chi[1], chi[0]) for ev in evs])
     assert not np.array_equal(value, direct)
-
-
-def test_pairs_match_single_views(model, grid):
-    omega = np.arange(10700.0, 11000.0, 100.0)
-    absorption = spectra.absorption_spectra(model, omega, grid)
-    raman = spectra.raman_profiles(model, 2, omega, grid)
-    for k, coupled in enumerate((True, False)):
-        for pair, single in (
-            (absorption, absorption_spectrum(model, omega, coupled=coupled, grid=grid)),
-            (raman, raman_profile(model, 2, omega, coupled=coupled, grid=grid)),
-        ):
-            assert np.array_equal(pair[k].intensity, single.intensity)
-            assert pair[k].metadata == single.metadata

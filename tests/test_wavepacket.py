@@ -19,6 +19,10 @@ from curvecross.wavepacket import (
 )
 
 
+def uncoupled(model):
+    return replace(model, coupling=replace(model.coupling, strength=0.0))
+
+
 def allowed_eigenstate_packet(model, grid, n=0):
     chi = harmonic_eigenstates(model.allowed, n, grid.points)[n].astype(complex)
     return WavepacketState(chi, np.zeros_like(chi), 0.0)
@@ -28,7 +32,7 @@ def test_stationary_eigenstate(model):
     grid = WAVEPACKET_GRID
     state = allowed_eigenstate_packet(model, grid)
     reference = state.psi1.copy()
-    prop = SplitStepPropagator(model, grid=grid, absorber=False, k0=0.0)
+    prop = SplitStepPropagator(uncoupled(model), grid=grid, absorber=False)
     worst = 0.0
     for _ in range(1000):
         state = prop.step(state)
@@ -40,7 +44,7 @@ def test_stationary_eigenstate(model):
 def test_displaced_packet_oscillates_at_vibrational_period(model):
     grid = WAVEPACKET_GRID
     state = initial_state(model, grid)
-    prop = SplitStepPropagator(model, grid=grid, absorber=False, k0=0.0)
+    prop = SplitStepPropagator(uncoupled(model), grid=grid, absorber=False)
     times, centers = [], []
     for _ in range(1400):
         state = prop.step(state)
@@ -129,8 +133,8 @@ def test_half_fourier_single_pole(model):
     e0 = model.allowed.eigenvalue(0)
     omega_arg = 11500.0
     series = propagate(
-        model, allowed_eigenstate_packet(model, grid), DEFAULT_DT, t_final,
-        grid=grid, absorber=False, k0=0.0,
+        uncoupled(model), allowed_eigenstate_packet(model, grid), DEFAULT_DT, t_final,
+        grid=grid, absorber=False,
     )
     bar = half_fourier(series, [omega_arg], gamma, DEFAULT_DT)
     chi = harmonic_eigenstates(model.allowed, 0, grid.points)[0]
@@ -158,7 +162,7 @@ def test_half_fourier_truncation_warning_threshold(model):
     grid = WAVEPACKET_GRID
     gamma = model.damping
     series = propagate(
-        model, initial_state(model, grid), DEFAULT_DT, 4.0 / gamma, grid=grid, k0=0.0
+        uncoupled(model), initial_state(model, grid), DEFAULT_DT, 4.0 / gamma, grid=grid
     )
     with pytest.warns(TailTruncationWarning):
         half_fourier(series, [11000.0], gamma, DEFAULT_DT)
@@ -181,10 +185,7 @@ def test_half_fourier_time_extension_within_tail_bound(model):
 
 
 def test_identity_single_surface(model):
-    uncoupled = replace(
-        model, coupling=replace(model.coupling, strength=0.0)
-    )
-    report = verify_resolvent_identity(uncoupled, [10700.0, 11100.0, 11900.0])
+    report = verify_resolvent_identity(uncoupled(model), [10700.0, 11100.0, 11900.0])
     assert report.max_deviation < 1e-3
 
 
