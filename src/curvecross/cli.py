@@ -5,7 +5,7 @@ write coupled and uncoupled two-column CSV tables plus a metadata sidecar
 whose config echo reproduces the run when fed back through --config.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
-failure.
+failure (a NumericsError, including a grid that cannot carry the scan).
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, ValueError) as exc:
+    except NumericsError as exc:
         # a config that passed validation but broke the numerics (grid not
-        # covering the scan, degenerate solutions, ...)
+        # covering or not resolving the scan, degenerate solutions, ...)
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

@@ -2,6 +2,7 @@
 
 NumericsError subclasses signal a failed numerical construction (the CLI
 maps them to exit code 3); ValueError subclasses signal rejected input.
+GridError is both: a grid that cannot carry the requested scan.
 """
 
 
@@ -19,6 +20,11 @@ class ResonanceSingularityError(NumericsError):
 
 class StepSizeError(NumericsError):
     """Wavepacket norm grew during propagation; the time step is too large."""
+
+
+class GridError(NumericsError, ValueError):
+    """The spatial grid cannot carry the resolvent at the requested energies:
+    it does not cover the classically relevant region or is too coarse."""
 
 
 class UnitError(ValueError):

@@ -1,8 +1,10 @@
 """Time-domain oracle: split-step propagation of the coupled two-surface
 Schroedinger equation and its half-Fourier link to the resolvent.
 
-The propagator is Strang-split: an exact kinetic half step in momentum
-space per component, then the full position-local step through the 2x2
+A state is one complex (2, n) array on the spatial grid: row 0 is the
+amplitude on the allowed surface, row 1 on the forbidden one.  The
+propagator is Strang-split: an exact kinetic half step in momentum space
+on both rows at once, then the full position-local step through the 2x2
 potential-plus-coupling matrix, then another kinetic half step.  The
 point coupling is regularized as a narrow normalized Gaussian; a bare
 grid delta couples to the momentum cutoff unpredictably, while a fixed
@@ -22,32 +24,29 @@ from scipy.integrate import simpson
 from .coupled import CoupledBlocks
 from .errors import StepSizeError, TailTruncationWarning
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import build_resolvent
+from .spectra import scan_resolvents
 from .units import FEMTOSECOND
 
 WAVEPACKET_GRID = Grid(-3.0, 1.5, 4096)
 DEFAULT_DT = 0.05 * FEMTOSECOND
 NORM_GROWTH_LIMIT = 1e-6
 ABSORBER_FRACTION = 0.15
-
-
-@dataclass
-class WavepacketState:
-    """Two-component amplitude on the spatial grid at one time."""
-
-    psi1: np.ndarray
-    psi2: np.ndarray
-    time: float
-
-    def norm(self, dx):
-        density = np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2
-        return float(np.sum(density) * dx)
+# a half-Fourier integral is complete once the damping envelope exp(-Gamma t)
+# has fallen below exp(-DECAY_TARGET)
+DECAY_TARGET = 8.0
+# positions (angstrom) at which the forbidden component is compared
+X_SAMPLES = (-0.25, -0.05, 0.1)
 
 
 class SplitStepPropagator:
-    """Strang-split propagator for the delta-coupled two-surface model."""
+    """Strang-split propagator for the delta-coupled two-surface model.
 
-    def __init__(self, model, grid=None, dt=DEFAULT_DT, delta_width=4.0, absorber=True):
+    A sin^2 ramp over the first ABSORBER_FRACTION of the grid absorbs the
+    forbidden component as it dissociates toward the left edge; the norm
+    it removes accumulates in `absorbed_norm`.
+    """
+
+    def __init__(self, model, grid=None, dt=DEFAULT_DT, delta_width=4.0):
         if delta_width < 2.0:
             raise ValueError("the coupling Gaussian needs delta_width >= 2 grid steps")
         self.model = model
@@ -74,41 +73,32 @@ class SplitStepPropagator:
         envelope = np.exp(-1j * self.dt * mu)
         cos_term = np.cos(rho * self.dt)
         sinc_term = self.dt * np.sinc(rho * self.dt / math.pi)
-        self._u11 = envelope * (cos_term - 1j * delta * sinc_term)
-        self._u22 = envelope * (cos_term + 1j * delta * sinc_term)
+        # the potential step's diagonal elements u11, u22 as rows, and u12 = u21
+        self._u_diag = envelope * np.array(
+            [cos_term - 1j * delta * sinc_term, cos_term + 1j * delta * sinc_term]
+        )
         self._u12 = envelope * (-1j * coupling * sinc_term)
 
-        self._mask = None
-        if absorber:
-            width = int(ABSORBER_FRACTION * n)
-            ramp = np.ones(n)
-            edge = np.arange(width) / width
-            ramp[:width] = np.sin(0.5 * math.pi * edge) ** 2
-            self._mask = ramp
+        width = int(ABSORBER_FRACTION * n)
+        self._ramp = np.sin(0.5 * math.pi * np.arange(width) / width) ** 2
+        self._ramp_loss = 1.0 - self._ramp**2
         self.absorbed_norm = 0.0
 
-    def step(self, state):
-        """One time step; raises StepSizeError on norm growth."""
-        dx = self.grid.dx
-        norm_in = state.norm(dx)
-        p1 = np.fft.ifft(self._half_kinetic * np.fft.fft(state.psi1))
-        p2 = np.fft.ifft(self._half_kinetic * np.fft.fft(state.psi2))
-        q1 = self._u11 * p1 + self._u12 * p2
-        q2 = self._u12 * p1 + self._u22 * p2
-        p1 = np.fft.ifft(self._half_kinetic * np.fft.fft(q1))
-        p2 = np.fft.ifft(self._half_kinetic * np.fft.fft(q2))
-        out = WavepacketState(p1, p2, state.time + self.dt)
+    def step(self, psi):
+        """Advance the (2, n) state psi by one time step and return the new
+        state; raises StepSizeError on norm growth."""
+        p = np.fft.ifft(self._half_kinetic * np.fft.fft(psi))
+        # p[::-1] swaps the rows: u12 couples each surface to the other
+        p = self._u_diag * p + self._u12 * p[::-1]
+        out = np.fft.ifft(self._half_kinetic * np.fft.fft(p))
+        norm_in = np.vdot(psi, psi).real
         if norm_in > 0:
-            growth = out.norm(dx) / norm_in - 1.0
+            growth = np.vdot(out, out).real / norm_in - 1.0
             if growth > NORM_GROWTH_LIMIT:
-                raise StepSizeError(
-                    f"norm grew by {growth:.2e} in one step; reduce dt"
-                )
-        if self._mask is not None:
-            before = float(np.sum(np.abs(out.psi2) ** 2) * dx)
-            out.psi2 = out.psi2 * self._mask
-            after = float(np.sum(np.abs(out.psi2) ** 2) * dx)
-            self.absorbed_norm += before - after
+                raise StepSizeError(f"norm grew by {growth:.2e} in one step; reduce dt")
+        edge = out[1, : self._ramp.size]
+        self.absorbed_norm += np.vdot(edge, self._ramp_loss * edge).real * self.grid.dx
+        edge *= self._ramp
         return out
 
 
@@ -116,54 +106,49 @@ def initial_state(model, grid=None):
     """Ground vibrational state of the ground curve, promoted onto the
     allowed surface with an empty forbidden component."""
     grid = grid if grid is not None else WAVEPACKET_GRID
-    chi = harmonic_eigenstates(model.ground, 0, grid.points)[0]
-    return WavepacketState(chi.astype(complex), np.zeros_like(chi, dtype=complex), 0.0)
+    psi = np.zeros((2, grid.n), dtype=complex)
+    psi[0] = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    return psi
 
 
-def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None, absorber=True):
+def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None):
     """Yield the state at t = 0, dt, 2dt, ... through t_final."""
-    prop = SplitStepPropagator(model, grid=grid, dt=dt, delta_width=delta_width,
-                               absorber=absorber)
-    state = initial
-    yield state
-    steps = int(math.ceil(t_final / dt - 1e-9))
-    for _ in range(steps):
-        state = prop.step(state)
-        yield state
+    prop = SplitStepPropagator(model, grid=grid, dt=dt, delta_width=delta_width)
+    psi = initial
+    yield psi
+    for _ in range(int(math.ceil(t_final / dt - 1e-9))):
+        psi = prop.step(psi)
+        yield psi
 
 
 def half_fourier(states, omegas, gamma, dt):
-    """Trapezoid half-Fourier transform of a state series.
+    """Trapezoid half-Fourier transform of the series of (2, n) states at
+    t = 0, dt, 2dt, ...
 
     Returns an array (n_omega, 2, n_grid) with components
     integral_0^T psi_c(x, t) exp(i (omega + i gamma) t) dt; omega here is
     the full resolvent argument.  Warns when the damping envelope has not
-    decayed below e^-8 at the final time.
+    decayed below e^-DECAY_TARGET at the final time.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    first = last = None
-    accum = None
-    t_last = 0.0
-    for state in states:
-        t = state.time
-        phases = np.exp(1j * (omegas + 1j * gamma) * t)
-        stack = np.vstack([state.psi1, state.psi2])
-        term = phases[:, None, None] * stack[None, :, :]
+    first = last = accum = None
+    t = 0.0
+    for k, psi in enumerate(states):
+        t = k * dt
+        last = np.exp(1j * (omegas + 1j * gamma) * t)[:, None, None] * psi
         if accum is None:
-            accum = term.copy()
-            first = term
+            first = last
+            accum = last.copy()
         else:
-            accum += term
-        last = term
-        t_last = t
+            accum += last
     if accum is None:
         raise ValueError("empty state series")
     accum -= 0.5 * (first + last)
-    tail = math.exp(-gamma * t_last)
-    if tail > math.exp(-8.0):
+    tail = math.exp(-gamma * t)
+    if tail > math.exp(-DECAY_TARGET):
         warnings.warn(
             f"half-Fourier truncated while the damping envelope is still "
-            f"{tail:.2e}; extend the propagation (target e^-8)",
+            f"{tail:.2e}; extend the propagation (target e^-{DECAY_TARGET:g})",
             TailTruncationWarning,
         )
     return accum * dt
@@ -185,46 +170,40 @@ class IdentityReport:
 
 
 def verify_resolvent_identity(model, omega_samples, dt=DEFAULT_DT, delta_width=4.0,
-                              wp_grid=None, res_grid=None, x_samples=(-0.25, -0.05, 0.1),
-                              decay_target=8.0):
+                              wp_grid=None):
     """Check that the half-Fourier transform of the propagated packet equals
     i G(z) applied to the initial state, element by element.
 
-    For each photon energy: <chi_f|psi1_bar> against i <chi_f|G11|chi_i>
-    for n_f = 0 and 1, and psi2_bar pointwise against i (G21 chi_i)(x) at
-    the sample positions (scaled by the largest sampled magnitude).
+    The packet runs on wp_grid until the damping envelope reaches
+    e^-DECAY_TARGET; the resolvents are built on DEFAULT_GRID.  For each
+    photon energy: <chi_f|psi1_bar> against i <chi_f|G11|chi_i> for n_f = 0
+    and 1, and psi2_bar pointwise against i (G21 chi_i)(x) at X_SAMPLES
+    (scaled by the largest sampled magnitude).
     """
     wp_grid = wp_grid if wp_grid is not None else WAVEPACKET_GRID
-    res_grid = res_grid if res_grid is not None else DEFAULT_GRID
     gamma = model.damping
-    t_final = decay_target / gamma
     omegas = np.atleast_1d(np.asarray(omega_samples, dtype=float))
-    z_args = model.resolvent_argument(omegas).real
 
-    start = initial_state(model, wp_grid)
-    series = propagate(model, start, dt, t_final, delta_width=delta_width, grid=wp_grid)
-    transformed = half_fourier(series, z_args, gamma, dt)
+    series = propagate(model, initial_state(model, wp_grid), dt, DECAY_TARGET / gamma,
+                       delta_width=delta_width, grid=wp_grid)
+    transformed = half_fourier(series, model.resolvent_argument(omegas).real, gamma, dt)
 
     chi_wp = harmonic_eigenstates(model.ground, 1, wp_grid.points)
-    chi_res = harmonic_eigenstates(model.ground, 1, res_grid.points)
+    chi_res = harmonic_eigenstates(model.ground, 1, DEFAULT_GRID.points)
     k0 = model.coupling.strength
     x_c = model.coupling.location
 
     report = IdentityReport()
-    for j, omega in enumerate(omegas):
-        z = model.resolvent_argument(omega)
-        ev1 = build_resolvent(model.allowed, z, res_grid)
-        ev2 = build_resolvent(model.forbidden, z, res_grid)
+    pairs = scan_resolvents(model, omegas, DEFAULT_GRID)
+    for omega, (psi1_bar, psi2_bar), (ev1, ev2) in zip(omegas, transformed, pairs):
         blocks = CoupledBlocks(ev1, ev2, k0, x_c)
-        psi1_bar = transformed[j, 0]
-        psi2_bar = transformed[j, 1]
         for n_f, sink in ((0, report.deviation_g11_elastic), (1, report.deviation_g11_raman)):
             wp_side = simpson(chi_wp[n_f] * psi1_bar, dx=wp_grid.dx)
             res_side = 1j * blocks.g11(chi_res[n_f], chi_res[0]).value
             sink.append(abs(wp_side - res_side) / abs(res_side))
         row = 1j * blocks.g21_row(chi_res[0])
-        wp_at = np.interp(np.asarray(x_samples), wp_grid.points, psi2_bar)
-        res_at = np.interp(np.asarray(x_samples), res_grid.points, row)
+        wp_at = np.interp(X_SAMPLES, wp_grid.points, psi2_bar)
+        res_at = np.interp(X_SAMPLES, DEFAULT_GRID.points, row)
         scale = float(np.max(np.abs(res_at)))
         if scale > 0.0:
             report.deviation_g21.append(float(np.max(np.abs(wp_at - res_at)) / scale))

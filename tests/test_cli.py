@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from curvecross import cli
 from curvecross.cli import main
 
 NARROW = """\
@@ -140,6 +142,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["absorption", "--config", str(cfg), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_coarse_grid_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[grid]\ngrid_points = 256\n" + NARROW)
+    assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "k_max*dx" in err
+    cfg.write_text("[grid]\ngrid_points = 512\n" + NARROW)
+    assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(cli, "absorption_spectra", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["absorption", "--out", str(tmp_path / "run")])
 
 
 def test_validate_quick_passes(capsys):

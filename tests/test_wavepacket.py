@@ -8,10 +8,10 @@ from curvecross.errors import StepSizeError, TailTruncationWarning
 from curvecross.model import Grid, MorseCurve, harmonic_eigenstates
 from curvecross.units import FEMTOSECOND
 from curvecross.wavepacket import (
+    ABSORBER_FRACTION,
     DEFAULT_DT,
     WAVEPACKET_GRID,
     SplitStepPropagator,
-    WavepacketState,
     half_fourier,
     initial_state,
     propagate,
@@ -24,19 +24,41 @@ def uncoupled(model):
 
 
 def allowed_eigenstate_packet(model, grid, n=0):
-    chi = harmonic_eigenstates(model.allowed, n, grid.points)[n].astype(complex)
-    return WavepacketState(chi, np.zeros_like(chi), 0.0)
+    psi = np.zeros((2, grid.n), dtype=complex)
+    psi[0] = harmonic_eigenstates(model.allowed, n, grid.points)[n]
+    return psi
+
+
+def norm(psi, grid):
+    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+
+def reference_step(prop, psi):
+    """The per-component Strang step: eight separate FFTs, the 2x2
+    potential step, then the absorber mask on the forbidden component."""
+    half, (u11, u22), u12 = prop._half_kinetic, prop._u_diag, prop._u12
+    p1 = np.fft.ifft(half * np.fft.fft(psi[0]))
+    p2 = np.fft.ifft(half * np.fft.fft(psi[1]))
+    q1 = u11 * p1 + u12 * p2
+    q2 = u12 * p1 + u22 * p2
+    p1 = np.fft.ifft(half * np.fft.fft(q1))
+    p2 = np.fft.ifft(half * np.fft.fft(q2))
+    n = psi.shape[1]
+    width = int(ABSORBER_FRACTION * n)
+    mask = np.ones(n)
+    mask[:width] = np.sin(0.5 * math.pi * np.arange(width) / width) ** 2
+    return np.array([p1, p2 * mask])
 
 
 def test_stationary_eigenstate(model):
     grid = WAVEPACKET_GRID
     state = allowed_eigenstate_packet(model, grid)
-    reference = state.psi1.copy()
-    prop = SplitStepPropagator(uncoupled(model), grid=grid, absorber=False)
+    reference = state[0].copy()
+    prop = SplitStepPropagator(uncoupled(model), grid=grid)
     worst = 0.0
     for _ in range(1000):
         state = prop.step(state)
-        overlap = abs(np.sum(np.conj(state.psi1) * reference) * grid.dx)
+        overlap = abs(np.sum(np.conj(state[0]) * reference) * grid.dx)
         worst = max(worst, abs(overlap - 1.0))
     assert worst < 1e-6
 
@@ -44,12 +66,12 @@ def test_stationary_eigenstate(model):
 def test_displaced_packet_oscillates_at_vibrational_period(model):
     grid = WAVEPACKET_GRID
     state = initial_state(model, grid)
-    prop = SplitStepPropagator(uncoupled(model), grid=grid, absorber=False)
+    prop = SplitStepPropagator(uncoupled(model), grid=grid)
     times, centers = [], []
-    for _ in range(1400):
+    for k in range(1, 1401):
         state = prop.step(state)
-        times.append(state.time)
-        centers.append(float(np.sum(np.abs(state.psi1) ** 2 * grid.points) * grid.dx))
+        times.append(k * prop.dt)
+        centers.append(float(np.sum(np.abs(state[0]) ** 2 * grid.points) * grid.dx))
     centers = np.array(centers)
     # <x>(t) swings from 0 toward 2a - 0 = 0.2; the first maximum sits at
     # half the classical period
@@ -61,34 +83,43 @@ def test_displaced_packet_oscillates_at_vibrational_period(model):
 
 
 def test_norm_conservation_with_coupling(model):
+    # the norm the absorber removes is booked in absorbed_norm
     grid = WAVEPACKET_GRID
     state = initial_state(model, grid)
-    prop = SplitStepPropagator(model, grid=grid, absorber=False)
-    start = state.norm(grid.dx)
+    prop = SplitStepPropagator(model, grid=grid)
+    start = norm(state, grid)
     for _ in range(1000):
         state = prop.step(state)
-    assert abs(state.norm(grid.dx) - start) / start < 1e-8
+    assert abs(norm(state, grid) + prop.absorbed_norm - start) / start < 1e-8
+
+
+def test_step_matches_per_component_reference(model):
+    grid = WAVEPACKET_GRID
+    prop = SplitStepPropagator(model, grid=grid)
+    state = initial_state(model, grid)
+    for _ in range(200):
+        state = prop.step(state)
+    # a coupled state, with the forbidden component's bulk inside the ramp
+    state[1] += np.roll(state[0], -int(0.6 * grid.n))
+    ramp = state[1, : int(ABSORBER_FRACTION * grid.n)]
+    assert np.max(np.abs(ramp)) == np.max(np.abs(state[1]))
+    expected = reference_step(prop, state)
+    assert np.array_equal(prop.step(state), expected)
 
 
 def test_forward_backward_returns_state(model):
     grid = WAVEPACKET_GRID
     state = initial_state(model, grid)
-    forward = SplitStepPropagator(model, grid=grid, absorber=False)
-    backward = SplitStepPropagator(model, grid=grid, dt=-DEFAULT_DT, absorber=False)
+    forward = SplitStepPropagator(model, grid=grid)
+    backward = SplitStepPropagator(model, grid=grid, dt=-DEFAULT_DT)
     out = backward.step(forward.step(state))
-    err = math.sqrt(
-        float(
-            np.sum(np.abs(out.psi1 - state.psi1) ** 2 + np.abs(out.psi2 - state.psi2) ** 2)
-        )
-        * grid.dx
-    )
-    assert err < 1e-10
+    assert math.sqrt(norm(out - state, grid)) < 1e-10
 
 
 def test_norm_growth_detector(model):
     grid = WAVEPACKET_GRID
-    prop = SplitStepPropagator(model, grid=grid, absorber=False)
-    prop._u11 = prop._u11 * 1.001  # force a non-unitary step
+    prop = SplitStepPropagator(model, grid=grid)
+    prop._u_diag = prop._u_diag * 1.001  # force a non-unitary step
     with pytest.raises(StepSizeError):
         prop.step(initial_state(model, grid))
 
@@ -107,8 +138,7 @@ def test_forbidden_component_grows_and_dissociates(model):
     prop = SplitStepPropagator(model, grid=grid)
     for _ in range(400):
         state = prop.step(state)
-    norm2 = float(np.sum(np.abs(state.psi2) ** 2) * grid.dx)
-    assert norm2 > 1e-6
+    assert norm(state[1], grid) > 1e-6
 
     shallow = MorseCurve(
         mass=model.forbidden.mass,
@@ -133,8 +163,7 @@ def test_half_fourier_single_pole(model):
     e0 = model.allowed.eigenvalue(0)
     omega_arg = 11500.0
     series = propagate(
-        uncoupled(model), allowed_eigenstate_packet(model, grid), DEFAULT_DT, t_final,
-        grid=grid, absorber=False,
+        uncoupled(model), allowed_eigenstate_packet(model, grid), DEFAULT_DT, t_final, grid=grid,
     )
     bar = half_fourier(series, [omega_arg], gamma, DEFAULT_DT)
     chi = harmonic_eigenstates(model.allowed, 0, grid.points)[0]
@@ -146,11 +175,9 @@ def test_half_fourier_single_pole(model):
 
 def test_half_fourier_linearity(model):
     grid = Grid(-1.0, 1.0, 256)
-    chi = harmonic_eigenstates(model.ground, 0, grid.points)[0].astype(complex)
-    states = [
-        WavepacketState(chi * (k + 1), np.zeros_like(chi), k * 0.1) for k in range(5)
-    ]
-    doubled = [WavepacketState(2.0 * s.psi1, s.psi2.copy(), s.time) for s in states]
+    chi = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    states = [np.array([chi * (k + 1), np.zeros_like(chi)], dtype=complex) for k in range(5)]
+    doubled = [np.array([2.0 * s[0], s[1]]) for s in states]
     with pytest.warns(TailTruncationWarning):
         a = half_fourier(states, [100.0], 1.0, 0.1)
     with pytest.warns(TailTruncationWarning):
@@ -176,7 +203,7 @@ def test_half_fourier_time_extension_within_tail_bound(model):
     for factor in (8.5, 17.0):
         series = propagate(
             model, initial_state(model, grid), DEFAULT_DT, factor / gamma,
-            grid=grid, absorber=False,
+            grid=grid,
         )
         results.append(half_fourier(series, [omega_arg], gamma, DEFAULT_DT)[0, 0])
     change = np.max(np.abs(results[1] - results[0]))
