@@ -11,7 +11,9 @@ class NumericsError(Exception):
 
 
 class DegenerateWronskianError(NumericsError):
-    """The two boundary solutions became linearly dependent on the grid."""
+    """The Wronskian of the two boundary solutions drifted past the limit:
+    the sweeps overflowed (the drift is NaN) or the solutions became
+    linearly dependent on the grid."""
 
 
 class ResonanceSingularityError(NumericsError):

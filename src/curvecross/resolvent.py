@@ -19,10 +19,10 @@ batch; numpy's complex ufuncs do not promise that, as their rounding
 depends on array alignment and SIMD lane.
 
 Solutions grow through hundreds of e-folds in the forbidden regions, more
-than a float64 can span on a wide grid.  The sweeps rescale as they go,
-and each solution is stored as its log-derivative y = u'/u and its log
-ell = log u per node (B. R. Johnson, J. Comput. Phys. 13, 445 (1973)).
-Everything downstream is a bounded ratio:
+than a float64 can span on a wide grid.  Each map is scaled in advance by
+the power of two that cancels RK4's growth of the local WKB wave, and the
+solutions are stored as y = u'/u and ell = log u per node (B. R. Johnson's
+log-derivative, J. Comput. Phys. 13, 445 (1973)), so everything is bounded:
 
     G(x_j, x_j) = 2m / (y+ - y-)                         on the nodes,
     G(x, x0)    = G(x_j, x_j) u-(x)/u-(x_j) u+(x0)/u+(x_j)   off them,
@@ -53,8 +53,8 @@ from scipy.integrate import simpson
 from .errors import DegenerateWronskianError, GridError
 from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
 
-RESCALE_THRESHOLD = 1e100
-WRONSKIAN_FLOOR = 1e-13
+# Largest Wronskian drift a build accepts (round-off gives about 1e-12).
+WRONSKIAN_DRIFT_LIMIT = 1e-8
 # Sweeps of at most this many energies run row by row on Python floats,
 # larger ones on numpy rows; on a 2-core x86 host the two paths cost the
 # same between nz = 7 and nz = 9.
@@ -103,27 +103,39 @@ def _sweep(c_nodes, c_mid, c_imag, h, v0):
     """Integrate u'' = c(x) u left to right with RK4, u(x_0) = 1, u'(x_0) = v0.
 
     Re c is tabulated at nodes (nz, N) and interval midpoints (nz, N-1);
-    c_imag (nz,) is Im c.  Each interval's step is its 2x2 map from
-    _step_maps, and the recurrence (u, u') <- T (u, u') runs on the real
-    and imaginary parts as four floats in one fixed order of correctly
-    rounded operations: _sweep_scalar for up to SCALAR_ROWS energies,
-    _sweep_rows above, with the same bits.  The recurrence rescales a row to
-    |u| = 1 whenever |u| passes RESCALE_THRESHOLD; the scales are added back
-    into the result, (ell, y) = (log u, u'/u) per node, formed in the
-    sweep's own buffers.
+    c_imag (nz,) is Im c.  Interval k's 2x2 map T from _step_maps is scaled
+    by 2^(E_k - E_k+1) from _octaves, and (u, u') <- T (u, u') runs in one
+    fixed order of correctly rounded real operations: _sweep_scalar for up
+    to SCALAR_ROWS energies, _sweep_rows above, with the same bits.  The
+    state is plain RK4's times 2^-E_k, bit for bit; E ln 2 is added back into
+    (ell, y) = (log u, u'/u), formed in the sweep's own buffers.
     """
     nz, n = c_nodes.shape
+    c_imag = c_imag[:, None]
+    octaves = _octaves(c_mid, c_imag, h)
     um = np.empty((nz, n), dtype=complex)
     ump = np.empty((nz, n), dtype=complex)
-    jumps = np.zeros((nz, n))
     um[:, 0] = 1.0
     ump[:, 0] = v0
     sweep = _sweep_scalar if nz <= SCALAR_ROWS else _sweep_rows
-    sweep(c_nodes, c_mid, c_imag[:, None], h, um, ump, jumps)
+    sweep(c_nodes, c_mid, c_imag, h, octaves, um, ump)
     y = np.divide(ump, um, out=ump)
     ell = _log(um, out=um)
-    ell.real += np.cumsum(jumps, axis=1, out=jumps)
+    octaves *= math.log(2.0)
+    ell.real += octaves
     return ell, y
+
+
+def _octaves(c_mid, c_imag, h):
+    """E_k, RK4's growth of the local WKB wave from x_0 to x_k in whole octaves,
+    (nz, N) with E_0 = 0: the running sum of log2 R(s), R(s) = 1 + s + s^2/2
+    + s^3/6 + s^4/24, s = h Re sqrt(c_mid), rounded so the scales 2^-E are exact."""
+    octaves = np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
+    s = octaves[:, 1:]
+    np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag) + c_mid), out=s)
+    np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
+    np.rint(np.cumsum(s, axis=1, out=s), out=s)
+    return octaves
 
 
 def _log(a, out):
@@ -135,12 +147,12 @@ def _log(a, out):
     return out
 
 
-def _sweep_scalar(c_nodes, c_mid, c_imag, h, um, ump, jumps):
+def _sweep_scalar(c_nodes, c_mid, c_imag, h, octaves, um, ump):
     """_sweep's recurrence one row at a time on Python floats: maps are read
     and states written through buffers, with no per-node numpy call."""
     maps = _step_maps(c_nodes[:, :-1], c_mid, c_nodes[:, 1:], c_imag, h)
     maps = np.stack(np.broadcast_arrays(*maps), axis=-1)
-    limit = RESCALE_THRESHOLD**2
+    np.ldexp(maps, -np.diff(octaves).astype(int)[..., None], out=maps)
     for k in range(um.shape[0]):
         u_out = memoryview(um[k].view(float))
         v_out = memoryview(ump[k].view(float))
@@ -153,11 +165,6 @@ def _sweep_scalar(c_nodes, c_mid, c_imag, h, um, ump, jumps):
                 cr * ur - ci * ui + dr * vr - di * vi,
                 ci * ur + cr * ui + di * vr + dr * vi,
             )
-            usq = ur * ur + ui * ui
-            if usq > limit:
-                scale = math.sqrt(usq)
-                ur, ui, vr, vi = ur / scale, ui / scale, vr / scale, vi / scale
-                jumps[k, j // 2] = math.log(scale)
             u_out[j] = ur
             u_out[j + 1] = ui
             v_out[j] = vr
@@ -165,7 +172,7 @@ def _sweep_scalar(c_nodes, c_mid, c_imag, h, um, ump, jumps):
             j += 2
 
 
-def _sweep_rows(c_nodes, c_mid, c_imag, h, um, ump, jumps):
+def _sweep_rows(c_nodes, c_mid, c_imag, h, octaves, um, ump):
     """_sweep's recurrence on numpy rows of all nz energies at once.
 
     The state (Re u, Im u, Re u', Im u') is multiplied column by column by
@@ -174,7 +181,6 @@ def _sweep_rows(c_nodes, c_mid, c_imag, h, um, ump, jumps):
     time.
     """
     nz, n = c_nodes.shape
-    limit = RESCALE_THRESHOLD**2
     u_flat = um.view(float).reshape(nz, n, 2)
     v_flat = ump.view(float).reshape(nz, n, 2)
     # maps[i, col, row]: the factor of state[col] in the new state[row]
@@ -201,21 +207,14 @@ def _sweep_rows(c_nodes, c_mid, c_imag, h, um, ump, jumps):
         )):
             for col, entry in enumerate(entries):
                 block[:, col, row] = entry
+        shift = octaves[:, start:stop] - octaves[:, start + 1 : stop + 1]
+        block *= np.ldexp(1.0, shift.T.astype(int))[:, None, None, :]
         for i, t in enumerate(block):
             np.multiply(t, state[:, None, :], out=prod)
             state = states[i]
             np.add(p0, p1, out=state)
             np.add(state, p2, out=state)
             np.add(state, p3, out=state)
-            # the sum of |u|^2 over all rows bounds each row's; the margin
-            # covers vdot's own rounding
-            u = state[:2]
-            if np.vdot(u, u) > 0.5 * limit:
-                usq = state[0] * state[0] + state[1] * state[1]
-                for k in np.flatnonzero(usq > limit):
-                    scale = math.sqrt(usq[k])
-                    state[:, k] /= scale
-                    jumps[k, start + i + 1] = math.log(scale)
         done = states[: stop - start]
         u_flat[:, start + 1 : stop + 1] = done[:, :2].transpose(2, 0, 1)
         v_flat[:, start + 1 : stop + 1] = done[:, 2:].transpose(2, 0, 1)
@@ -443,10 +442,6 @@ def build_resolvent_batch(curve, zs, grid=None):
     for k, z in enumerate(zs):
         ym, yp = y_minus[k], y_plus[k]
         dy = yp - ym
-        if np.all(np.abs(dy) < WRONSKIAN_FLOOR * (np.abs(yp) + np.abs(ym))):
-            raise DegenerateWronskianError(
-                f"boundary solutions degenerate at z = {z}; grid or seeding failed"
-            )
         # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
         # solutions; the drift is its largest departure from the left edge,
         # the phase taken modulo 2 pi
@@ -455,6 +450,10 @@ def build_resolvent_batch(curve, zs, grid=None):
         log_w -= log_w[0]
         phase = np.remainder(log_w.imag + np.pi, 2.0 * np.pi) - np.pi
         drift = float(np.max(np.hypot(log_w.real, phase)))
+        if not drift < WRONSKIAN_DRIFT_LIMIT:
+            raise DegenerateWronskianError(
+                f"Wronskian drift {drift:.2e} at z = {z} is not below {WRONSKIAN_DRIFT_LIMIT:.0e}"
+            )
         evaluators.append(
             ResolventEvaluator(curve, z, grid, ym, ell_minus[k], yp, ell_plus[k], drift)
         )

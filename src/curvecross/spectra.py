@@ -21,11 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupled import CoupledBlocks
-from .errors import GridMismatchError
+from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, harmonic_eigenstates
 from .resolvent import build_resolvent_batch
 
 SCAN_CHUNK = 64
+# Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
+# for the initial and final vibrational states.  On the default grid the
+# worst state, n = 200, reaches 1.3e-70.
+MAX_EDGE_AMPLITUDE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,14 @@ def scan(model, omega_grid, n_f=0, grid=None):
     states = harmonic_eigenstates(model.ground, n_f, grid.points)
     chi_i = states[0]
     chi_f = states[n_f]
+    for n in (0, n_f):
+        chi = np.abs(states[n])
+        edge = max(chi[0], chi[-1]) / np.max(chi)
+        if not edge <= MAX_EDGE_AMPLITUDE:
+            raise GridError(
+                f"vibrational state n = {n} reaches the grid edges (|chi| there is "
+                f"{edge:.1e} of its maximum, above {MAX_EDGE_AMPLITUDE:.0e}); widen the grid"
+            )
     k0 = model.coupling.strength
     x_c = model.coupling.location
     value = np.empty(np.size(omega_grid), dtype=complex)

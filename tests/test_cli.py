@@ -154,6 +154,19 @@ def test_coarse_grid_exits_3(tmp_path, capsys):
     assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
 
 
+def test_final_state_reaching_grid_edges_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(
+        "[grid]\ngrid_x_min_angstrom = -0.4\ngrid_x_max_angstrom = 0.6\n"
+        "[scan]\nomega_min_cm1 = 10500\nomega_max_cm1 = 12500\nomega_step_cm1 = 100\n"
+    )
+    out = tmp_path / "run"
+    assert main(["raman", "--nf", "60", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "n = 60" in err
+    assert main(["raman", "--nf", "1", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not a numerical failure")

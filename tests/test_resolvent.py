@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from curvecross import resolvent
+from curvecross.errors import DegenerateWronskianError
 from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
     SCALAR_ROWS,
@@ -143,6 +145,47 @@ def test_step_maps_equal_rk4_step(model, grid):
             for got, ref in zip(closed, (a, b, c, d)):
                 rel = np.abs(got[0] - ref) / np.abs(ref)
                 assert np.max(rel) <= 1e-14
+
+
+def test_sweep_is_plain_rk4(model):
+    # the power-of-two scales change no bit of the recurrence: on a grid
+    # where plain complex RK4 stays inside float64, u- and y- match it on
+    # both sweep paths (the row batch repeats the three energies)
+    grid = Grid(-0.5, 0.7, 1639)
+    h = grid.dx
+    omegas = np.array([10300.0, 11200.0, 12400.0])
+    for batch in (omegas, np.resize(omegas, SCALAR_ROWS + 1)):
+        zs = model.resolvent_argument(batch)
+        for curve in (model.allowed, model.forbidden):
+            evs = build_resolvent_batch(curve, zs, grid)
+            m = curve.mass
+            c_nodes = 2.0 * m * (curve.evaluate(grid.points)[:, None] - zs)
+            c_mid = 2.0 * m * (curve.evaluate(grid.midpoints)[:, None] - zs)
+            u = np.ones(zs.size, dtype=complex)
+            v = np.array([ev._ym[0] for ev in evs])  # the WKB seed u'/u at x_0
+            us, vs = [u], [v]
+            for k in range(grid.n - 1):
+                u, v = _rk4_step(c_nodes[k], c_mid[k], c_nodes[k + 1], h, u, v)
+                us.append(u)
+                vs.append(v)
+            u_ref = np.array(us).T
+            y_ref = np.array(vs).T / u_ref
+            for ev, u_k, y_k in zip(evs, u_ref, y_ref):
+                assert np.max(np.abs(np.exp(ev._lm - np.log(u_k)) - 1.0)) <= 1e-12
+                assert np.max(np.abs(ev._ym - y_k) / np.abs(y_k)) <= 1e-12
+
+
+def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
+    # without its scales a default-grid sweep leaves float64; the NaN drift
+    # must raise on both paths instead of returning numbers
+    def no_octaves(c_mid, c_imag, h):
+        return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
+
+    monkeypatch.setattr(resolvent, "_octaves", no_octaves)
+    for nz in (1, SCALAR_ROWS + 1):
+        zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
+        with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
+            build_resolvent_batch(model.allowed, zs, grid)
 
 
 def test_rejects_nonpositive_damping(model, grid):

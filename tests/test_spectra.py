@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from curvecross import cli, spectra
-from curvecross.errors import GridMismatchError
+from curvecross.errors import GridError, GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
+    Grid,
     HarmonicCurve,
     franck_condon_matrix,
     harmonic_eigenstates,
@@ -223,3 +224,14 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), grid)
     assert np.array_equal(direct, [ev.matrix_element(chi[1], chi[0]) for ev in evs])
     assert not np.array_equal(value, direct)
+
+
+def test_scan_rejects_states_reaching_the_grid_edges(model):
+    # on [-0.4, 0.6] angstrom chi_60 keeps half its maximum at the edge,
+    # while chi_0 and chi_1 have decayed to 1e-13 there
+    narrow = Grid(-0.4, 0.6, 4096)
+    omega = np.array([11000.0, 11500.0])
+    with pytest.raises(GridError, match="n = 60"):
+        spectra.scan(model, omega, 60, grid=narrow)
+    value, _ = spectra.scan(model, omega, 1, grid=narrow)
+    assert np.all(np.isfinite(value))
