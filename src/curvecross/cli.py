@@ -158,9 +158,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericsError as exc:
         # a config that passed validation but broke the numerics (grid not
         # covering or not resolving the scan, degenerate solutions, ...)

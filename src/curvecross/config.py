@@ -8,6 +8,7 @@ the metal-ligand stretch model this package ships with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -59,6 +60,12 @@ class RunConfig:
         def err(name, message):
             line = None if lines is None else lines.get(name)
             raise ConfigError(f"{name}: {message}", line=line)
+
+        # the checks below are comparisons, which NaN always escapes and
+        # inf often passes
+        for field in fields(self):
+            if field.type in ("float", float) and not math.isfinite(getattr(self, field.name)):
+                err(field.name, "must be finite")
 
         positive = [
             "mass_amu",
@@ -222,8 +229,11 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     config, _ = parse_config(text)
     return config
 

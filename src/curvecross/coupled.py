@@ -52,12 +52,10 @@ class CoupledBlocks:
 
     def g11(self, f, i):
         """<f|G11|i>, the forbidden surface entering through G2(x_c, x_c).
-        Each distinct state's partial sums are taken once and shared by the
-        matrix element and the vectors."""
+        For f = i the one vector at x_c serves both sides."""
         ev = self.ev1
-        sums_f = ev.partial_sums(f)
-        direct = ev.matrix_element(sums_f, i)
-        left = ev.vector(sums_f, self.x_c)
+        direct = ev.matrix_element(f, i)
+        left = ev.vector(f, self.x_c)
         right = left if np.array_equal(f, i) else ev.vector(i, self.x_c)
         correction = self.k0**2 * left * self.g2_cc * right / self.denominator
         return CoupledAmplitude(direct + correction, direct, correction, self.denominator)

@@ -33,8 +33,9 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-and A, B follow from one-step recurrences whose coefficients are ratios
-of u at neighbouring nodes.
+where A_{k+1} = rho_k A_k + q_k, with coefficients from ratios of u at
+neighbouring nodes: matrix_element runs this recurrence over the grid,
+and vector takes A and B at x0's cell as direct sums of the q_k.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -45,7 +46,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -232,19 +232,11 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _running_sums(f, ell, h):
-    """A_k = (integral of f u from x_0 to x_k) / u(x_k), with u = exp(ell).
-
-    Runs A_{k+1} = rho_k A_k + q_k with rho_k = u(x_k)/u(x_{k+1}) on Python
-    complex numbers.  q_k, the integral of f u / u(x_{k+1}) over
-    [x_k, x_{k+1}], takes the 4-point cubic rule h/24 (-1, 13, 13, -1) on
-    nodes k-1..k+2, and the 3-point rule h/12 (5, 8, -1) on the first and
-    last interval.  Every factor is a ratio of u at nearby nodes, so A stays
-    bounded however far u grows across the grid.  (Cumulative Simpson would
-    alternate its stencil between odd and even nodes, an error that the
-    outer Simpson rule of matrix_element does not cancel: a few parts in
-    1e6 on the Morse surface at the default grid.)
-    """
+def _increments(f, ell, h):
+    """rho_k = u(x_k)/u(x_{k+1}) and q_k, the integral of f u / u(x_{k+1})
+    over [x_k, x_{k+1}], with u = exp(ell).  q_k takes the 4-point cubic rule
+    h/24 (-1, 13, 13, -1) on nodes k-1..k+2, and the 3-point rule
+    h/12 (5, 8, -1) on the first and last interval."""
     rho = np.exp(ell[:-1] - ell[1:])
     back = f[:-1] * rho  # f u at x_k, over u(x_{k+1})
     ahead = f[1:] / rho  # f u at x_{k+1}, over u(x_k)
@@ -252,6 +244,20 @@ def _running_sums(f, ell, h):
     q[0] = h / 12.0 * (5.0 * back[0] + 8.0 * f[1] - ahead[1])
     q[1:-1] = h / 24.0 * (13.0 * (back[1:-1] + f[2:-1]) - back[:-2] * rho[1:-1] - ahead[2:])
     q[-1] = h / 12.0 * (5.0 * f[-1] + 8.0 * back[-1] - back[-2] * rho[-1])
+    return rho, q
+
+
+def _running_sums(f, ell, h):
+    """A_k = (integral of f u from x_0 to x_k) / u(x_k), with u = exp(ell).
+
+    Runs A_{k+1} = rho_k A_k + q_k with the coefficients of _increments on
+    Python complex numbers.  Every factor is a ratio of u at nearby nodes,
+    so A stays bounded however far u grows across the grid.  (Cumulative
+    Simpson would alternate its stencil between odd and even nodes, an
+    error that the outer Simpson rule of matrix_element does not cancel: a
+    few parts in 1e6 on the Morse surface at the default grid.)
+    """
+    rho, q = _increments(f, ell, h)
     a = 0j
     sums = [a]
     append = sums.append
@@ -259,6 +265,16 @@ def _running_sums(f, ell, h):
         a = r * a + dq
         append(a)
     return np.array(sums)
+
+
+def _sums_at(f, ell, h, j):
+    """(A_j, A_{j+1}) of _running_sums without its loop: A_j is the direct
+    sum of q_k u(x_{k+1}) / u(x_j) over k < j.  The increments are taken on
+    nodes 0..j+2 only, where q_0..q_j already have their full-grid values:
+    the end rule falls on q_{j+1}, which is not used."""
+    rho, q = _increments(f[: j + 3], ell[: j + 3], h)
+    a = complex(np.dot(q[:j], np.exp(ell[1 : j + 1] - ell[j])))
+    return a, complex(rho[j] * a + q[j])
 
 
 def _hermite(t, v0, s0, v1, s1):
@@ -277,17 +293,6 @@ def _hermite(t, v0, s0, v1, s1):
         + t * (3.0 * t - 2.0) * s1
     )
     return value, slope
-
-
-class PartialSums(NamedTuple):
-    """One state f at one z, as returned by ResolventEvaluator.partial_sums:
-    minus = (integral of f u- from the left edge to x) / u-(x), plus =
-    (integral of f u+ from x to the right edge) / u+(x), on the nodes."""
-
-    evaluator: ResolventEvaluator
-    f: np.ndarray
-    minus: np.ndarray
-    plus: np.ndarray
 
 
 class ResolventEvaluator:
@@ -365,50 +370,39 @@ class ResolventEvaluator:
 
     # -- quadratures -------------------------------------------------------
 
-    def partial_sums(self, f):
-        """Running integrals of f u- from the left and of f u+ from the
-        right, each divided by the solution at its node (PartialSums).
-
-        matrix_element and vector accept the result in place of f, so a
-        state that enters several quadratures at one z is summed once.
-        """
+    def _on_grid(self, f):
         f = np.asarray(f, dtype=complex)
         if f.shape != self.grid.points.shape:
             raise ValueError("wavefunction must be sampled on the evaluator grid")
-        h = self.grid.dx
-        minus = _running_sums(f, self._lm, h)
-        plus = _running_sums(f[::-1], self._lp[::-1], h)[::-1]
-        return PartialSums(self, f, minus, plus)
-
-    def _sums(self, f):
-        if not isinstance(f, PartialSums):
-            return self.partial_sums(f)
-        if f.evaluator is not self:
-            raise ValueError("partial sums were taken with another evaluator")
         return f
 
     def vector(self, f, x0):
         """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f sampled
-        on the grid (or its partial_sums), with A and B the partial sums
-        Hermite-interpolated off the nodes."""
-        sums = self._sums(f)
+        on the grid, with A and B taken at the cell's two nodes by direct
+        sums and Hermite-interpolated between them."""
+        f = self._on_grid(f)
         j, t = self._cell(x0)
         (r_minus, _), (r_plus, _) = self._ratios(j, t)
-        s, a, b = sums.f, sums.minus, sums.plus
+        h = self.grid.dx
+        a_j, a_j1 = _sums_at(f, self._lm, h, j)
+        b_j1, b_j = _sums_at(f[::-1], self._lp[::-1], h, f.size - 2 - j)
         # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j); d/dx (A u-) = f u-,
         # d/dx (B u+) = -f u+
-        a0, _ = self._interpolate(self._lm, j, t, a[j], s[j], a[j + 1], s[j + 1])
-        b0, _ = self._interpolate(self._lp, j, t, b[j], -s[j], b[j + 1], -s[j + 1])
+        a0, _ = self._interpolate(self._lm, j, t, a_j, f[j], a_j1, f[j + 1])
+        b0, _ = self._interpolate(self._lp, j, t, b_j, -f[j], b_j1, -f[j + 1])
         return complex(self._node_value(j) * (a0 * r_plus + b0 * r_minus))
 
     def matrix_element(self, f, g):
         """double integral f(x) G(x, x0) g(x0) dx dx0 = integral of
-        g G(x, x) (A + B) over the nodes, O(N); f may be given as its
-        partial_sums."""
-        sums = self._sums(f)
-        g = np.asarray(g, dtype=complex)
+        g G(x, x) (A + B) over the nodes, O(N), with A and B from the
+        running-sum recurrences of f."""
+        f = self._on_grid(f)
+        g = self._on_grid(g)
+        h = self.grid.dx
+        minus = _running_sums(f, self._lm, h)
+        plus = _running_sums(f[::-1], self._lp[::-1], h)[::-1]
         diagonal = 2.0 * self._mass / (self._yp - self._ym)
-        return complex(simpson(g * diagonal * (sums.minus + sums.plus), dx=self.grid.dx))
+        return complex(simpson(g * diagonal * (minus + plus), dx=h))
 
 
 def build_resolvent_batch(curve, zs, grid=None):

@@ -136,6 +136,17 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["absorption", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    assert main(["absorption", "--config", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err
+
+
+def test_non_finite_override_exits_2(tmp_path, capsys):
+    assert main(["absorption", "--k0", "nan", "--out", str(tmp_path / "run")]) == 2
+    assert "coupling_k0_erg_angstrom: must be finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("[grid]\ngrid_x_max_angstrom = 0.15\n" + NARROW)

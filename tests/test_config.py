@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvecross.config import RunConfig, apply_overrides, parse_config
+from curvecross.config import RunConfig, apply_overrides, load_config, parse_config
 from curvecross.errors import ConfigError
 
 
@@ -111,6 +111,37 @@ def test_overrides():
     assert cfg.allowed_displacement_angstrom == 0.0
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), gamma=-5.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        ("model", "coupling_k0_erg_angstrom"),
+        ("model", "damping_cm1"),
+        # -inf must not read as "<= 0 means derive the depth"
+        ("model", "forbidden_well_depth_cm1"),
+        ("model", "allowed_displacement_angstrom"),
+        ("scan", "omega_max_cm1"),
+    ],
+)
+def test_non_finite_values_rejected(section, name, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{name} = {value}\n")
+    assert "line 2" in str(err.value)
+    assert f"{name}: must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_overrides_rejected(value):
+    for name in ("k0", "gamma", "displacement"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_overrides(RunConfig(), **{name: value})
+
+
+def test_unreadable_config_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(str(tmp_path))):
+        load_config(tmp_path)
 
 
 @pytest.mark.parametrize(

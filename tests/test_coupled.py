@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvecross import resolvent
 from curvecross.coupled import CoupledBlocks
 from curvecross.model import Grid, harmonic_eigenstates
 from curvecross.resolvent import build_resolvent
@@ -47,8 +48,8 @@ def test_bra_ket_swap_symmetric(pair, model):
 
 
 def test_diagonal_blocks_equal_separate_quadratures(pair, model):
-    # sharing one state's partial sums between the matrix element and the
-    # vectors changes no bit of the partitioning formula's composition
+    # g11 is the partitioning formula composed of the public quadratures,
+    # bit for bit, with the vector of f reused for i when f = i
     ev1, ev2, chi = pair
     k0 = model.coupling.strength
     x_c = model.coupling.location
@@ -64,14 +65,23 @@ def test_diagonal_blocks_equal_separate_quadratures(pair, model):
         assert amp.value == direct + correction
 
 
-def test_partial_sums_stand_in_for_their_state(pair, model):
+def test_g11_runs_one_recurrence_pair(pair, model, monkeypatch):
+    # the recurrences run only in the matrix element; both vectors at x_c
+    # are direct sums, whether or not the bra and the ket differ
     ev1, ev2, chi = pair
-    x_c = model.coupling.location
-    sums = ev1.partial_sums(chi[1])
-    assert ev1.vector(sums, x_c) == ev1.vector(chi[1], x_c)
-    assert ev1.matrix_element(sums, chi[0]) == ev1.matrix_element(chi[1], chi[0])
-    with pytest.raises(ValueError):
-        ev2.vector(sums, x_c)
+    calls = []
+    running_sums = resolvent._running_sums
+
+    def counted(*args):
+        calls.append(1)
+        return running_sums(*args)
+
+    monkeypatch.setattr(resolvent, "_running_sums", counted)
+    blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
+    for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
+        calls.clear()
+        blocks.g11(f, i)
+        assert len(calls) == 2
 
 
 def test_blocks_share_denominator(pair, model):

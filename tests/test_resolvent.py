@@ -204,6 +204,37 @@ def test_point_outside_grid_rejected(ev_allowed_fine):
         ev_allowed_fine.point(2.0, 0.0)
 
 
+def test_quadratures_reject_states_off_the_grid(model, grid):
+    ev = build_resolvent(model.allowed, model.resolvent_argument(11100.0), grid)
+    chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    x_c = model.coupling.location
+    for bad in (1.0, np.ones(1), chi0[:-1]):
+        with pytest.raises(ValueError):
+            ev.matrix_element(chi0, bad)
+        with pytest.raises(ValueError):
+            ev.matrix_element(bad, chi0)
+        with pytest.raises(ValueError):
+            ev.vector(bad, x_c)
+
+
+def test_direct_sums_equal_running_sums(model, grid):
+    # both directions, as vector takes them: A on the forward arrays, B on
+    # the reversed ones
+    n = grid.n
+    h = grid.dx
+    chi1 = harmonic_eigenstates(model.ground, 1, grid.points)[1].astype(complex)
+    zs = model.resolvent_argument(np.array([9800.0, 11200.0, 13200.0]))
+    for curve in (model.allowed, model.forbidden):
+        for ev in build_resolvent_batch(curve, zs, grid):
+            for f, ell in ((chi1, ev._lm), (chi1[::-1], ev._lp[::-1])):
+                sums = resolvent._running_sums(f, ell, h)
+                scale = np.max(np.abs(sums))
+                for j in (0, 1, 2, n // 2, n - 4, n - 3, n - 2):
+                    a_j, a_j1 = resolvent._sums_at(f, ell, h, j)
+                    assert abs(a_j - sums[j]) <= 1e-12 * scale
+                    assert abs(a_j1 - sums[j + 1]) <= 1e-12 * scale
+
+
 # -- spectral-sum oracle ---------------------------------------------------
 
 
