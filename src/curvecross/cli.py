@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, apply_overrides, load_config
+from .config import OVERRIDES, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, NumericsError
 from .spectra import absorption_spectra, raman_profiles, scan_resolvents
 from .validate import run_suite
@@ -28,11 +28,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-def _write_csv(path, omega, intensity):
+def _write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("omega_cm1,intensity\n")
-        for w, i in zip(omega, intensity):
-            handle.write(f"{w:.17g},{i:.17g}\n")
+        handle.write(header + "\n")
+        row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+        for values in zip(*columns):
+            handle.write(row.format(*values))
 
 
 def _write_sidecar(path, config, command):
@@ -47,20 +48,22 @@ def _write_sidecar(path, config, command):
 
 def _resolve_config(args):
     config = load_config(args.config) if args.config else RunConfig().validate()
-    return apply_overrides(
-        config,
-        k0=args.k0,
-        gamma=args.gamma,
-        nf=getattr(args, "nf", None),
-        displacement=args.displacement,
-    )
+    return apply_overrides(config, **{flag: getattr(args, flag, None) for flag in OVERRIDES})
+
+
+def _output_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
 
 
 def _write_spectra(out, kind, spectra, config):
     """The coupled and uncoupled CSV tables of one job and its sidecar."""
     for spec, label in zip(spectra, ("coupled", "uncoupled")):
         path = os.path.join(out, f"{kind}_{label}.csv")
-        _write_csv(path, spec.omega, spec.intensity)
+        _write_csv(path, "omega_cm1,intensity", (spec.omega, spec.intensity))
         print(f"wrote {path} ({spec.omega.size} rows)")
     _write_sidecar(os.path.join(out, f"{kind}.meta.txt"), config, kind)
 
@@ -70,8 +73,8 @@ def _run_absorption(args):
     model = config.to_model()
     grid = config.to_grid()
     omega = config.omega_grid()
-    os.makedirs(args.out, exist_ok=True)
-    _write_spectra(args.out, "absorption", absorption_spectra(model, omega, grid), config)
+    out = _output_dir(args.out)
+    _write_spectra(out, "absorption", absorption_spectra(model, omega, grid), config)
     return EXIT_OK
 
 
@@ -81,8 +84,8 @@ def _run_raman(args):
     grid = config.to_grid()
     omega = config.omega_grid()
     n_f = config.raman_final_state
-    os.makedirs(args.out, exist_ok=True)
-    _write_spectra(args.out, "raman", raman_profiles(model, n_f, omega, grid), config)
+    out = _output_dir(args.out)
+    _write_spectra(out, "raman", raman_profiles(model, n_f, omega, grid), config)
     return EXIT_OK
 
 
@@ -103,20 +106,14 @@ def _run_greens_probe(args):
     grid = config.to_grid()
     omega = config.omega_grid()
     x_c = model.coupling.location
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    rows = np.array(
+    out = _output_dir(args.out)
+    g1, g2 = np.array(
         [(ev1.point(x_c, x_c), ev2.point(x_c, x_c))
          for ev1, ev2 in scan_resolvents(model, omega, grid)]
     ).T
     path = os.path.join(out, "greens_probe.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("omega_cm1,g1_real,g1_imag,g2_real,g2_imag\n")
-        for k, w in enumerate(omega):
-            handle.write(
-                f"{w:.17g},{rows[0][k].real:.17g},{rows[0][k].imag:.17g},"
-                f"{rows[1][k].real:.17g},{rows[1][k].imag:.17g}\n"
-            )
+    _write_csv(path, "omega_cm1,g1_real,g1_imag,g2_real,g2_imag",
+               (omega, g1.real, g1.imag, g2.real, g2.imag))
     _write_sidecar(os.path.join(out, "greens_probe.meta.txt"), config, "greens-probe")
     print(f"wrote {path} ({omega.size} rows)")
     return EXIT_OK

@@ -9,7 +9,7 @@ the metal-ligand stretch model this package ships with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .model import (
@@ -24,34 +24,37 @@ from .spectra import photon_energies
 from .units import to_internal
 
 
+def _setting(section, default, sign=None):
+    """A RunConfig field in config-file section [section]; sign is
+    "positive" or "non-negative" for a sign-constrained field."""
+    return field(default=default, metadata={"section": section, "sign": sign})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [model] laboratory units
-    mass_amu: float = 35.4
-    ground_wavenumber_cm1: float = 400.0
-    allowed_wavenumber_cm1: float = 400.0
-    allowed_displacement_angstrom: float = 0.1
-    allowed_origin_cm1: float = 10700.0
-    forbidden_origin_cm1: float = 10800.0
-    forbidden_alpha_inv_angstrom: float = 1.0
+    # laboratory units; declaration order is the config echo's order
+    mass_amu: float = _setting("model", 35.4, "positive")
+    ground_wavenumber_cm1: float = _setting("model", 400.0, "positive")
+    allowed_wavenumber_cm1: float = _setting("model", 400.0, "positive")
+    allowed_displacement_angstrom: float = _setting("model", 0.1)
+    allowed_origin_cm1: float = _setting("model", 10700.0)
+    forbidden_origin_cm1: float = _setting("model", 10800.0)
+    forbidden_alpha_inv_angstrom: float = _setting("model", 1.0, "positive")
     # <= 0 means: choose the depth that makes the well-bottom frequency
     # equal forbidden_wavenumber_cm1.
-    forbidden_well_depth_cm1: float = -1.0
-    forbidden_wavenumber_cm1: float = 400.0
-    forbidden_displacement_angstrom: float = 0.0
-    coupling_k0_erg_angstrom: float = 5.54275e-15
-    crossing_position_angstrom: float = -0.02477
-    damping_cm1: float = 450.0
-    # [grid]
-    grid_x_min_angstrom: float = -1.5
-    grid_x_max_angstrom: float = 1.5
-    grid_points: int = 4096
-    # [scan]
-    omega_min_cm1: float = 9500.0
-    omega_max_cm1: float = 13500.0
-    omega_step_cm1: float = 10.0
-    # [raman]
-    raman_final_state: int = 1
+    forbidden_well_depth_cm1: float = _setting("model", -1.0)
+    forbidden_wavenumber_cm1: float = _setting("model", 400.0, "positive")
+    forbidden_displacement_angstrom: float = _setting("model", 0.0)
+    coupling_k0_erg_angstrom: float = _setting("model", 5.54275e-15, "non-negative")
+    crossing_position_angstrom: float = _setting("model", -0.02477)
+    damping_cm1: float = _setting("model", 450.0, "positive")
+    grid_x_min_angstrom: float = _setting("grid", -1.5)
+    grid_x_max_angstrom: float = _setting("grid", 1.5)
+    grid_points: int = _setting("grid", 4096)
+    omega_min_cm1: float = _setting("scan", 9500.0)
+    omega_max_cm1: float = _setting("scan", 13500.0)
+    omega_step_cm1: float = _setting("scan", 10.0, "positive")
+    raman_final_state: int = _setting("raman", 1)
 
     def validate(self, lines=None):
         """Reject physically impossible values; lines maps field name to
@@ -61,26 +64,14 @@ class RunConfig:
             line = None if lines is None else lines.get(name)
             raise ConfigError(f"{name}: {message}", line=line)
 
-        # the checks below are comparisons, which NaN always escapes and
-        # inf often passes
-        for field in fields(self):
-            if field.type in ("float", float) and not math.isfinite(getattr(self, field.name)):
-                err(field.name, "must be finite")
-
-        positive = [
-            "mass_amu",
-            "ground_wavenumber_cm1",
-            "allowed_wavenumber_cm1",
-            "forbidden_alpha_inv_angstrom",
-            "forbidden_wavenumber_cm1",
-            "damping_cm1",
-            "omega_step_cm1",
-        ]
-        for name in positive:
-            if getattr(self, name) <= 0.0:
-                err(name, "must be positive")
-        if self.coupling_k0_erg_angstrom < 0.0:
-            err("coupling_k0_erg_angstrom", "must be non-negative")
+        for f in fields(self):
+            value, sign = getattr(self, f.name), f.metadata["sign"]
+            # the checks below are comparisons, which NaN always escapes and
+            # inf often passes
+            if f.type in ("float", float) and not math.isfinite(value):
+                err(f.name, "must be finite")
+            if sign == "positive" and value <= 0.0 or sign == "non-negative" and value < 0.0:
+                err(f.name, f"must be {sign}")
         if self.grid_points < 16:
             err("grid_points", "needs at least 16 points")
         if self.grid_x_max_angstrom <= self.grid_x_min_angstrom:
@@ -150,39 +141,18 @@ class RunConfig:
         return "\n".join(out)
 
 
-_SECTIONS = {
-    "model": [
-        "mass_amu",
-        "ground_wavenumber_cm1",
-        "allowed_wavenumber_cm1",
-        "allowed_displacement_angstrom",
-        "allowed_origin_cm1",
-        "forbidden_origin_cm1",
-        "forbidden_alpha_inv_angstrom",
-        "forbidden_well_depth_cm1",
-        "forbidden_wavenumber_cm1",
-        "forbidden_displacement_angstrom",
-        "coupling_k0_erg_angstrom",
-        "crossing_position_angstrom",
-        "damping_cm1",
-    ],
-    "grid": [
-        "grid_x_min_angstrom",
-        "grid_x_max_angstrom",
-        "grid_points",
-    ],
-    "scan": [
-        "omega_min_cm1",
-        "omega_max_cm1",
-        "omega_step_cm1",
-    ],
-    "raman": [
-        "raman_final_state",
-    ],
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_SECTIONS = {}
+for _field in _FIELDS.values():
+    _SECTIONS.setdefault(_field.metadata["section"], []).append(_field.name)
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_ALL_FIELDS = {name for names in _SECTIONS.values() for name in names}
+# Command-line flag -> the RunConfig field it overrides.
+OVERRIDES = {
+    "k0": "coupling_k0_erg_angstrom",
+    "gamma": "damping_cm1",
+    "nf": "raman_final_state",
+    "displacement": "allowed_displacement_angstrom",
+}
 
 
 def parse_config(text):
@@ -211,11 +181,15 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
-        if section is not None and key not in _SECTIONS.get(section, []):
+        if section is not None and _FIELDS[key].metadata["section"] != section:
             raise ConfigError(f"key {key!r} does not belong in [{section}]", line=lineno)
-        caster = int if _FIELD_TYPES[key] in ("int", int) else float
+        if key in lines:
+            raise ConfigError(
+                f"duplicate key {key!r}, first given on line {lines[key]}", line=lineno
+            )
+        caster = int if _FIELDS[key].type in ("int", int) else float
         try:
             values[key] = caster(value)
         except ValueError:
@@ -238,17 +212,10 @@ def load_config(path):
     return config
 
 
-def apply_overrides(config, k0=None, gamma=None, nf=None, displacement=None):
-    """Command-line flag overrides, all in laboratory units."""
-    changes = {}
-    if k0 is not None:
-        changes["coupling_k0_erg_angstrom"] = k0
-    if gamma is not None:
-        changes["damping_cm1"] = gamma
-    if nf is not None:
-        changes["raman_final_state"] = nf
-    if displacement is not None:
-        changes["allowed_displacement_angstrom"] = displacement
+def apply_overrides(config, **flags):
+    """Command-line flag overrides (see OVERRIDES), all in laboratory units;
+    a flag given as None is not set."""
+    changes = {OVERRIDES[flag]: value for flag, value in flags.items() if value is not None}
     if not changes:
         return config
     return replace(config, **changes).validate()

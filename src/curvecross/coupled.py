@@ -37,6 +37,8 @@ class CoupledBlocks:
     def __init__(self, ev1, ev2, k0, x_c):
         if ev1.z != ev2.z:
             raise ValueError("both resolvents must be built at the same z")
+        if ev1.grid != ev2.grid:
+            raise ValueError("both resolvents must be built on the same grid")
         self.ev1 = ev1
         self.ev2 = ev2
         self.k0 = float(k0)

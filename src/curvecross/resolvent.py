@@ -56,9 +56,10 @@ from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
 # Largest Wronskian drift a build accepts (round-off gives about 1e-12).
 WRONSKIAN_DRIFT_LIMIT = 1e-8
 # Sweeps of at most this many energies run row by row on Python floats,
-# larger ones on numpy rows; on a 2-core x86 host the two paths cost the
-# same between nz = 7 and nz = 9.
-SCALAR_ROWS = 8
+# larger ones on numpy rows.  One default-grid sweep on a 2-core x86 host
+# (best of 21): 14.9 ms scalar against 16.0 ms rows at nz = 5, 17.3 ms
+# against 16.0 ms at nz = 6.
+SCALAR_ROWS = 5
 # Nodes per block of step maps on the numpy-row path.
 MAP_BLOCK = 128
 # Largest local wavenumber times grid step that a sweep accepts.  Against

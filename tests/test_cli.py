@@ -3,6 +3,7 @@ import pytest
 
 from curvecross import cli
 from curvecross.cli import main
+from curvecross.config import load_config
 
 NARROW = """\
 [scan]
@@ -93,6 +94,26 @@ def test_determinism_and_sidecar_roundtrip(tmp_path):
     ).read_bytes()
 
 
+def test_overrides_roundtrip_through_sidecar(tmp_path):
+    cfg = tmp_path / "coarse_scan.cfg"
+    cfg.write_text("[scan]\nomega_min_cm1 = 10500\nomega_max_cm1 = 11500\nomega_step_cm1 = 100\n")
+    for job, flags, expected in (
+        ("absorption", ["--k0", "3e-15", "--gamma", "300", "--displacement", "0.08"],
+         {"coupling_k0_erg_angstrom": 3e-15, "damping_cm1": 300.0,
+          "allowed_displacement_angstrom": 0.08}),
+        ("raman", ["--nf", "2"], {"raman_final_state": 2}),
+    ):
+        first, second = tmp_path / f"{job}-flags", tmp_path / f"{job}-sidecar"
+        assert main([job, "--config", str(cfg), *flags, "--out", str(first)]) == 0
+        sidecar = first / f"{job}.meta.txt"
+        echoed = load_config(sidecar)
+        assert {name: getattr(echoed, name) for name in expected} == expected
+        assert main([job, "--config", str(sidecar), "--out", str(second)]) == 0
+        for label in ("coupled", "uncoupled"):
+            name = f"{job}_{label}.csv"
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_greens_probe(tmp_path):
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(NARROW)
@@ -130,6 +151,16 @@ def test_raman_final_state_above_table_exits_2(tmp_path, capsys):
     assert main(["raman", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "raman_final_state" in err
+
+
+@pytest.mark.parametrize("job", ["absorption", "raman", "greens-probe"])
+def test_unusable_out_exits_2(tmp_path, capsys, job):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    for out in (blocker, blocker / "run"):
+        assert main([job, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
 
 
 def test_missing_config_exits_2(tmp_path):

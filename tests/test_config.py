@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,67 @@ def test_echo_roundtrip():
     cfg = RunConfig(damping_cm1=20.0, omega_step_cm1=5.0)
     parsed, _ = parse_config(cfg.echo_lines())
     assert parsed == cfg
+
+
+def test_echo_roundtrip_every_field():
+    changed = {
+        "mass_amu": 36.0,
+        "ground_wavenumber_cm1": 410.0,
+        "allowed_wavenumber_cm1": 390.0,
+        "allowed_displacement_angstrom": 0.12,
+        "allowed_origin_cm1": 10650.0,
+        "forbidden_origin_cm1": 10850.0,
+        "forbidden_alpha_inv_angstrom": 1.1,
+        "forbidden_well_depth_cm1": 2000.0,
+        "forbidden_wavenumber_cm1": 380.0,
+        "forbidden_displacement_angstrom": 0.05,
+        "coupling_k0_erg_angstrom": 3e-15,
+        "crossing_position_angstrom": -0.03,
+        "damping_cm1": 300.0,
+        "grid_x_min_angstrom": -1.6,
+        "grid_x_max_angstrom": 1.4,
+        "grid_points": 2048,
+        "omega_min_cm1": 9600.0,
+        "omega_max_cm1": 13000.0,
+        "omega_step_cm1": 20.0,
+        "raman_final_state": 2,
+    }
+    default = RunConfig()
+    assert set(changed) == {f.name for f in fields(RunConfig)}
+    assert all(getattr(default, name) != value for name, value in changed.items())
+    cfg = RunConfig(**changed).validate()
+    parsed, lines = parse_config(cfg.echo_lines())
+    assert parsed == cfg
+    assert set(lines) == set(changed)
+    assert type(parsed.grid_points) is int and type(parsed.raman_final_state) is int
+
+
+def test_duplicate_key_rejected():
+    text = "[scan]\nomega_min_cm1 = 9500\nomega_min_cm1 = 9600\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 3
+    assert "duplicate key 'omega_min_cm1'" in str(err.value)
+    assert "first given on line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, name, value, message",
+    [
+        ("model", "mass_amu", "0", "must be positive"),
+        ("model", "ground_wavenumber_cm1", "0", "must be positive"),
+        ("model", "allowed_wavenumber_cm1", "-400", "must be positive"),
+        ("model", "forbidden_alpha_inv_angstrom", "0", "must be positive"),
+        ("model", "forbidden_wavenumber_cm1", "0", "must be positive"),
+        ("model", "coupling_k0_erg_angstrom", "-1e-15", "must be non-negative"),
+        ("model", "damping_cm1", "0", "must be positive"),
+        ("scan", "omega_step_cm1", "-10", "must be positive"),
+    ],
+)
+def test_sign_constrained_fields_rejected(section, name, value, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n# sign check\n{name} = {value}\n")
+    assert str(err.value) == f"line 3: {name}: {message}"
 
 
 def test_parse_reports_line_numbers():

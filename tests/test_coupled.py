@@ -152,6 +152,14 @@ def test_mismatched_energies_rejected(model, grid):
         CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
 
 
+def test_mismatched_grids_rejected(pair, model):
+    # the same node count over a wider span: the shapes match, the nodes do not
+    ev1, _, _ = pair
+    ev2 = build_resolvent(model.forbidden, ev1.z, Grid(-2.0, 2.0, ev1.grid.n))
+    with pytest.raises(ValueError, match="same grid"):
+        CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
+
+
 def test_correction_grid_converged(model):
     # |correction/direct| for absorption near the band origin is stable to
     # three significant digits under grid refinement
