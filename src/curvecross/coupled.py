@@ -65,9 +65,9 @@ class CoupledBlocks:
     def g12(self, f, i):
         return self.k0 * self.ev1.vector(f, self.x_c) * self.ev2.vector(i, self.x_c) / self.denominator
 
-    def g21_row(self, i):
-        """(G21 i)(x) on the grid of the second surface: the amplitude
-        transferred to the forbidden surface from a state i on the allowed
-        one."""
+    def g21(self, x, i):
+        """(G21 i)(x) = K0 G2(x, x_c) <x_c|G1|i> / D, the amplitude
+        transferred to the forbidden surface at x from a state i on the
+        allowed one."""
         transfer = self.k0 * self.ev1.vector(i, self.x_c) / self.denominator
-        return transfer * self.ev2.row(self.x_c)
+        return transfer * self.ev2.point(x, self.x_c)

@@ -33,9 +33,11 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-where A_{k+1} = rho_k A_k + q_k, with coefficients from ratios of u at
-neighbouring nodes: matrix_element runs this recurrence over the grid,
-and vector takes A and B at x0's cell as direct sums of the q_k.
+where A is one blocked direct sum (_sums): the grid is cut into blocks
+over which u / u(x_s), s the block's first node, stays bounded, each block
+takes one cumsum of f u / u(x_s), and A is carried from block to block.
+B is the same sum on the reversed arrays.  matrix_element sums over the
+whole grid, vector only up to x0's cell.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -62,6 +64,10 @@ WRONSKIAN_DRIFT_LIMIT = 1e-8
 SCALAR_ROWS = 5
 # Nodes per block of step maps on the numpy-row path.
 MAP_BLOCK = 128
+# Largest change of Re log u within one block of _sums: half the float64
+# exponent range, so u / u(x_s) and f u / u(x_s) over a block neither
+# overflow nor underflow.
+BLOCK_EFOLDS = 0.5 * math.log(np.finfo(float).max)
 # Largest local wavenumber times grid step that a sweep accepts.  Against
 # an 8192-node reference over 9500-13500 cm^-1, the default model's
 # coupled spectra are off by 2.4e-4 (absorption) and 6.3e-4 (Raman) at
@@ -233,49 +239,45 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _increments(f, ell, h):
-    """rho_k = u(x_k)/u(x_{k+1}) and q_k, the integral of f u / u(x_{k+1})
-    over [x_k, x_{k+1}], with u = exp(ell).  q_k takes the 4-point cubic rule
-    h/24 (-1, 13, 13, -1) on nodes k-1..k+2, and the 3-point rule
-    h/12 (5, 8, -1) on the first and last interval."""
-    rho = np.exp(ell[:-1] - ell[1:])
-    back = f[:-1] * rho  # f u at x_k, over u(x_{k+1})
-    ahead = f[1:] / rho  # f u at x_{k+1}, over u(x_k)
-    q = np.empty(rho.size, dtype=complex)
-    q[0] = h / 12.0 * (5.0 * back[0] + 8.0 * f[1] - ahead[1])
-    q[1:-1] = h / 24.0 * (13.0 * (back[1:-1] + f[2:-1]) - back[:-2] * rho[1:-1] - ahead[2:])
-    q[-1] = h / 12.0 * (5.0 * f[-1] + 8.0 * back[-1] - back[-2] * rho[-1])
-    return rho, q
+def _sums(f, ell, h):
+    """A_k = (integral of f u from x_0 to x_k) / u(x_k) on every node, with
+    u = exp(ell).
 
-
-def _running_sums(f, ell, h):
-    """A_k = (integral of f u from x_0 to x_k) / u(x_k), with u = exp(ell).
-
-    Runs A_{k+1} = rho_k A_k + q_k with the coefficients of _increments on
-    Python complex numbers.  Every factor is a ratio of u at nearby nodes,
-    so A stays bounded however far u grows across the grid.  (Cumulative
+    The grid is cut into blocks of nodes over which Re ell changes by at
+    most BLOCK_EFOLDS.  In a block starting at node s, E = u / u(x_s) is
+    bounded, and the integral of f E over each interval takes the 4-point
+    cubic rule h/24 (-1, 13, 13, -1) on nodes k-1..k+2, or the 3-point
+    rule h/12 (5, 8, -1) on the first and last interval of the grid; one
+    cumsum over the block then gives A_k = (A_s + sum) / E_k.  (Cumulative
     Simpson would alternate its stencil between odd and even nodes, an
     error that the outer Simpson rule of matrix_element does not cancel: a
     few parts in 1e6 on the Morse surface at the default grid.)
     """
-    rho, q = _increments(f, ell, h)
-    a = 0j
-    sums = [a]
-    append = sums.append
-    for r, dq in zip(rho.tolist(), q.tolist()):
-        a = r * a + dq
-        append(a)
-    return np.array(sums)
-
-
-def _sums_at(f, ell, h, j):
-    """(A_j, A_{j+1}) of _running_sums without its loop: A_j is the direct
-    sum of q_k u(x_{k+1}) / u(x_j) over k < j.  The increments are taken on
-    nodes 0..j+2 only, where q_0..q_j already have their full-grid values:
-    the end rule falls on q_{j+1}, which is not used."""
-    rho, q = _increments(f[: j + 3], ell[: j + 3], h)
-    a = complex(np.dot(q[:j], np.exp(ell[1 : j + 1] - ell[j])))
-    return a, complex(rho[j] * a + q[j])
+    n = f.size
+    step = float(np.max(np.abs(np.diff(ell.real))))
+    # the stencil reaches one node beyond either end of a block, which
+    # the factor-of-two margin in BLOCK_EFOLDS covers
+    length = n if step * n <= BLOCK_EFOLDS else max(1, int(BLOCK_EFOLDS // step))
+    sums = np.empty(n, dtype=complex)
+    sums[0] = a = 0j
+    for s in range(0, n - 1, length):
+        e = min(s + length, n - 1)  # the block's last node
+        lo, hi = max(s - 1, 0), min(e + 2, n)
+        scale = np.exp(ell[lo:hi] - ell[s])
+        fe = f[lo:hi] * scale
+        # 24/h times the integral of f E over intervals lo+1..hi-3, then
+        # the end rules for the grid's first and last interval
+        parts = [13.0 * (fe[1:-2] + fe[2:-1]) - fe[:-3] - fe[3:]]
+        if s == 0:
+            parts.insert(0, [2.0 * (5.0 * fe[0] + 8.0 * fe[1] - fe[2])])
+        if e == n - 1:
+            parts.append([2.0 * (5.0 * fe[-1] + 8.0 * fe[-2] - fe[-3])])
+        running = np.cumsum(np.concatenate(parts))
+        running *= h / 24.0
+        running += a
+        sums[s + 1 : e + 1] = running / scale[s + 1 - lo : e + 1 - lo]
+        a = sums[e]
+    return sums
 
 
 def _hermite(t, v0, s0, v1, s1):
@@ -351,17 +353,6 @@ class ResolventEvaluator:
         shift = cmath.exp(self._lp[i] - self._lp[j])
         return complex(self._node_value(j) * r_minus * r_plus * shift)
 
-    def row(self, x0):
-        """G(x_i, x0) on all grid nodes for a fixed x0."""
-        j, t = self._cell(x0)
-        (r_minus, _), (r_plus, _) = self._ratios(j, t)
-        g = self._node_value(j)
-        k = int(np.searchsorted(self.grid.points, x0, side="right"))
-        return np.concatenate((
-            g * r_plus * np.exp(self._lm[:k] - self._lm[j]),
-            g * r_minus * np.exp(self._lp[k:] - self._lp[j]),
-        ))
-
     def derivative_jump(self, x):
         """d/dx G(x, x0) jump across x = x0; equals 2m for the exact G."""
         j, t = self._cell(x)
@@ -379,14 +370,17 @@ class ResolventEvaluator:
 
     def vector(self, f, x0):
         """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f sampled
-        on the grid, with A and B taken at the cell's two nodes by direct
-        sums and Hermite-interpolated between them."""
+        on the grid, with A and B summed up to the cell's two nodes only and
+        Hermite-interpolated between them."""
         f = self._on_grid(f)
         j, t = self._cell(x0)
         (r_minus, _), (r_plus, _) = self._ratios(j, t)
         h = self.grid.dx
-        a_j, a_j1 = _sums_at(f, self._lm, h, j)
-        b_j1, b_j = _sums_at(f[::-1], self._lp[::-1], h, f.size - 2 - j)
+        # nodes up to j + 2 carry the stencil of interval j; the end rule
+        # falls on interval j + 1, which is not used
+        a_j, a_j1 = _sums(f[: j + 3], self._lm[: j + 3], h)[j : j + 2]
+        k = f.size - 2 - j
+        b_j1, b_j = _sums(f[::-1][: k + 3], self._lp[::-1][: k + 3], h)[k : k + 2]
         # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j); d/dx (A u-) = f u-,
         # d/dx (B u+) = -f u+
         a0, _ = self._interpolate(self._lm, j, t, a_j, f[j], a_j1, f[j + 1])
@@ -395,13 +389,13 @@ class ResolventEvaluator:
 
     def matrix_element(self, f, g):
         """double integral f(x) G(x, x0) g(x0) dx dx0 = integral of
-        g G(x, x) (A + B) over the nodes, O(N), with A and B from the
-        running-sum recurrences of f."""
+        g G(x, x) (A + B) over the nodes, O(N), with A and B from _sums of
+        f in both directions."""
         f = self._on_grid(f)
         g = self._on_grid(g)
         h = self.grid.dx
-        minus = _running_sums(f, self._lm, h)
-        plus = _running_sums(f[::-1], self._lp[::-1], h)[::-1]
+        minus = _sums(f, self._lm, h)
+        plus = _sums(f[::-1], self._lp[::-1], h)[::-1]
         diagonal = 2.0 * self._mass / (self._yp - self._ym)
         return complex(simpson(g * diagonal * (minus + plus), dx=h))
 
@@ -412,8 +406,8 @@ def build_resolvent_batch(curve, zs, grid=None):
     if grid is None:
         grid = DEFAULT_GRID
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if np.any(zs.imag <= 0.0):
-        raise ValueError("resolvents require Im z > 0")
+    if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
+        raise ValueError("resolvents require a finite z with Im z > 0")
     x = grid.points
     v_nodes = np.asarray(curve.evaluate(x), dtype=float)
     v_mid = np.asarray(curve.evaluate(grid.midpoints), dtype=float)

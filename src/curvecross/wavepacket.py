@@ -201,9 +201,8 @@ def verify_resolvent_identity(model, omega_samples, dt=DEFAULT_DT, delta_width=4
             wp_side = simpson(chi_wp[n_f] * psi1_bar, dx=wp_grid.dx)
             res_side = 1j * blocks.g11(chi_res[n_f], chi_res[0]).value
             sink.append(abs(wp_side - res_side) / abs(res_side))
-        row = 1j * blocks.g21_row(chi_res[0])
         wp_at = np.interp(X_SAMPLES, wp_grid.points, psi2_bar)
-        res_at = np.interp(X_SAMPLES, DEFAULT_GRID.points, row)
+        res_at = np.array([1j * blocks.g21(x, chi_res[0]) for x in X_SAMPLES])
         scale = float(np.max(np.abs(res_at)))
         if scale > 0.0:
             report.deviation_g21.append(float(np.max(np.abs(wp_at - res_at)) / scale))

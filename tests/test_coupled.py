@@ -27,7 +27,8 @@ def test_zero_coupling_reduces_exactly(pair, model):
         assert amp.crossing_correction == 0.0
         assert amp.denominator == 1.0
     assert blocks.g12(chi[0], chi[0]) == 0.0
-    assert not np.any(blocks.g21_row(chi[0]))
+    for x in (-0.25, model.coupling.location, 0.1):
+        assert blocks.g21(x, chi[0]) == 0.0
 
 
 def test_value_decomposition(pair, model):
@@ -65,23 +66,23 @@ def test_diagonal_blocks_equal_separate_quadratures(pair, model):
         assert amp.value == direct + correction
 
 
-def test_g11_runs_one_recurrence_pair(pair, model, monkeypatch):
-    # the recurrences run only in the matrix element; both vectors at x_c
-    # are direct sums, whether or not the bra and the ket differ
+def test_g11_vector_calls(pair, model, monkeypatch):
+    # one vector at x_c per distinct state: the ket's vector is reused
+    # as the bra's when f = i
     ev1, ev2, chi = pair
     calls = []
-    running_sums = resolvent._running_sums
+    vector = resolvent.ResolventEvaluator.vector
 
-    def counted(*args):
+    def counted(self, f, x0):
         calls.append(1)
-        return running_sums(*args)
+        return vector(self, f, x0)
 
-    monkeypatch.setattr(resolvent, "_running_sums", counted)
+    monkeypatch.setattr(resolvent.ResolventEvaluator, "vector", counted)
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
-    for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
+    for (f, i), expected in (((chi[1], chi[0]), 2), ((chi[0], chi[0]), 1)):
         calls.clear()
         blocks.g11(f, i)
-        assert len(calls) == 2
+        assert len(calls) == expected
 
 
 def test_blocks_share_denominator(pair, model):
@@ -105,13 +106,13 @@ def test_off_diagonal_block_is_vector_product(pair, model):
     assert g12 == pytest.approx(manual, rel=1e-12)
 
 
-def test_g21_row_is_transfer_times_row(pair, model):
+def test_g21_is_transfer_times_point(pair, model):
     ev1, ev2, chi = pair
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
-    row = blocks.g21_row(chi[0])
     x_c = model.coupling.location
     transfer = model.coupling.strength * ev1.vector(chi[0], x_c) / blocks.denominator
-    assert np.allclose(row, transfer * ev2.row(x_c), rtol=1e-12, atol=0.0)
+    for x in (-0.25, -0.05, x_c, 0.1):
+        assert blocks.g21(x, chi[0]) == pytest.approx(transfer * ev2.point(x, x_c), rel=1e-12)
 
 
 def test_halving_k0_nearly_halves_g12(pair, model):

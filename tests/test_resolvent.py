@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvecross import resolvent
-from curvecross.errors import DegenerateWronskianError
+from curvecross.errors import DegenerateWronskianError, NumericsError
 from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
     SCALAR_ROWS,
@@ -217,22 +217,77 @@ def test_quadratures_reject_states_off_the_grid(model, grid):
             ev.vector(bad, x_c)
 
 
-def test_direct_sums_equal_running_sums(model, grid):
-    # both directions, as vector takes them: A on the forward arrays, B on
-    # the reversed ones
+def _sequential_sums(f, ell, h):
+    """A_{k+1} = rho_k A_k + q_k node by node, rho_k = u_k / u_{k+1} and q_k
+    the integral of f u over interval k divided by u_{k+1}: the 4-point rule
+    h/24 (-1, 13, 13, -1), the 3-point rule h/12 (5, 8, -1) at the ends."""
+    n = f.size
+    rho = np.exp(ell[:-1] - ell[1:])
+
+    def w(m, k):  # f u / u_{k+1} at node m
+        return f[m] * np.exp(ell[m] - ell[k + 1])
+
+    k = np.arange(1, n - 2)
+    q = np.empty(n - 1, dtype=complex)
+    q[1:-1] = h / 24.0 * (13.0 * (w(k, k) + w(k + 1, k)) - w(k - 1, k) - w(k + 2, k))
+    q[0] = h / 12.0 * (5.0 * w(0, 0) + 8.0 * w(1, 0) - w(2, 0))
+    q[-1] = h / 12.0 * (5.0 * w(n - 1, n - 2) + 8.0 * w(n - 2, n - 2) - w(n - 3, n - 2))
+    a = 0j
+    sums = [a]
+    for r, dq in zip(rho.tolist(), q.tolist()):
+        a = r * a + dq
+        sums.append(a)
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("nodes", [1639, 4096, 32768])
+def test_blocked_sums_equal_sequential_recurrence(model, nodes):
+    # the harmonic curve's sums on the narrow grid take one block, all
+    # others several; A on the forward arrays and B on the reversed ones,
+    # in full as matrix_element takes them and at nodes through vector
+    if nodes == 1639:
+        grid = Grid(-0.5, 0.7, nodes)
+        zs = model.resolvent_argument(np.array([10300.0, 11200.0, 12400.0]))
+    else:
+        grid = Grid(-1.5, 1.5, nodes)
+        zs = model.resolvent_argument(np.array([9800.0, 11200.0, 13200.0]))
+    if nodes == 32768:
+        zs = zs[1:2]
     n = grid.n
     h = grid.dx
-    chi1 = harmonic_eigenstates(model.ground, 1, grid.points)[1].astype(complex)
-    zs = model.resolvent_argument(np.array([9800.0, 11200.0, 13200.0]))
+    # chi_1, and a wave that does not vanish at the edges, where the end
+    # rules act
+    states = (
+        harmonic_eigenstates(model.ground, 1, grid.points)[1].astype(complex),
+        np.exp(2j * grid.points),
+    )
+    j_c = grid.index_below(model.coupling.location)
+    blocked = set()
     for curve in (model.allowed, model.forbidden):
         for ev in build_resolvent_batch(curve, zs, grid):
-            for f, ell in ((chi1, ev._lm), (chi1[::-1], ev._lp[::-1])):
-                sums = resolvent._running_sums(f, ell, h)
-                scale = np.max(np.abs(sums))
-                for j in (0, 1, 2, n // 2, n - 4, n - 3, n - 2):
-                    a_j, a_j1 = resolvent._sums_at(f, ell, h, j)
-                    assert abs(a_j - sums[j]) <= 1e-12 * scale
-                    assert abs(a_j1 - sums[j + 1]) <= 1e-12 * scale
+            for state in states:
+                both = []
+                for f, ell in ((state, ev._lm), (state[::-1], ev._lp[::-1])):
+                    expected = _sequential_sums(f, ell, h)
+                    scale = np.max(np.abs(expected))
+                    assert np.max(np.abs(resolvent._sums(f, ell, h) - expected)) <= 1e-12 * scale
+                    blocked.add(np.max(np.abs(np.diff(ell.real))) * n > resolvent.BLOCK_EFOLDS)
+                    both.append(expected)
+                # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes
+                on_nodes = 2.0 * ev._mass / (ev._yp - ev._ym) * (both[0] + both[1][::-1])
+                scale = np.max(np.abs(on_nodes))
+                for j in (0, 1, j_c, j_c + 1, n - 2, n - 1):
+                    assert abs(ev.vector(state, grid.points[j]) - on_nodes[j]) <= 1e-12 * scale
+    assert (False in blocked) if nodes == 1639 else blocked == {True}
+
+
+def test_rejects_nonfinite_z(model, grid):
+    # an input error, not a failed construction: no sweep runs
+    for z in (complex(np.nan, 450.0), complex(-np.inf, 450.0),
+              complex(11000.0, np.inf), complex(np.inf, 450.0)):
+        with pytest.raises(ValueError) as raised:
+            build_resolvent_batch(model.allowed, [z], grid)
+        assert not isinstance(raised.value, NumericsError)
 
 
 # -- spectral-sum oracle ---------------------------------------------------
