@@ -10,6 +10,9 @@ the coupled amplitude and its uncoupled part, the allowed-surface term of
 the partitioning formula, from the same sweeps; `absorption_spectra` and
 `raman_profiles` return that (coupled, uncoupled) pair.  There is no
 separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
+The sweeps cover one node window per scan, shared by both surfaces and
+recorded in metadata["window"]: the states' support and x_c's cell,
+widened until the WKB seeds are forgotten (_window).
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ import numpy as np
 
 from .coupled import CoupledBlocks
 from .errors import GridError, GridMismatchError
-from .model import DEFAULT_GRID, harmonic_eigenstates
-from .resolvent import build_resolvent_batch
+from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
+from .resolvent import _check_coverage, build_resolvent_batch
 
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
 # for the initial and final vibrational states.  On the default grid the
 # worst state, n = 200, reaches 1.3e-70.
 MAX_EDGE_AMPLITUDE = 1e-8
+# The support floor of the states and the seeds' attenuation budget (_window)
+SUPPORT_FLOOR = 1e-16
+SEED_EFOLDS = 40.0
 
 
 @dataclass(frozen=True)
@@ -71,38 +77,61 @@ def scan_resolvents(model, omega_grid, grid):
         yield from zip(evs1, build_resolvent_batch(model.forbidden, zs, grid))
 
 
+def _window(model, zs, states, grid):
+    """The first and last node of grid that a scan at the energies zs sweeps:
+    the hull of where max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR of its maximum
+    and x_c's cell, widened on each side to the nearest node that is
+    classically forbidden on both surfaces and SEED_EFOLDS of Re kappa =
+    Re sqrt(2m(V - z_top)) away on both, z_top = max Re z + i Gamma; else to
+    the grid's edge.  Runs the coverage and k_max dx guards on the grid."""
+    chi = np.max(np.abs(states), axis=0)
+    need = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi))
+    j = grid.index_below(model.coupling.location)
+    lo, hi = min(need[0], j), max(need[-1], j + 1)
+    z_top = zs[np.argmax(zs.real)]
+    ok = True
+    for curve in (model.allowed, model.forbidden):
+        v = curve.evaluate(grid.points)
+        _check_coverage(curve, zs, v, grid.dx)
+        efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
+        far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
+        ok = ok & far & (v > z_top.real)
+    a, b = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
+    return (a[-1] if a.size else 0), (hi + b[0] if b.size else grid.n - 1)
+
+
 def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
-    and without it, from one pass of sweeps.
+    and without it, from one pass of sweeps over the nodes of _window.
 
-    Returns (value, direct): the coupled amplitudes and their uncoupled
-    part, the allowed-surface matrix element.  For a K0 = 0 model the two
-    are equal bit for bit.
+    Returns (value, direct, window): the coupled amplitudes, their uncoupled
+    part (the allowed-surface matrix element) and the Grid swept, a node
+    slice of grid.  For a K0 = 0 model value and direct are equal bit for bit.
     """
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
     if grid is None:
         grid = DEFAULT_GRID
-    states = harmonic_eigenstates(model.ground, n_f, grid.points)
-    chi_i = states[0]
-    chi_f = states[n_f]
-    for n in (0, n_f):
-        chi = np.abs(states[n])
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    states = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
+    for n, chi in zip((0, n_f), np.abs(states)):
         edge = max(chi[0], chi[-1]) / np.max(chi)
         if not edge <= MAX_EDGE_AMPLITUDE:
             raise GridError(
                 f"vibrational state n = {n} reaches the grid edges (|chi| there is "
                 f"{edge:.1e} of its maximum, above {MAX_EDGE_AMPLITUDE:.0e}); widen the grid"
             )
-    k0 = model.coupling.strength
-    x_c = model.coupling.location
-    value = np.empty(np.size(omega_grid), dtype=complex)
-    direct = np.empty_like(value)
-    for k, (ev1, ev2) in enumerate(scan_resolvents(model, omega_grid, grid)):
+    zs = model.resolvent_argument(omega_grid)
+    a, b = _window(model, zs, states, grid) if zs.size else (0, grid.n - 1)
+    window = Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
+    chi_i, chi_f = states[:, a : b + 1]
+    k0, x_c = model.coupling.strength, model.coupling.location
+    value, direct = np.empty((2, omega_grid.size), dtype=complex)
+    for k, (ev1, ev2) in enumerate(scan_resolvents(model, omega_grid, window)):
         amplitude = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi_f, chi_i)
         value[k] = amplitude.value
         direct[k] = amplitude.direct
-    return value, direct
+    return value, direct, window
 
 
 def _spectra(model, omega_grid, n_f, grid):
@@ -110,12 +139,13 @@ def _spectra(model, omega_grid, n_f, grid):
     for n_f = 0, else the Raman profile into n_f."""
     if grid is None:
         grid = DEFAULT_GRID
-    omega = np.asarray(omega_grid, dtype=float)
+    value, direct, window = scan(model, omega_grid, n_f, grid)
     spectra = []
-    for coupled, amplitudes in zip((True, False), scan(model, omega, n_f, grid)):
+    for coupled, amplitudes in zip((True, False), (value, direct)):
         metadata = {
             "fingerprint": model_fingerprint(model, grid),
             "grid": (grid.x_min, grid.x_max, grid.n),
+            "window": (window.x_min, window.x_max, window.n),
             "coupled": coupled,
         }
         if n_f == 0:
@@ -123,7 +153,7 @@ def _spectra(model, omega_grid, n_f, grid):
         else:
             kind, intensity = "raman", np.abs(1j * amplitudes) ** 2
             metadata["n_f"] = n_f
-        spectra.append(Spectrum(omega, intensity, kind, metadata))
+        spectra.append(Spectrum(omega_grid, intensity, kind, metadata))
     return tuple(spectra)
 
 

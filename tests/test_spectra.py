@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from curvecross.spectra import (
 
 
 def with_params(model, **kwargs):
-    from dataclasses import replace
-
     return replace(model, **kwargs)
 
 
@@ -218,10 +217,15 @@ def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
 
 
 def test_scan_direct_is_allowed_matrix_element(model, grid):
+    # the reference evaluators are built on the scan's node window, with
+    # the states sliced to it, so the elements agree bit for bit
     omega = np.arange(10700.0, 11000.0, 100.0)
-    value, direct = spectra.scan(model, omega, 1, grid=grid)
-    chi = harmonic_eigenstates(model.ground, 1, grid.points)
-    evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), grid)
+    value, direct, window = spectra.scan(model, omega, 1, grid=grid)
+    a = int(np.searchsorted(grid.points, window.x_min))
+    nodes = slice(a, a + window.n)
+    assert 0 < a and nodes.stop < grid.n and grid.points[nodes.stop - 1] == window.x_max
+    chi = harmonic_eigenstates(model.ground, 1, grid.points)[:, nodes]
+    evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), window)
     assert np.array_equal(direct, [ev.matrix_element(chi[1], chi[0]) for ev in evs])
     assert not np.array_equal(value, direct)
 
@@ -233,5 +237,91 @@ def test_scan_rejects_states_reaching_the_grid_edges(model):
     omega = np.array([11000.0, 11500.0])
     with pytest.raises(GridError, match="n = 60"):
         spectra.scan(model, omega, 60, grid=narrow)
-    value, _ = spectra.scan(model, omega, 1, grid=narrow)
+    value = spectra.scan(model, omega, 1, grid=narrow)[0]
     assert np.all(np.isfinite(value))
+
+
+def _job(model, omega, n_f, grid):
+    if n_f == 0:
+        return absorption_spectra(model, omega, grid=grid)
+    return raman_profiles(model, n_f, omega, grid=grid)
+
+
+def _windowed(model, omega, n_f, grid, monkeypatch, efolds):
+    monkeypatch.setattr(spectra, "SEED_EFOLDS", efolds)
+    return _job(model, omega, n_f, grid)
+
+
+def _worst_relative_change(spectra_a, spectra_b):
+    return max(
+        float(np.max(np.abs(a.intensity - b.intensity) / np.abs(b.intensity)))
+        for a, b in zip(spectra_a, spectra_b)
+    )
+
+
+@pytest.mark.parametrize("n_f", [0, 1])
+def test_window_widening_leaves_spectra_unchanged(model, grid, n_f, monkeypatch):
+    # the scan's node window, one widened by 20 more e-folds of seed
+    # attenuation, and the whole grid give the same spectra to round-off
+    omega = default_scan(step=40.0)
+    budget = spectra.SEED_EFOLDS
+    windowed = _windowed(model, omega, n_f, grid, monkeypatch, budget)
+    wider = _windowed(model, omega, n_f, grid, monkeypatch, budget + 20.0)
+    full = _windowed(model, omega, n_f, grid, monkeypatch, math.inf)
+    lo, hi, n = windowed[0].metadata["window"]
+    wide_lo, wide_hi, wide_n = wider[0].metadata["window"]
+    assert grid.x_min < wide_lo < lo and hi < wide_hi < grid.x_max and n < wide_n < grid.n
+    assert full[0].metadata["window"] == (grid.x_min, grid.x_max, grid.n)
+    for spec in windowed + wider + full:
+        assert spec.metadata["grid"] == (grid.x_min, grid.x_max, grid.n)
+    assert _worst_relative_change(windowed, full) < 1e-12
+    assert _worst_relative_change(wider, full) < 1e-12
+
+
+def test_window_keeps_an_open_side(config, grid, monkeypatch):
+    # D = 1000 cm^-1 puts the Morse curve's dissociation limit inside the
+    # scan, so its left side is open and never builds the seed budget
+    shallow = replace(config, forbidden_well_depth_cm1=1000.0).validate().to_model()
+    omega = default_scan(step=40.0)
+    windowed = _windowed(shallow, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
+    full = _windowed(shallow, omega, 1, grid, monkeypatch, math.inf)
+    lo, hi, n = windowed[0].metadata["window"]
+    assert lo == grid.x_min and hi < grid.x_max
+    assert _worst_relative_change(windowed, full) < 1e-12
+
+
+@pytest.mark.parametrize("displacement, gamma", [(0.8, 5000.0), (0.5, 50000.0)])
+def test_window_edges_are_classically_forbidden(config, grid, monkeypatch, displacement, gamma):
+    # a large Gamma gives Re kappa tens of e-folds per angstrom inside the
+    # allowed curve's well; the window still ends where both curves are
+    # classically forbidden at the top of the scan, so the sweeps' coverage
+    # guard passes on it as it does on the whole grid
+    wide = replace(
+        config, allowed_displacement_angstrom=displacement, damping_cm1=gamma
+    ).validate().to_model()
+    omega = np.linspace(9500.0, 13500.0, 5)
+    windowed = _windowed(wide, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
+    full = _windowed(wide, omega, 1, grid, monkeypatch, math.inf)
+    lo, hi, n = windowed[0].metadata["window"]
+    assert n < grid.n
+    z_top = float(wide.resolvent_argument(omega[-1]).real)
+    for x in (lo, hi):
+        assert wide.allowed.evaluate(x) > z_top and wide.forbidden.evaluate(x) > z_top
+    assert _worst_relative_change(windowed, full) < 1e-12
+
+
+def test_window_holds_the_coupling_cell(model, grid, monkeypatch):
+    # x_c = 0.9 angstrom lies beyond the support of chi_0 and chi_1 and
+    # beyond the default model's window; the window still holds its cell
+    # and widens from there
+    far = with_params(model, coupling=DeltaCoupling(model.coupling.strength, 0.9))
+    omega = np.linspace(9500.0, 13500.0, 5)
+    budget = spectra.SEED_EFOLDS
+    _, default_hi, _ = _windowed(model, omega, 1, grid, monkeypatch, budget)[0].metadata["window"]
+    windowed = _windowed(far, omega, 1, grid, monkeypatch, budget)
+    full = _windowed(far, omega, 1, grid, monkeypatch, math.inf)
+    lo, hi, n = windowed[0].metadata["window"]
+    assert default_hi < 0.9 < hi and n < grid.n
+    chi = harmonic_eigenstates(model.ground, 1, np.array([0.9]))
+    assert np.max(np.abs(chi)) < spectra.SUPPORT_FLOOR
+    assert _worst_relative_change(windowed, full) < 1e-12
