@@ -197,7 +197,9 @@ def check_wavepacket(model):
     )
     dev = max(max(rep.deviation_g11_elastic), max(rep.deviation_g11_raman))
     return CheckResult(
-        "wavepacket cross-check", dev < 0.02, f"max G11 deviation {dev:.4f} (tol 0.02)"
+        "wavepacket cross-check",
+        dev < 0.02,
+        f"max G11 deviation {dev:.4f} (tol 0.02), absorbed norm {rep.absorbed_norm:.2e}",
     )
 
 

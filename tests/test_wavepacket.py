@@ -1,19 +1,29 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import curvecross
+from curvecross.config import RunConfig
 from curvecross.errors import StepSizeError, TailTruncationWarning
 from curvecross.model import Grid, MorseCurve, harmonic_eigenstates
 from curvecross.units import FEMTOSECOND
 from curvecross.wavepacket import (
     ABSORBER_FRACTION,
+    DECAY_TARGET,
     DEFAULT_DT,
+    NORM_GROWTH_LIMIT,
     WAVEPACKET_GRID,
+    X_SAMPLES,
     SplitStepPropagator,
     half_fourier,
     initial_state,
+    packet_observables,
     propagate,
     verify_resolvent_identity,
 )
@@ -34,20 +44,36 @@ def norm(psi, grid):
 
 
 def reference_step(prop, psi):
-    """The per-component Strang step: eight separate FFTs, the 2x2
-    potential step, then the absorber mask on the forbidden component."""
+    """The per-component Strang step K (A U) K: eight separate FFTs around
+    the 2x2 potential step, whose forbidden row the absorber mask A
+    multiplies between the two kinetic halves."""
     half, (u11, u22), u12 = prop._half_kinetic, prop._u_diag, prop._u12
-    p1 = np.fft.ifft(half * np.fft.fft(psi[0]))
-    p2 = np.fft.ifft(half * np.fft.fft(psi[1]))
-    q1 = u11 * p1 + u12 * p2
-    q2 = u12 * p1 + u22 * p2
-    p1 = np.fft.ifft(half * np.fft.fft(q1))
-    p2 = np.fft.ifft(half * np.fft.fft(q2))
+    fft, ifft = scipy.fft.fft, scipy.fft.ifft
+    p1 = ifft(half * fft(psi[0]))
+    p2 = ifft(half * fft(psi[1]))
     n = psi.shape[1]
     width = int(ABSORBER_FRACTION * n)
     mask = np.ones(n)
     mask[:width] = np.sin(0.5 * math.pi * np.arange(width) / width) ** 2
-    return np.array([p1, p2 * mask])
+    q1 = u11 * p1 + u12 * p2
+    q2 = (u12 * p1 + u22 * p2) * mask
+    return np.array([ifft(half * fft(q1)), ifft(half * fft(q2))])
+
+
+def stepped(prop, psi, n_steps):
+    """psi advanced n_steps by prop, in position space."""
+    for hat in prop.evolve(psi, n_steps):
+        pass
+    return scipy.fft.ifft(hat)
+
+
+def coupled_state_in_ramp(model, grid, prop):
+    """A coupled state whose forbidden component's bulk sits inside the ramp."""
+    state = stepped(prop, initial_state(model, grid), 200)
+    state[1] += np.roll(state[0], -int(0.6 * grid.n))
+    ramp = state[1, : int(ABSORBER_FRACTION * grid.n)]
+    assert np.max(np.abs(ramp)) == np.max(np.abs(state[1]))
+    return state
 
 
 def test_stationary_eigenstate(model):
@@ -55,9 +81,11 @@ def test_stationary_eigenstate(model):
     state = allowed_eigenstate_packet(model, grid)
     reference = state[0].copy()
     prop = SplitStepPropagator(uncoupled(model), grid=grid)
+    states = prop.evolve(state, 1000)
+    next(states)
     worst = 0.0
-    for _ in range(1000):
-        state = prop.step(state)
+    for hat in states:
+        state = scipy.fft.ifft(hat)
         overlap = abs(np.sum(np.conj(state[0]) * reference) * grid.dx)
         worst = max(worst, abs(overlap - 1.0))
     assert worst < 1e-6
@@ -68,8 +96,10 @@ def test_displaced_packet_oscillates_at_vibrational_period(model):
     state = initial_state(model, grid)
     prop = SplitStepPropagator(uncoupled(model), grid=grid)
     times, centers = [], []
-    for k in range(1, 1401):
-        state = prop.step(state)
+    for k, hat in enumerate(prop.evolve(state, 1400)):
+        if k == 0:
+            continue
+        state = scipy.fft.ifft(hat)
         times.append(k * prop.dt)
         centers.append(float(np.sum(np.abs(state[0]) ** 2 * grid.points) * grid.dx))
     centers = np.array(centers)
@@ -88,23 +118,26 @@ def test_norm_conservation_with_coupling(model):
     state = initial_state(model, grid)
     prop = SplitStepPropagator(model, grid=grid)
     start = norm(state, grid)
-    for _ in range(1000):
-        state = prop.step(state)
+    state = stepped(prop, state, 1000)
     assert abs(norm(state, grid) + prop.absorbed_norm - start) / start < 1e-8
 
 
 def test_step_matches_per_component_reference(model):
     grid = WAVEPACKET_GRID
     prop = SplitStepPropagator(model, grid=grid)
-    state = initial_state(model, grid)
+    state = coupled_state_in_ramp(model, grid, prop)
+    assert np.array_equal(stepped(prop, state, 1), reference_step(prop, state))
+
+
+def test_loop_matches_written_out_reference(model):
+    grid = WAVEPACKET_GRID
+    prop = SplitStepPropagator(model, grid=grid)
+    state = coupled_state_in_ramp(model, grid, prop)
+    expected = state
     for _ in range(200):
-        state = prop.step(state)
-    # a coupled state, with the forbidden component's bulk inside the ramp
-    state[1] += np.roll(state[0], -int(0.6 * grid.n))
-    ramp = state[1, : int(ABSORBER_FRACTION * grid.n)]
-    assert np.max(np.abs(ramp)) == np.max(np.abs(state[1]))
-    expected = reference_step(prop, state)
-    assert np.array_equal(prop.step(state), expected)
+        expected = reference_step(prop, expected)
+    got = stepped(prop, state, 200)
+    assert math.sqrt(norm(got - expected, grid)) < 1e-12 * math.sqrt(norm(expected, grid))
 
 
 def test_forward_backward_returns_state(model):
@@ -112,7 +145,7 @@ def test_forward_backward_returns_state(model):
     state = initial_state(model, grid)
     forward = SplitStepPropagator(model, grid=grid)
     backward = SplitStepPropagator(model, grid=grid, dt=-DEFAULT_DT)
-    out = backward.step(forward.step(state))
+    out = stepped(backward, stepped(forward, state, 1), 1)
     assert math.sqrt(norm(out - state, grid)) < 1e-10
 
 
@@ -121,7 +154,7 @@ def test_norm_growth_detector(model):
     prop = SplitStepPropagator(model, grid=grid)
     prop._u_diag = prop._u_diag * 1.001  # force a non-unitary step
     with pytest.raises(StepSizeError):
-        prop.step(initial_state(model, grid))
+        stepped(prop, initial_state(model, grid), 1)
 
 
 def test_delta_width_floor(model):
@@ -134,10 +167,8 @@ def test_forbidden_component_grows_and_dissociates(model):
     # a shallow well puts the packet above the dissociation limit and the
     # left-edge absorber collects real flux
     grid = WAVEPACKET_GRID
-    state = initial_state(model, grid)
     prop = SplitStepPropagator(model, grid=grid)
-    for _ in range(400):
-        state = prop.step(state)
+    state = stepped(prop, initial_state(model, grid), 400)
     assert norm(state[1], grid) > 1e-6
 
     shallow = MorseCurve(
@@ -148,10 +179,8 @@ def test_forbidden_component_grows_and_dissociates(model):
         origin_energy=model.forbidden.origin_energy,
     )
     open_model = replace(model, forbidden=shallow)
-    state = initial_state(open_model, grid)
     prop = SplitStepPropagator(open_model, grid=grid)
-    for _ in range(2000):
-        state = prop.step(state)
+    stepped(prop, initial_state(open_model, grid), 2000)
     assert prop.absorbed_norm > 1e-6
 
 
@@ -209,6 +238,63 @@ def test_half_fourier_time_extension_within_tail_bound(model):
     change = np.max(np.abs(results[1] - results[0]))
     scale = np.max(np.abs(results[1]))
     assert change / scale < 3.0 * math.exp(-8.5)
+
+
+def test_observables_match_full_states(model):
+    # the five functionals, read in momentum space at every step, against
+    # half_fourier over the full position states projected afterwards
+    fast = replace(model, damping=4.0 * model.damping)
+    grid = Grid(-3.0, 1.5, 2048)
+    omegas = [10900.0, 11600.0]
+    n_steps = math.ceil(DECAY_TARGET / fast.damping / DEFAULT_DT)
+    prop = SplitStepPropagator(fast, grid=grid, delta_width=2.0)
+    observed = packet_observables(prop, omegas, n_steps)
+    series = propagate(fast, initial_state(fast, grid), DEFAULT_DT, n_steps * DEFAULT_DT,
+                       delta_width=2.0, grid=grid)
+    full = half_fourier(series, omegas, fast.damping, DEFAULT_DT)
+    chi = harmonic_eigenstates(fast.ground, 1, grid.points)
+    for bar, (psi1, psi2) in zip(observed, full):
+        expected = np.concatenate((np.sum(chi * psi1, axis=1) * grid.dx,
+                                   np.interp(X_SAMPLES, grid.points, psi2)))
+        assert np.max(np.abs(bar - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+def test_open_channel_norm_budget():
+    # a 500 cm^-1 forbidden well puts the transferred packet above its
+    # dissociation limit: the absorber takes real flux, and no step grows
+    open_model = replace(RunConfig(), forbidden_well_depth_cm1=500.0).validate().to_model()
+    report = verify_resolvent_identity(open_model, [11400.0])
+    assert report.absorbed_norm > 1e-6
+    assert report.max_step_growth <= NORM_GROWTH_LIMIT
+    assert report.final_envelope <= math.exp(-DECAY_TARGET)
+
+
+def test_steps_take_no_page_faults():
+    # buffers are allocated once per propagation and each row is transformed
+    # in place: a settled loop maps no new memory, whatever the heap state
+    pytest.importorskip("resource")
+    script = (
+        "import resource\n"
+        "from curvecross.config import RunConfig\n"
+        "from curvecross.model import Grid\n"
+        "from curvecross.wavepacket import DEFAULT_DT, SplitStepPropagator, initial_state\n"
+        "model = RunConfig().validate().to_model()\n"
+        "grid = Grid(-3.0, 1.5, 16384)\n"
+        "prop = SplitStepPropagator(model, grid=grid, dt=0.25 * DEFAULT_DT, delta_width=2.0)\n"
+        "steps = prop.evolve(initial_state(model, grid), 220)\n"
+        "for _ in range(21):\n"
+        "    next(steps)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in steps:\n"
+        "    pass\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvecross.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert int(out.stdout.strip().splitlines()[-1]) < 50
 
 
 def test_identity_single_surface(model):
