@@ -21,7 +21,7 @@ from .model import (
     TwoStateModel,
 )
 from .spectra import photon_energies
-from .units import to_internal
+from .units import AMU, ERG_ANGSTROM
 
 
 def _setting(section, default, sign=None):
@@ -88,40 +88,40 @@ class RunConfig:
     # -- construction of internal-unit objects ---------------------------
 
     def to_model(self):
-        mass = to_internal(self.mass_amu, "amu").value
+        mass = float(self.mass_amu) * AMU
         ground = HarmonicCurve(
             mass=mass,
-            frequency=to_internal(self.ground_wavenumber_cm1, "cm-1").value,
+            frequency=float(self.ground_wavenumber_cm1),
         )
         allowed = HarmonicCurve(
             mass=mass,
-            frequency=to_internal(self.allowed_wavenumber_cm1, "cm-1").value,
-            minimum_position=to_internal(self.allowed_displacement_angstrom, "angstrom").value,
-            origin_energy=to_internal(self.allowed_origin_cm1, "cm-1").value,
+            frequency=float(self.allowed_wavenumber_cm1),
+            minimum_position=float(self.allowed_displacement_angstrom),
+            origin_energy=float(self.allowed_origin_cm1),
         )
-        alpha = self.forbidden_alpha_inv_angstrom  # inverse length: 1/angstrom
+        alpha = float(self.forbidden_alpha_inv_angstrom)  # inverse length: 1/angstrom
         if self.forbidden_well_depth_cm1 > 0.0:
-            depth = to_internal(self.forbidden_well_depth_cm1, "cm-1").value
+            depth = float(self.forbidden_well_depth_cm1)
         else:
-            w_f = to_internal(self.forbidden_wavenumber_cm1, "cm-1").value
+            w_f = float(self.forbidden_wavenumber_cm1)
             depth = mass * w_f**2 / (2.0 * alpha**2)
         forbidden = MorseCurve(
             mass=mass,
             well_depth=depth,
             alpha=alpha,
-            minimum_position=to_internal(self.forbidden_displacement_angstrom, "angstrom").value,
-            origin_energy=to_internal(self.forbidden_origin_cm1, "cm-1").value,
+            minimum_position=float(self.forbidden_displacement_angstrom),
+            origin_energy=float(self.forbidden_origin_cm1),
         )
         coupling = DeltaCoupling(
-            strength=to_internal(self.coupling_k0_erg_angstrom, "erg*angstrom").value,
-            location=to_internal(self.crossing_position_angstrom, "angstrom").value,
+            strength=float(self.coupling_k0_erg_angstrom) * ERG_ANGSTROM,
+            location=float(self.crossing_position_angstrom),
         )
         return TwoStateModel(
             ground=ground,
             allowed=allowed,
             forbidden=forbidden,
             coupling=coupling,
-            damping=to_internal(self.damping_cm1, "cm-1").value,
+            damping=float(self.damping_cm1),
         )
 
     def to_grid(self):

@@ -29,10 +29,6 @@ class GridError(NumericsError, ValueError):
     it does not cover the classically relevant region or is too coarse."""
 
 
-class UnitError(ValueError):
-    """Unknown unit tag or dimensionally incompatible conversion."""
-
-
 class UnsupportedCurveError(ValueError):
     """Operation requested on a potential curve variant it does not support."""
 

@@ -1,8 +1,9 @@
 """Diabatic potential curves, vibrational states and the two-state model.
 
-Everything here works in internal units (hbar = 1, see units.py): masses
-are O(1), energies are numerically wavenumbers in cm^-1, lengths are in
-angstrom.
+Everything here works in internal units with hbar = 1: energies are
+numerically wavenumbers in cm^-1, lengths are in angstrom and masses are
+O(1) (RunConfig.to_model applies the amu and erg*angstrom factors of
+units.py).
 """
 
 from __future__ import annotations

@@ -1,24 +1,17 @@
-"""Conversions between laboratory units and the internal hbar = 1 system.
+"""The internal hbar = 1 unit system and the two factors into it.
 
-Internal units are chosen so that every input of the standard parameter
-set maps to a comfortable number: energy is numerically the wavenumber in
-cm^-1 (i.e. the erg value divided by hc), length is the angstrom, and the
-mass unit is fixed by requiring hbar = 1.  Energy and angular frequency
-are then one and the same scale, and the kinetic term reads p^2/2m with
-no extra constants anywhere in the physics modules.
+Internal units are the config's units: energy is numerically the
+wavenumber in cm^-1 (the erg value divided by hc) and length is the
+angstrom, so those values enter the model as they are.  The mass unit is
+fixed by requiring hbar = 1; energy and angular frequency then share one
+scale, and the kinetic term reads p^2/2m with no extra constants anywhere
+in the physics modules.  Only a mass in amu (AMU) and a coupling strength
+in erg*angstrom (ERG_ANGSTROM) take a factor.
 
 Conversion constants are CODATA values, fixed here to 9 significant
 digits; all physics tolerances in this package are far looser than the
 constant uncertainty.
 """
-
-from __future__ import annotations
-
-import enum
-import math
-from dataclasses import dataclass
-
-from .errors import UnitError
 
 # CODATA constants (cgs).
 HBAR_ERG_S = 1.054571817e-27
@@ -37,89 +30,7 @@ TIME_UNIT_S = HBAR_ERG_S / ENERGY_UNIT_ERG
 # Internal time units per femtosecond, for wavepacket step sizes.
 FEMTOSECOND = 1.0e-15 / TIME_UNIT_S
 
-
-class Dimension(enum.Enum):
-    ENERGY = "energy"
-    MASS = "mass"
-    LENGTH = "length"
-    TIME = "time"
-    COUPLING_STRENGTH = "coupling_strength"  # energy x length
-    ANGULAR_FREQUENCY = "angular_frequency"
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value in internal units, tagged with its physical dimension.
-
-    dimension is None for values passed through the 'internal' tag, which
-    are treated as compatible with any unit on the way back out.
-    """
-
-    value: float
-    dimension: Dimension | None
-
-
-# With hbar = 1 these two dimensions share one numerical scale.
-_EQUIVALENT = {
-    Dimension.ENERGY: {Dimension.ENERGY, Dimension.ANGULAR_FREQUENCY},
-    Dimension.ANGULAR_FREQUENCY: {Dimension.ENERGY, Dimension.ANGULAR_FREQUENCY},
-}
-
-# tag -> (dimension, multiply-by factor into internal units)
-_UNITS = {
-    "cm-1": (Dimension.ENERGY, 1.0),
-    "erg": (Dimension.ENERGY, 1.0 / ENERGY_UNIT_ERG),
-    "amu": (Dimension.MASS, AMU_G / MASS_UNIT_G),
-    "gram": (Dimension.MASS, 1.0 / MASS_UNIT_G),
-    "angstrom": (Dimension.LENGTH, 1.0),
-    "cm": (Dimension.LENGTH, 1.0e-8 / LENGTH_UNIT_CM),
-    "erg*angstrom": (Dimension.COUPLING_STRENGTH, 1.0 / ENERGY_UNIT_ERG),
-}
-
-_ALIASES = {
-    "cm^-1": "cm-1",
-    "g": "gram",
-    "A": "angstrom",
-    "erg*A": "erg*angstrom",
-}
-
-
-def _lookup(unit):
-    tag = _ALIASES.get(unit, unit)
-    if tag != "internal" and tag not in _UNITS:
-        known = ", ".join(sorted(_UNITS) + ["internal"])
-        raise UnitError(f"unknown unit tag {unit!r}; expected one of: {known}")
-    return tag
-
-
-def to_internal(value, unit):
-    """Convert a laboratory value to internal units.
-
-    The 'internal' tag passes the value through untyped.
-    """
-    tag = _lookup(unit)
-    if tag == "internal":
-        return Quantity(float(value), None)
-    dim, factor = _UNITS[tag]
-    return Quantity(float(value) * factor, dim)
-
-
-def from_internal(quantity, unit):
-    """Convert a Quantity back to the requested laboratory unit."""
-    tag = _lookup(unit)
-    if tag == "internal":
-        return quantity.value
-    dim, factor = _UNITS[tag]
-    if quantity.dimension is not None:
-        allowed = _EQUIVALENT.get(dim, {dim})
-        if quantity.dimension not in allowed:
-            raise UnitError(
-                f"cannot express {quantity.dimension.value} in {unit!r}"
-            )
-    return quantity.value / factor
-
-
-def wavenumber_to_angular_frequency_si(wavenumber_cm1):
-    """Angular frequency in rad/s for a wavenumber in cm^-1 (2 pi c nu)."""
-    c_cm_s = HC_ERG_CM / (2.0 * math.pi * HBAR_ERG_S)
-    return 2.0 * math.pi * c_cm_s * wavenumber_cm1
+# Internal mass units per amu, and internal coupling-strength units
+# (energy x length) per erg*angstrom.
+AMU = AMU_G / MASS_UNIT_G
+ERG_ANGSTROM = 1.0 / ENERGY_UNIT_ERG

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,25 @@ def test_model_construction_internal_values():
     # derived well depth keeps the well-bottom frequency at the configured
     # wavenumber
     assert model.forbidden.harmonic_frequency == pytest.approx(400.0, rel=1e-12)
+
+
+def test_integer_model_fields_give_the_float_model():
+    # an int set through replace builds the model, and so the repr and the
+    # fingerprint, of the float a config file parses it into
+    ints = {
+        "mass_amu": 20,
+        "ground_wavenumber_cm1": 400,
+        "allowed_origin_cm1": 10700,
+        "forbidden_alpha_inv_angstrom": 1,
+        "forbidden_well_depth_cm1": 1000,
+        "coupling_k0_erg_angstrom": 0,
+        "crossing_position_angstrom": 0,
+        "damping_cm1": 450,
+    }
+    floats = {name: float(value) for name, value in ints.items()}
+    from_ints = replace(RunConfig(), **ints).validate().to_model()
+    from_floats = replace(RunConfig(), **floats).validate().to_model()
+    assert repr(from_ints) == repr(from_floats)
 
 
 def test_explicit_well_depth_override():

@@ -3,6 +3,7 @@ import pytest
 
 from curvecross import resolvent
 from curvecross.coupled import CoupledBlocks
+from curvecross.errors import ResonanceSingularityError
 from curvecross.model import Grid, harmonic_eigenstates
 from curvecross.resolvent import build_resolvent
 
@@ -159,6 +160,25 @@ def test_mismatched_grids_rejected(pair, model):
     ev2 = build_resolvent(model.forbidden, ev1.z, Grid(-2.0, 2.0, ev1.grid.n))
     with pytest.raises(ValueError, match="same grid"):
         CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
+
+
+class _UnitPointResolvent:
+    """A resolvent stand-in whose G(x, x') is 1 everywhere."""
+
+    def __init__(self, z, grid):
+        self.z = z
+        self.grid = grid
+
+    def point(self, x, x_prime):
+        return 1.0
+
+
+def test_vanishing_denominator_rejected(grid):
+    # 1 - K0^2 G1(x_c, x_c) G2(x_c, x_c) = 1 - 1 * 1 * 1 = 0
+    z = 11000.0 + 450.0j
+    ev1, ev2 = _UnitPointResolvent(z, grid), _UnitPointResolvent(z, grid)
+    with pytest.raises(ResonanceSingularityError):
+        CoupledBlocks(ev1, ev2, 1.0, 0.0)
 
 
 def test_correction_grid_converged(model):

@@ -31,13 +31,18 @@ DEFAULT = RunConfig()
     gamma=st.floats(150.0, 900.0),
     displacement=st.floats(0.05, 0.15),
     omega=st.floats(9500.0, 13500.0),
+    # the derived default, or a shallow well whose dissociation limit
+    # 10800 + D lies inside or above the scan; below about 240 cm^-1 the
+    # Morse wall at the grid edge sinks under the top of the scan
+    depth=st.one_of(st.just(DEFAULT.forbidden_well_depth_cm1), st.floats(300.0, 5000.0)),
 )
-def test_coupled_amplitudes_obey_resolvent_identities(k0, gamma, displacement, omega):
+def test_coupled_amplitudes_obey_resolvent_identities(k0, gamma, displacement, omega, depth):
     config = replace(
         DEFAULT,
         coupling_k0_erg_angstrom=k0,
         damping_cm1=gamma,
         allowed_displacement_angstrom=displacement,
+        forbidden_well_depth_cm1=depth,
     ).validate()
     model, grid = config.to_model(), config.to_grid()
     z = model.resolvent_argument(omega)

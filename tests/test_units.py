@@ -3,67 +3,35 @@ import math
 import pytest
 
 from curvecross import units
-from curvecross.errors import UnitError
-from curvecross.units import Dimension, Quantity, from_internal, to_internal
-
-ALL_TAGS = ["cm-1", "erg", "amu", "gram", "angstrom", "cm", "erg*angstrom"]
+from curvecross.config import RunConfig
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS)
-@pytest.mark.parametrize("value", [1.0, 400.0, 5.54275e-15, 1.23456789e7])
-def test_roundtrip(tag, value):
-    back = from_internal(to_internal(value, tag), tag)
-    assert back == pytest.approx(value, rel=1e-12)
+def test_amu_factor_is_the_hbar_one_mass_unit():
+    # hbar = 1 with energy in cm^-1 and length in angstrom fixes the mass
+    # unit at hbar^2 / (hc * 1 cm^-1 * (1 angstrom)^2)
+    angstrom_cm = 1.0e-8
+    mass_unit_g = units.HBAR_ERG_S**2 / (units.HC_ERG_CM * angstrom_cm**2)
+    assert units.AMU == pytest.approx(units.AMU_G / mass_unit_g, rel=1e-15)
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS + ["internal"])
-def test_zero_maps_to_zero(tag):
-    q = to_internal(0.0, tag)
-    assert q.value == 0.0
-    assert from_internal(q, tag) == 0.0
+def test_erg_angstrom_factor_divides_by_hc():
+    # an erg*angstrom coupling is (erg / hc) cm^-1 times angstrom
+    assert units.ERG_ANGSTROM * units.HC_ERG_CM == pytest.approx(1.0, rel=1e-15)
+
+
+def test_default_model_mass_and_coupling_are_pinned():
+    # the only two config values that take a factor, bit for bit
+    model = RunConfig().validate().to_model()
+    assert model.allowed.mass == 1.0499697129483196
+    assert model.coupling.strength == 27.902849564699444
 
 
 def test_wavenumber_is_angular_frequency():
-    # 400 cm^-1 corresponds to 2 pi c * 400 rad/s; with hbar = 1 the
-    # internal number equals the wavenumber itself.
-    q = to_internal(400.0, "cm-1")
-    assert q.value == pytest.approx(400.0, rel=1e-15)
-    omega_si = q.value / units.TIME_UNIT_S
-    assert omega_si == pytest.approx(
-        units.wavenumber_to_angular_frequency_si(400.0), rel=1e-12
-    )
-
-
-def test_energy_and_angular_frequency_share_scale():
-    energy = to_internal(250.0, "cm-1")
-    manual = Quantity(energy.value, Dimension.ANGULAR_FREQUENCY)
-    assert from_internal(manual, "cm-1") == from_internal(energy, "cm-1")
-
-
-def test_coupling_strength_roundtrip():
-    k0 = 5.54275e-15
-    q = to_internal(k0, "erg*angstrom")
-    assert q.dimension is Dimension.COUPLING_STRENGTH
-    assert from_internal(q, "erg*angstrom") == pytest.approx(k0, rel=1e-12)
-
-
-def test_mass_roundtrip_value():
-    q = to_internal(35.4, "amu")
-    assert from_internal(q, "amu") == pytest.approx(35.4, rel=1e-12)
-    assert from_internal(q, "gram") == pytest.approx(35.4 * units.AMU_G, rel=1e-12)
-
-
-def test_energy_to_erg_uses_hc():
-    q = to_internal(10700.0, "cm-1")
-    assert from_internal(q, "erg") == pytest.approx(10700.0 * units.HC_ERG_CM, rel=1e-12)
-
-
-def test_internal_tag_passthrough():
-    q = to_internal(3.5, "internal")
-    assert q.dimension is None
-    # untyped internal values convert out through any tag unchanged in value
-    assert from_internal(q, "internal") == 3.5
-    assert from_internal(Quantity(0.0, None), "amu") == 0.0
+    # with hbar = 1 the internal energy 400 (cm^-1) is an angular frequency
+    # of 2 pi c * 400 rad/s; the 9-digit hbar and hc give c to about 2e-9
+    c_cm_s = 2.99792458e10
+    omega_si = 400.0 / units.TIME_UNIT_S
+    assert omega_si == pytest.approx(2.0 * math.pi * c_cm_s * 400.0, rel=1e-8)
 
 
 def test_time_unit_consistency():
@@ -71,25 +39,3 @@ def test_time_unit_consistency():
     # units, which must equal 83.39 fs
     period_fs = (2.0 * math.pi / 400.0) / units.FEMTOSECOND
     assert period_fs == pytest.approx(83.391, abs=0.001)
-
-
-def test_unknown_tag_rejected():
-    with pytest.raises(UnitError):
-        to_internal(1.0, "joule")
-    with pytest.raises(UnitError):
-        from_internal(Quantity(1.0, Dimension.ENERGY), "furlong")
-
-
-def test_dimension_mismatch_rejected():
-    mass = to_internal(35.4, "amu")
-    with pytest.raises(UnitError):
-        from_internal(mass, "cm-1")
-    length = to_internal(0.1, "angstrom")
-    with pytest.raises(UnitError):
-        from_internal(length, "erg*angstrom")
-
-
-def test_aliases():
-    assert to_internal(1.0, "A").value == to_internal(1.0, "angstrom").value
-    assert to_internal(1.0, "g").value == to_internal(1.0, "gram").value
-    assert to_internal(1.0, "cm^-1").value == to_internal(1.0, "cm-1").value
