@@ -14,12 +14,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import OVERRIDES, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, NumericsError
-from .spectra import absorption_spectra, raman_profiles, scan_resolvents
+from .spectra import absorption_spectra, coupling_diagonals, raman_profiles
 from .validate import run_suite
 
 EXIT_OK = 0
@@ -105,12 +103,8 @@ def _run_greens_probe(args):
     model = config.to_model()
     grid = config.to_grid()
     omega = config.omega_grid()
-    x_c = model.coupling.location
     out = _output_dir(args.out)
-    g1, g2 = np.array(
-        [(ev1.point(x_c, x_c), ev2.point(x_c, x_c))
-         for ev1, ev2 in scan_resolvents(model, omega, grid)]
-    ).T
+    g1, g2 = coupling_diagonals(model, omega, grid)
     path = os.path.join(out, "greens_probe.csv")
     _write_csv(path, "omega_cm1,g1_real,g1_imag,g2_real,g2_imag",
                (omega, g1.real, g1.imag, g2.real, g2.imag))

@@ -125,7 +125,8 @@ class RunConfig:
         )
 
     def to_grid(self):
-        return Grid(self.grid_x_min_angstrom, self.grid_x_max_angstrom, self.grid_points)
+        x_min, x_max = float(self.grid_x_min_angstrom), float(self.grid_x_max_angstrom)
+        return Grid(x_min, x_max, self.grid_points)
 
     def omega_grid(self):
         return photon_energies(self.omega_min_cm1, self.omega_max_cm1, self.omega_step_cm1)

@@ -34,17 +34,19 @@ class CoupledAmplitude:
 class CoupledBlocks:
     """The coupled block evaluators at one z, sharing cached point values."""
 
-    def __init__(self, ev1, ev2, k0, x_c):
-        if ev1.z != ev2.z:
+    def __init__(self, ev1, ev2, k0, x_c, g2_cc=None):
+        """ev2 may be None if g2_cc, G2(x_c, x_c) at ev1's z, is given: g11
+        reads nothing else of G2, while g12 and g21 need ev2."""
+        if ev2 is not None and ev1.z != ev2.z:
             raise ValueError("both resolvents must be built at the same z")
-        if ev1.grid != ev2.grid:
+        if ev2 is not None and ev1.grid != ev2.grid:
             raise ValueError("both resolvents must be built on the same grid")
         self.ev1 = ev1
         self.ev2 = ev2
         self.k0 = float(k0)
         self.x_c = float(x_c)
         self.g1_cc = ev1.point(x_c, x_c)
-        self.g2_cc = ev2.point(x_c, x_c)
+        self.g2_cc = ev2.point(x_c, x_c) if g2_cc is None else complex(g2_cc)
         self.denominator = 1.0 - self.k0**2 * self.g1_cc * self.g2_cc
         if abs(self.denominator) < DENOMINATOR_FLOOR:
             raise ResonanceSingularityError(
@@ -54,10 +56,10 @@ class CoupledBlocks:
 
     def g11(self, f, i):
         """<f|G11|i>, the forbidden surface entering through G2(x_c, x_c).
-        For f = i the one vector at x_c serves both sides."""
+        <f|G1|x_c> comes from the sums of f that <f|G1|i> forms; for f = i
+        it serves both sides."""
         ev = self.ev1
-        direct = ev.matrix_element(f, i)
-        left = ev.vector(f, self.x_c)
+        direct, left = ev.element_and_vector(f, i, self.x_c)
         right = left if np.array_equal(f, i) else ev.vector(i, self.x_c)
         correction = self.k0**2 * left * self.g2_cc * right / self.denominator
         return CoupledAmplitude(direct + correction, direct, correction, self.denominator)

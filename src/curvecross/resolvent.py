@@ -37,7 +37,10 @@ where A is one blocked direct sum (_sums): the grid is cut into blocks
 over which u / u(x_s), s the block's first node, stays bounded, each block
 takes one cumsum of f u / u(x_s), and A is carried from block to block.
 B is the same sum on the reversed arrays.  matrix_element sums over the
-whole grid, vector only up to x0's cell.
+whole grid, vector only up to x0's cell on the same blocks, and
+element_and_vector reads <f|G|x0> from matrix_element's sums.  Where only
+G(x, x) is wanted, diagonal_batch sweeps u- and u+ from the edges to x's
+cell and no further.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -239,9 +242,9 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _sums(f, ell, h):
-    """A_k = (integral of f u from x_0 to x_k) / u(x_k) on every node, with
-    u = exp(ell).
+def _sums(f, ell, h, stop=None):
+    """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop,
+    by default every node, with u = exp(ell).
 
     The grid is cut into blocks of nodes over which Re ell changes by at
     most BLOCK_EFOLDS.  In a block starting at node s, E = u / u(x_s) is
@@ -251,17 +254,20 @@ def _sums(f, ell, h):
     cumsum over the block then gives A_k = (A_s + sum) / E_k.  (Cumulative
     Simpson would alternate its stencil between odd and even nodes, an
     error that the outer Simpson rule of matrix_element does not cancel: a
-    few parts in 1e6 on the Morse surface at the default grid.)
+    few parts in 1e6 on the Morse surface at the default grid.)  An
+    earlier stop cuts the last block short, so A_k is the same as that of
+    the whole grid.
     """
     n = f.size
+    stop = n - 1 if stop is None else stop
     step = float(np.max(np.abs(np.diff(ell.real))))
     # the stencil reaches one node beyond either end of a block, which
     # the factor-of-two margin in BLOCK_EFOLDS covers
     length = n if step * n <= BLOCK_EFOLDS else max(1, int(BLOCK_EFOLDS // step))
-    sums = np.empty(n, dtype=complex)
+    sums = np.empty(stop + 1, dtype=complex)
     sums[0] = a = 0j
-    for s in range(0, n - 1, length):
-        e = min(s + length, n - 1)  # the block's last node
+    for s in range(0, stop, length):
+        e = min(s + length, stop)  # the block's last node
         lo, hi = max(s - 1, 0), min(e + 2, n)
         scale = np.exp(ell[lo:hi] - ell[s])
         fe = f[lo:hi] * scale
@@ -298,6 +304,27 @@ def _hermite(t, v0, s0, v1, s1):
     return value, slope
 
 
+def _interpolate(ell, j, t, h, v0, d0, v1, d1):
+    """F(x) / u(x_j) at x = x_j + t h, cubic-Hermite interpolated from
+    F = v u and F' = d u at the cell's two nodes, u = exp(ell); returns it
+    and h times its derivative."""
+    e = cmath.exp(ell[j + 1] - ell[j])
+    return _hermite(t, v0, h * d0, v1 * e, h * d1 * e)
+
+
+def _ratio(y, ell, j, t, h):
+    """u(x)/u(x_j) and h times its derivative, y = u'/u, ell = log u."""
+    return _interpolate(ell, j, t, h, 1.0, y[j], 1.0, y[j + 1])
+
+
+def _cell(grid, x):
+    """x's cell j on grid and its fraction t: x = x_j + t dx."""
+    if not grid.x_min <= x <= grid.x_max:
+        raise ValueError(f"x = {x} outside the grid [{grid.x_min}, {grid.x_max}]")
+    j = grid.index_below(x)
+    return j, (x - grid.points[j]) / grid.dx
+
+
 class ResolventEvaluator:
     """Immutable evaluator of G(x, x0; z) for one curve at one complex z,
     holding y = u'/u and ell = log u of u- and u+ on the grid nodes."""
@@ -315,27 +342,10 @@ class ResolventEvaluator:
 
     # -- local interpolation ----------------------------------------------
 
-    def _cell(self, x):
-        grid = self.grid
-        if not grid.x_min <= x <= grid.x_max:
-            raise ValueError(f"x = {x} outside the grid [{grid.x_min}, {grid.x_max}]")
-        j = grid.index_below(x)
-        return j, (x - grid.points[j]) / grid.dx
-
-    def _interpolate(self, ell, j, t, v0, d0, v1, d1):
-        """F(x) / u(x_j) at x = x_j + t h, cubic-Hermite interpolated from
-        F = v u and F' = d u at the cell's two nodes; returns it and h times
-        its derivative.  With v = 1 and d = y this is the ratio u(x)/u(x_j)."""
-        h = self.grid.dx
-        e = cmath.exp(ell[j + 1] - ell[j])
-        return _hermite(t, v0, h * d0, v1 * e, h * d1 * e)
-
     def _ratios(self, j, t):
         """u-(x)/u-(x_j) and u+(x)/u+(x_j), each with h times its derivative."""
-        return self._ratio(self._ym, self._lm, j, t), self._ratio(self._yp, self._lp, j, t)
-
-    def _ratio(self, y, ell, j, t):
-        return self._interpolate(ell, j, t, 1.0, y[j], 1.0, y[j + 1])
+        h = self.grid.dx
+        return _ratio(self._ym, self._lm, j, t, h), _ratio(self._yp, self._lp, j, t, h)
 
     def _node_value(self, j):
         """G(x_j, x_j) = 2m u- u+ / W = 2m / (y+ - y-)."""
@@ -346,16 +356,16 @@ class ResolventEvaluator:
     def point(self, x, x0):
         """G(x, x0), interpolating off-node arguments."""
         lo, hi = (x, x0) if x <= x0 else (x0, x)
-        j, t = self._cell(lo)
-        i, s = self._cell(hi)
-        r_minus, _ = self._ratio(self._ym, self._lm, j, t)
-        r_plus, _ = self._ratio(self._yp, self._lp, i, s)
+        j, t = _cell(self.grid, lo)
+        i, s = _cell(self.grid, hi)
+        r_minus, _ = _ratio(self._ym, self._lm, j, t, self.grid.dx)
+        r_plus, _ = _ratio(self._yp, self._lp, i, s, self.grid.dx)
         shift = cmath.exp(self._lp[i] - self._lp[j])
         return complex(self._node_value(j) * r_minus * r_plus * shift)
 
     def derivative_jump(self, x):
         """d/dx G(x, x0) jump across x = x0; equals 2m for the exact G."""
-        j, t = self._cell(x)
+        j, t = _cell(self.grid, x)
         (r_minus, s_minus), (r_plus, s_plus) = self._ratios(j, t)
         jump = self._node_value(j) * (r_minus * s_plus - s_minus * r_plus) / self.grid.dx
         return complex(jump)
@@ -373,38 +383,48 @@ class ResolventEvaluator:
         on the grid, with A and B summed up to the cell's two nodes only and
         Hermite-interpolated between them."""
         f = self._on_grid(f)
-        j, t = self._cell(x0)
-        (r_minus, _), (r_plus, _) = self._ratios(j, t)
+        j, t = _cell(self.grid, x0)
         h = self.grid.dx
-        # nodes up to j + 2 carry the stencil of interval j; the end rule
-        # falls on interval j + 1, which is not used
-        a_j, a_j1 = _sums(f[: j + 3], self._lm[: j + 3], h)[j : j + 2]
+        a = _sums(f, self._lm, h, j + 1)[j:]
         k = f.size - 2 - j
-        b_j1, b_j = _sums(f[::-1][: k + 3], self._lp[::-1][: k + 3], h)[k : k + 2]
+        b = _sums(f[::-1], self._lp[::-1], h, k + 1)[k:]
+        return self._vector_at(f, j, t, a, b[::-1])
+
+    def _vector_at(self, f, j, t, a, b):
+        """vector(f, x0) at x0 = x_j + t h from A and B at nodes j, j + 1."""
+        (r_minus, _), (r_plus, _) = self._ratios(j, t)
         # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j); d/dx (A u-) = f u-,
         # d/dx (B u+) = -f u+
-        a0, _ = self._interpolate(self._lm, j, t, a_j, f[j], a_j1, f[j + 1])
-        b0, _ = self._interpolate(self._lp, j, t, b_j, -f[j], b_j1, -f[j + 1])
+        h = self.grid.dx
+        a0, _ = _interpolate(self._lm, j, t, h, a[0], f[j], a[1], f[j + 1])
+        b0, _ = _interpolate(self._lp, j, t, h, b[0], -f[j], b[1], -f[j + 1])
         return complex(self._node_value(j) * (a0 * r_plus + b0 * r_minus))
 
     def matrix_element(self, f, g):
         """double integral f(x) G(x, x0) g(x0) dx dx0 = integral of
         g G(x, x) (A + B) over the nodes, O(N), with A and B from _sums of
         f in both directions."""
+        return self.element_and_vector(f, g)[0]
+
+    def element_and_vector(self, f, g, x0=None):
+        """matrix_element(f, g) and, given x0, vector(f, x0) read from the
+        same sums of f at x0's cell (else None)."""
         f = self._on_grid(f)
         g = self._on_grid(g)
         h = self.grid.dx
         minus = _sums(f, self._lm, h)
         plus = _sums(f[::-1], self._lp[::-1], h)[::-1]
         diagonal = 2.0 * self._mass / (self._yp - self._ym)
-        return complex(simpson(g * diagonal * (minus + plus), dx=h))
+        element = complex(simpson(g * diagonal * (minus + plus), dx=h))
+        if x0 is None:
+            return element, None
+        j, t = _cell(self.grid, x0)
+        return element, self._vector_at(f, j, t, minus[j : j + 2], plus[j : j + 2])
 
 
-def build_resolvent_batch(curve, zs, grid=None):
-    """Evaluators for one curve at several z values, sharing one set of
-    integration sweeps (vectorized over z)."""
-    if grid is None:
-        grid = DEFAULT_GRID
+def _sweep_pair(curve, zs, grid, stop, start):
+    """(zs, ell-, y-, ell+, y+): u- swept from the left edge over nodes
+    0..stop, u+ from the right edge over nodes start..N-1."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
         raise ValueError("resolvents require a finite z with Im z > 0")
@@ -420,12 +440,20 @@ def build_resolvent_batch(curve, zs, grid=None):
     c_imag = -(2.0 * m * zs.imag)
 
     v0 = _wkb_log_derivative(c_nodes[:, 0] + 1j * c_imag, m, float(curve.gradient(x[0])))
-    ell_minus, y_minus = _sweep(c_nodes, c_mid, c_imag, grid.dx, v0)
+    ell_minus, y_minus = _sweep(c_nodes[:, : stop + 1], c_mid[:, :stop], c_imag, grid.dx, v0)
 
     v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
-    ell_r, y_r = _sweep(c_nodes[:, ::-1], c_mid[:, ::-1], c_imag, grid.dx, v0r)
-    ell_plus = ell_r[:, ::-1]
-    y_plus = np.negative(y_r, out=y_r)[:, ::-1]
+    right = np.s_[:, : start - 1 if start else None : -1]
+    ell_r, y_r = _sweep(c_nodes[right], c_mid[right], c_imag, grid.dx, v0r)
+    return zs, ell_minus, y_minus, ell_r[:, ::-1], np.negative(y_r, out=y_r)[:, ::-1]
+
+
+def build_resolvent_batch(curve, zs, grid=None):
+    """Evaluators for one curve at several z values, sharing one set of
+    integration sweeps (vectorized over z)."""
+    if grid is None:
+        grid = DEFAULT_GRID
+    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, grid.n - 1, 0)
 
     evaluators = []
     for k, z in enumerate(zs):
@@ -447,6 +475,28 @@ def build_resolvent_batch(curve, zs, grid=None):
             ResolventEvaluator(curve, z, grid, ym, ell_minus[k], yp, ell_plus[k], drift)
         )
     return evaluators
+
+
+def diagonal_batch(curve, zs, x, grid=None):
+    """G(x, x) for one curve at several z, (nz,), from one-sided sweeps: u-
+    from the left edge to node j + 1 of x's cell, u+ from the right edge to
+    node j.  No Wronskian drift can be formed, so a y not finite at the cell
+    or |y+ - y-| < WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) at node j raises.
+    Each value is formed as ResolventEvaluator.point forms it."""
+    grid = DEFAULT_GRID if grid is None else grid
+    j, t = _cell(grid, x)
+    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, j + 1, j)
+    ym, lm, yp, lp = y_minus[:, j:], ell_minus[:, j:], y_plus[:, :2], ell_plus[:, :2]
+    p, q = yp[:, 0], ym[:, 0]
+    if not (np.all(np.isfinite([ym, yp]))
+            and np.all(abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)))):
+        raise DegenerateWronskianError(f"u- and u+ at x = {x} are not finite or not "
+                                       f"independent for some z in [{zs[0]}, {zs[-1]}]")
+    h, values = grid.dx, np.empty(zs.size, dtype=complex)
+    for k in range(zs.size):
+        r_minus, r_plus = _ratio(ym[k], lm[k], 0, t, h)[0], _ratio(yp[k], lp[k], 0, t, h)[0]
+        values[k] = 2.0 * curve.mass / (yp[k, 0] - ym[k, 0]) * r_minus * r_plus
+    return values
 
 
 def build_resolvent(curve, z, grid=None):

@@ -10,9 +10,11 @@ the coupled amplitude and its uncoupled part, the allowed-surface term of
 the partitioning formula, from the same sweeps; `absorption_spectra` and
 `raman_profiles` return that (coupled, uncoupled) pair.  There is no
 separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
-The sweeps cover one node window per scan, shared by both surfaces and
-recorded in metadata["window"]: the states' support and x_c's cell,
-widened until the WKB seeds are forgotten (_window).
+The allowed surface is swept over one node window per scan, recorded in
+metadata["window"]: the states' support and x_c's cell, widened until the
+WKB seeds are forgotten (_window).  The forbidden surface enters only
+through G2(x_c, x_c): it is swept from each edge to x_c's cell only, on
+its own window widened from that cell (metadata["forbidden_window"]).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .coupled import CoupledBlocks
 from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import _check_coverage, build_resolvent_batch
+from .resolvent import _check_coverage, build_resolvent_batch, diagonal_batch
 
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
@@ -66,48 +68,44 @@ def model_fingerprint(model, grid):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def scan_resolvents(model, omega_grid, grid):
-    """Yield (ev1, ev2), the allowed- and forbidden-surface evaluators at
-    each photon energy, sweeping each surface once per chunk of SCAN_CHUNK
-    energies."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    for start in range(0, omega_grid.size, SCAN_CHUNK):
-        zs = model.resolvent_argument(omega_grid[start : start + SCAN_CHUNK])
-        evs1 = build_resolvent_batch(model.allowed, zs, grid)
-        yield from zip(evs1, build_resolvent_batch(model.forbidden, zs, grid))
-
-
-def _window(model, zs, states, grid):
-    """The first and last node of grid that a scan at the energies zs sweeps:
-    the hull of where max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR of its maximum
-    and x_c's cell, widened on each side to the nearest node that is
-    classically forbidden on both surfaces and SEED_EFOLDS of Re kappa =
-    Re sqrt(2m(V - z_top)) away on both, z_top = max Re z + i Gamma; else to
+def _window(curves, zs, lo, hi, grid):
+    """The node slice of grid that sweeps of curves at the energies zs cover
+    to read nodes lo..hi: widened on each side to the nearest node that is
+    classically forbidden on every curve and SEED_EFOLDS of Re kappa =
+    Re sqrt(2m(V - z_top)) away on each, z_top = max Re z + i Gamma; else to
     the grid's edge.  Runs the coverage and k_max dx guards on the grid."""
-    chi = np.max(np.abs(states), axis=0)
-    need = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi))
-    j = grid.index_below(model.coupling.location)
-    lo, hi = min(need[0], j), max(need[-1], j + 1)
+    if not zs.size:
+        return grid
     z_top = zs[np.argmax(zs.real)]
     ok = True
-    for curve in (model.allowed, model.forbidden):
+    for curve in curves:
         v = curve.evaluate(grid.points)
         _check_coverage(curve, zs, v, grid.dx)
         efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
         far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
         ok = ok & far & (v > z_top.real)
     a, b = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
-    return (a[-1] if a.size else 0), (hi + b[0] if b.size else grid.n - 1)
+    a, b = (a[-1] if a.size else 0), (hi + b[0] if b.size else grid.n - 1)
+    return Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
 
 
-def scan(model, omega_grid, n_f=0, grid=None):
-    """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
-    and without it, from one pass of sweeps over the nodes of _window.
+def coupling_diagonals(model, omega_grid, grid=None):
+    """(G1(x_c, x_c), G2(x_c, x_c)) over the photon-energy grid, each surface
+    swept only toward x_c on its own window (_window from x_c's cell)."""
+    grid = DEFAULT_GRID if grid is None else grid
+    zs = model.resolvent_argument(np.asarray(omega_grid, dtype=float))
+    x_c = model.coupling.location
+    j = grid.index_below(x_c)
+    values = np.empty((2, zs.size), dtype=complex)
+    for row, curve in zip(values, (model.allowed, model.forbidden)):
+        window = _window((curve,), zs, j, j + 1, grid)
+        for s in range(0, zs.size, SCAN_CHUNK):
+            row[s : s + SCAN_CHUNK] = diagonal_batch(curve, zs[s : s + SCAN_CHUNK], x_c, window)
+    return values
 
-    Returns (value, direct, window): the coupled amplitudes, their uncoupled
-    part (the allowed-surface matrix element) and the Grid swept, a node
-    slice of grid.  For a K0 = 0 model value and direct are equal bit for bit.
-    """
+
+def _scan(model, omega_grid, n_f, grid):
+    """scan's (value, direct, window), and the forbidden surface's window."""
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
     if grid is None:
@@ -122,16 +120,38 @@ def scan(model, omega_grid, n_f=0, grid=None):
                 f"{edge:.1e} of its maximum, above {MAX_EDGE_AMPLITUDE:.0e}); widen the grid"
             )
     zs = model.resolvent_argument(omega_grid)
-    a, b = _window(model, zs, states, grid) if zs.size else (0, grid.n - 1)
-    window = Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
-    chi_i, chi_f = states[:, a : b + 1]
     k0, x_c = model.coupling.strength, model.coupling.location
+    # the hull of x_c's cell and where max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR
+    # of its maximum
+    chi = np.max(np.abs(states), axis=0)
+    need, j = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi)), grid.index_below(x_c)
+    curves = (model.allowed, model.forbidden)
+    window = _window(curves, zs, min(need[0], j), max(need[-1], j + 1), grid)
+    a = int(np.searchsorted(grid.points, window.x_min))
+    chi_i, chi_f = states[:, a : a + window.n]
+    forbidden = _window((model.forbidden,), zs, j, j + 1, grid)
     value, direct = np.empty((2, omega_grid.size), dtype=complex)
-    for k, (ev1, ev2) in enumerate(scan_resolvents(model, omega_grid, window)):
-        amplitude = CoupledBlocks(ev1, ev2, k0, x_c).g11(chi_f, chi_i)
-        value[k] = amplitude.value
-        direct[k] = amplitude.direct
-    return value, direct, window
+    for start in range(0, zs.size, SCAN_CHUNK):
+        chunk = zs[start : start + SCAN_CHUNK]
+        evs = build_resolvent_batch(model.allowed, chunk, window)
+        g2 = diagonal_batch(model.forbidden, chunk, x_c, forbidden)
+        for k, (ev1, g2_cc) in enumerate(zip(evs, g2), start):
+            amplitude = CoupledBlocks(ev1, None, k0, x_c, g2_cc).g11(chi_f, chi_i)
+            value[k] = amplitude.value
+            direct[k] = amplitude.direct
+    return value, direct, window, forbidden
+
+
+def scan(model, omega_grid, n_f=0, grid=None):
+    """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
+    and without it: the allowed surface swept over the nodes of _window,
+    the forbidden one only toward x_c, for G2(x_c, x_c).
+
+    Returns (value, direct, window): the coupled amplitudes, their uncoupled
+    part (the allowed-surface matrix element) and the Grid swept, a node
+    slice of grid.  For a K0 = 0 model value and direct are equal bit for bit.
+    """
+    return _scan(model, omega_grid, n_f, grid)[:3]
 
 
 def _spectra(model, omega_grid, n_f, grid):
@@ -139,13 +159,14 @@ def _spectra(model, omega_grid, n_f, grid):
     for n_f = 0, else the Raman profile into n_f."""
     if grid is None:
         grid = DEFAULT_GRID
-    value, direct, window = scan(model, omega_grid, n_f, grid)
+    value, direct, window, forbidden = _scan(model, omega_grid, n_f, grid)
     spectra = []
     for coupled, amplitudes in zip((True, False), (value, direct)):
         metadata = {
             "fingerprint": model_fingerprint(model, grid),
             "grid": (grid.x_min, grid.x_max, grid.n),
             "window": (window.x_min, window.x_max, window.n),
+            "forbidden_window": (forbidden.x_min, forbidden.x_max, forbidden.n),
             "coupled": coupled,
         }
         if n_f == 0:

@@ -24,7 +24,7 @@ import scipy.fft
 from .coupled import CoupledBlocks
 from .errors import StepSizeError, TailTruncationWarning
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .spectra import scan_resolvents
+from .resolvent import build_resolvent_batch
 from .units import FEMTOSECOND
 
 WAVEPACKET_GRID = Grid(-3.0, 1.5, 4096)
@@ -224,7 +224,8 @@ def verify_resolvent_identity(model, omega_samples, dt=DEFAULT_DT, delta_width=4
     report = IdentityReport(absorbed_norm=prop.absorbed_norm,
                             max_step_growth=prop.max_step_growth,
                             final_envelope=math.exp(-model.damping * n_steps * prop.dt))
-    pairs = scan_resolvents(model, omegas, DEFAULT_GRID)
+    zs = model.resolvent_argument(omegas)
+    pairs = zip(*(build_resolvent_batch(c, zs) for c in (model.allowed, model.forbidden)))
     for omega, bar, (ev1, ev2) in zip(omegas, transformed, pairs):
         blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
         for n_f, sink in ((0, report.deviation_g11_elastic), (1, report.deviation_g11_raman)):

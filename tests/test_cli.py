@@ -4,6 +4,7 @@ import pytest
 from curvecross import cli
 from curvecross.cli import main
 from curvecross.config import load_config
+from curvecross.resolvent import build_resolvent_batch
 
 NARROW = """\
 [scan]
@@ -125,6 +126,24 @@ def test_greens_probe(tmp_path):
     # retarded sign convention: Im G(x_c, x_c) < 0
     g1_imag = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(v < 0 for v in g1_imag)
+
+
+def test_greens_probe_matches_full_grid_evaluators(tmp_path):
+    # the probe reads G(x_c, x_c) through one-sided sweeps on each surface's
+    # own window; evaluators on the whole configured grid agree with it
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(NARROW)
+    assert main(["greens-probe", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "greens_probe.csv", delimiter=",", skiprows=1)
+    config = load_config(str(cfg))
+    model, grid = config.to_model(), config.to_grid()
+    assert np.array_equal(table[:, 0], config.omega_grid())
+    zs = model.resolvent_argument(table[:, 0])
+    x_c = model.coupling.location
+    for column, curve in ((1, model.allowed), (3, model.forbidden)):
+        probe = table[:, column] + 1j * table[:, column + 1]
+        full = np.array([ev.point(x_c, x_c) for ev in build_resolvent_batch(curve, zs, grid)])
+        assert np.max(np.abs(probe - full) / np.abs(full)) < 1e-12
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from curvecross.config import RunConfig, apply_overrides, load_config, parse_config
 from curvecross.errors import ConfigError
+from curvecross.spectra import model_fingerprint
 
 
 def test_defaults_are_the_standard_parameter_set():
@@ -249,3 +250,13 @@ def test_readme_config_example_parses():
     assert cfg.raman_final_state == 1
     assert cfg.grid_points == 4096
     assert "raman_final_state" in lines
+
+
+def test_integer_grid_bounds_give_the_float_fingerprint():
+    # int bounds set through replace give the grid, and so the model
+    # fingerprint, of the floats a config file parses them into
+    def fingerprint(x_min):
+        config = replace(RunConfig(), grid_x_min_angstrom=x_min).validate()
+        return model_fingerprint(config.to_model(), config.to_grid())
+
+    assert fingerprint(-2) == fingerprint(-2.0)

@@ -68,22 +68,42 @@ def test_diagonal_blocks_equal_separate_quadratures(pair, model):
 
 
 def test_g11_vector_calls(pair, model, monkeypatch):
-    # one vector at x_c per distinct state: the ket's vector is reused
-    # as the bra's when f = i
+    # <f|G1|x_c> comes from the sums of f that the matrix element forms, so
+    # g11 sums f once in each direction over the whole grid and, for f != i,
+    # i once more in each direction up to x_c's cell through vector
     ev1, ev2, chi = pair
     calls = []
-    vector = resolvent.ResolventEvaluator.vector
+    vector, sums = resolvent.ResolventEvaluator.vector, resolvent._sums
 
     def counted(self, f, x0):
-        calls.append(1)
+        calls.append("vector")
         return vector(self, f, x0)
 
+    def counted_sums(f, ell, h, stop=None):
+        calls.append(stop)
+        return sums(f, ell, h, stop)
+
     monkeypatch.setattr(resolvent.ResolventEvaluator, "vector", counted)
+    monkeypatch.setattr(resolvent, "_sums", counted_sums)
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
-    for (f, i), expected in (((chi[1], chi[0]), 2), ((chi[0], chi[0]), 1)):
-        calls.clear()
-        blocks.g11(f, i)
-        assert len(calls) == expected
+    n, j = ev1.grid.n, ev1.grid.index_below(model.coupling.location)
+    calls.clear()
+    blocks.g11(chi[1], chi[0])
+    assert calls == [None, None, "vector", j + 1, n - 1 - j]
+    calls.clear()
+    blocks.g11(chi[0], chi[0])
+    assert calls == [None, None]
+
+
+def test_g11_from_the_point_value_of_g2(pair, model):
+    # given G2(x_c, x_c) as a number, g11 needs no forbidden-surface
+    # evaluator and gives the same amplitude bit for bit
+    ev1, ev2, chi = pair
+    k0, x_c = model.coupling.strength, model.coupling.location
+    full = CoupledBlocks(ev1, ev2, k0, x_c)
+    point = CoupledBlocks(ev1, None, k0, x_c, ev2.point(x_c, x_c))
+    for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
+        assert point.g11(f, i) == full.g11(f, i)
 
 
 def test_blocks_share_denominator(pair, model):

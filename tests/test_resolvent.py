@@ -10,6 +10,7 @@ from curvecross.resolvent import (
     _step_maps,
     build_resolvent,
     build_resolvent_batch,
+    diagonal_batch,
 )
 
 
@@ -186,6 +187,43 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
             build_resolvent_batch(model.allowed, zs, grid)
+
+
+def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
+    # the one-sided sweeps of the point path leave float64 on the Morse
+    # wall without their scales; y at x_c's cell is then not finite, and
+    # the point path must raise on both sweep paths
+    def no_octaves(c_mid, c_imag, h):
+        return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
+
+    monkeypatch.setattr(resolvent, "_octaves", no_octaves)
+    for nz in (1, SCALAR_ROWS + 4):
+        zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
+        with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
+            diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+
+
+def test_point_path_rejects_a_dependent_pair(model, grid, monkeypatch):
+    # |y+ - y-| <= |y+| + |y-| always, so a limit of 1 flags every pair as
+    # dependent: the guard runs on the pair's margin at the cell
+    zs = model.resolvent_argument(np.array([11000.0]))
+    diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+    monkeypatch.setattr(resolvent, "WRONSKIAN_DRIFT_LIMIT", 1.0)
+    with pytest.raises(DegenerateWronskianError, match="not independent"):
+        diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+
+
+@pytest.mark.parametrize("nz", [1, SCALAR_ROWS + 1])
+def test_point_path_is_the_evaluator_diagonal(model, grid, nz):
+    # on one grid the one-sided sweeps are the full sweeps cut short, and
+    # each value is formed as point forms it: equal bit for bit, also in
+    # the grid's first and last cells
+    zs = model.resolvent_argument(np.linspace(9500.0, 13500.0, nz))
+    for curve in (model.allowed, model.forbidden):
+        evs = build_resolvent_batch(curve, zs, grid)
+        for x in (model.coupling.location, 0.3, grid.x_min, grid.x_max - 0.1 * grid.dx):
+            values = diagonal_batch(curve, zs, x, grid)
+            assert np.array_equal(values, [ev.point(x, x) for ev in evs])
 
 
 def test_rejects_nonpositive_damping(model, grid):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curvecross import cli, spectra
+from curvecross import cli, resolvent, spectra
 from curvecross.errors import GridError, GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
@@ -14,7 +14,7 @@ from curvecross.model import (
     harmonic_eigenstates,
     huang_rhys_factor,
 )
-from curvecross.resolvent import build_resolvent_batch
+from curvecross.resolvent import build_resolvent_batch, diagonal_batch
 from curvecross.spectra import (
     Spectrum,
     absorption_spectra,
@@ -30,14 +30,20 @@ def with_params(model, **kwargs):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(curve, nz) of every sweep build the scans make."""
+    """(curve, nz) of every sweep build the scans make: the evaluator
+    builds, and the point-value sweeps that give G2(x_c, x_c)."""
     calls = []
 
     def counting(curve, zs, grid=None):
         calls.append((curve, len(zs)))
         return build_resolvent_batch(curve, zs, grid)
 
+    def counting_diagonal(curve, zs, x, grid=None):
+        calls.append((curve, len(zs)))
+        return diagonal_batch(curve, zs, x, grid)
+
     monkeypatch.setattr(spectra, "build_resolvent_batch", counting)
+    monkeypatch.setattr(spectra, "diagonal_batch", counting_diagonal)
     return calls
 
 
@@ -325,3 +331,52 @@ def test_window_holds_the_coupling_cell(model, grid, monkeypatch):
     chi = harmonic_eigenstates(model.ground, 1, np.array([0.9]))
     assert np.max(np.abs(chi)) < spectra.SUPPORT_FLOOR
     assert _worst_relative_change(windowed, full) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [None, 300.0, 1000.0])
+@pytest.mark.parametrize("gamma", [50.0, 450.0])
+def test_point_path_matches_the_full_grid(config, grid, depth, gamma):
+    # G1(x_c, x_c) and G2(x_c, x_c) from one-sided sweeps on each surface's
+    # own window against evaluators on the whole grid; D = 300 and 1000
+    # cm^-1 put the Morse dissociation limit inside the scan (an open side)
+    settings = {"damping_cm1": gamma}
+    if depth is not None:
+        settings["forbidden_well_depth_cm1"] = depth
+    model = replace(config, **settings).validate().to_model()
+    omega = np.linspace(9500.0, 13500.0, 9)
+    zs = model.resolvent_argument(omega)
+    x_c = model.coupling.location
+    diagonals = spectra.coupling_diagonals(model, omega, grid)
+    for values, curve in zip(diagonals, (model.allowed, model.forbidden)):
+        full = np.array([ev.point(x_c, x_c) for ev in build_resolvent_batch(curve, zs, grid)])
+        assert np.max(np.abs(values - full) / np.abs(full)) < 1e-12
+
+
+def test_metadata_records_the_forbidden_window(model, grid):
+    # the forbidden surface is swept on its own window, which holds x_c's
+    # cell and lies within the scan's window
+    omega = np.arange(10700.0, 11000.0, 100.0)
+    for spec in raman_profiles(model, 1, omega, grid=grid):
+        lo, hi, n = spec.metadata["window"]
+        f_lo, f_hi, f_n = spec.metadata["forbidden_window"]
+        assert lo <= f_lo < model.coupling.location < f_hi <= hi and f_n < n
+        assert f_hi - f_lo == pytest.approx((f_n - 1) * grid.dx, rel=1e-12)
+
+
+def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
+    # node steps nz (n - 1) summed over the sweeps of one default 64-energy
+    # Raman chunk, against four full sweeps (two per surface) on the
+    # shared window
+    steps = []
+    sweep = resolvent._sweep
+
+    def counted(c_nodes, c_mid, c_imag, h, v0):
+        steps.append(c_mid.size)
+        return sweep(c_nodes, c_mid, c_imag, h, v0)
+
+    monkeypatch.setattr(resolvent, "_sweep", counted)
+    omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
+    coupled, _ = raman_profiles(model, 1, omega, grid=grid)
+    shared = 4 * (coupled.metadata["window"][2] - 1)
+    assert len(steps) == 4
+    assert sum(steps) / omega.size <= 0.75 * shared
