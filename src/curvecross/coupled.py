@@ -7,7 +7,9 @@ With a point coupling K0 delta(x - x_c), block elimination closes exactly:
 
 The blocks share the two point values at x_c and the denominator, computed
 once per z.  At K0 = 0 the correction is exactly zero and the denominator
-exactly one, so G11 is the bare G1 bit for bit.
+exactly one, so G11 is the bare G1 bit for bit.  g11_rows forms G11 on
+(nz,) arrays, the energies of a ResolventRows; CoupledBlocks.g11 is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -31,6 +33,29 @@ class CoupledAmplitude:
     denominator: complex
 
 
+def _denominator(k0, g1_cc, g2_cc):
+    """1 - K0^2 G1(x_c, x_c) G2(x_c, x_c), raising if it vanishes at any z."""
+    denominator = 1.0 - k0**2 * g1_cc * g2_cc
+    if np.any(abs(denominator) < DENOMINATOR_FLOOR):
+        raise ResonanceSingularityError("coupling denominator vanished; resolvents "
+                                        "cannot be correct for Im z > 0")
+    return denominator
+
+
+def g11_rows(rows, k0, x_c, g2_cc, f, i, denominator=None):
+    """<f|G11|i> at each energy of the allowed surface's rows, a
+    CoupledAmplitude of (nz,) arrays; the forbidden surface enters through
+    g2_cc = G2(x_c, x_c), (nz,), and the denominator is formed from them
+    unless given.  <f|G1|x_c> comes from the sums of f that <f|G1|i> forms;
+    for f = i it serves both sides."""
+    if denominator is None:
+        denominator = _denominator(k0, rows.point(x_c, x_c), g2_cc)
+    direct, left = rows.element_and_vector(f, i, x_c)
+    right = left if np.array_equal(f, i) else rows.vector(i, x_c)
+    correction = k0**2 * left * g2_cc * right / denominator
+    return CoupledAmplitude(direct + correction, direct, correction, denominator)
+
+
 class CoupledBlocks:
     """The coupled block evaluators at one z, sharing cached point values."""
 
@@ -41,28 +66,17 @@ class CoupledBlocks:
             raise ValueError("both resolvents must be built at the same z")
         if ev2 is not None and ev1.grid != ev2.grid:
             raise ValueError("both resolvents must be built on the same grid")
-        self.ev1 = ev1
-        self.ev2 = ev2
-        self.k0 = float(k0)
-        self.x_c = float(x_c)
+        self.ev1, self.ev2 = ev1, ev2
+        self.k0, self.x_c = float(k0), float(x_c)
         self.g1_cc = ev1.point(x_c, x_c)
         self.g2_cc = ev2.point(x_c, x_c) if g2_cc is None else complex(g2_cc)
-        self.denominator = 1.0 - self.k0**2 * self.g1_cc * self.g2_cc
-        if abs(self.denominator) < DENOMINATOR_FLOOR:
-            raise ResonanceSingularityError(
-                "coupling denominator vanished; resolvents cannot be correct "
-                "for Im z > 0"
-            )
+        self.denominator = complex(_denominator(self.k0, np.array([self.g1_cc]), self.g2_cc)[0])
 
     def g11(self, f, i):
-        """<f|G11|i>, the forbidden surface entering through G2(x_c, x_c).
-        <f|G1|x_c> comes from the sums of f that <f|G1|i> forms; for f = i
-        it serves both sides."""
-        ev = self.ev1
-        direct, left = ev.element_and_vector(f, i, self.x_c)
-        right = left if np.array_equal(f, i) else ev.vector(i, self.x_c)
-        correction = self.k0**2 * left * self.g2_cc * right / self.denominator
-        return CoupledAmplitude(direct + correction, direct, correction, self.denominator)
+        """<f|G11|i>: g11_rows on ev1's one row."""
+        g2_cc, denominator = np.array([self.g2_cc]), np.array([self.denominator])
+        amplitude = g11_rows(self.ev1.rows, self.k0, self.x_c, g2_cc, f, i, denominator)
+        return CoupledAmplitude(*(complex(v[0]) for v in vars(amplitude).values()))
 
     def g12(self, f, i):
         return self.k0 * self.ev1.vector(f, self.x_c) * self.ev2.vector(i, self.x_c) / self.denominator

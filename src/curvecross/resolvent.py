@@ -33,14 +33,15 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-where A is one blocked direct sum (_sums): the grid is cut into blocks
+where A is one blocked direct sum (_sums): the nodes are cut into blocks
 over which u / u(x_s), s the block's first node, stays bounded, each block
 takes one cumsum of f u / u(x_s), and A is carried from block to block.
-B is the same sum on the reversed arrays.  matrix_element sums over the
-whole grid, vector only up to x0's cell on the same blocks, and
-element_and_vector reads <f|G|x0> from matrix_element's sums.  Where only
-G(x, x) is wanted, diagonal_batch sweeps u- and u+ from the edges to x's
-cell and no further.
+B is the same sum on the reversed arrays.  ResolventRows holds y and ell
+of a batch of energies as (nz, M) rows, possibly a node slice of the
+sweeps, and forms the matrix element, <f|G|x0> from its sums, vector (sums
+up to x0's cell only) and the point read on all rows at once, with one
+block length per batch; a ResolventEvaluator is its one-row case.  Where
+only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no further.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -48,7 +49,6 @@ as an independent oracle for the same object.
 
 from __future__ import annotations
 
-import cmath
 import math
 import struct
 
@@ -244,77 +244,58 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
 
 def _sums(f, ell, h, stop=None):
     """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop,
-    by default every node, with u = exp(ell).
+    by default every node, with u = exp(ell), for (nz, M) rows of ell (f
+    broadcast against them): (nz, stop + 1).
 
-    The grid is cut into blocks of nodes over which Re ell changes by at
-    most BLOCK_EFOLDS.  In a block starting at node s, E = u / u(x_s) is
-    bounded, and the integral of f E over each interval takes the 4-point
-    cubic rule h/24 (-1, 13, 13, -1) on nodes k-1..k+2, or the 3-point
-    rule h/12 (5, 8, -1) on the first and last interval of the grid; one
-    cumsum over the block then gives A_k = (A_s + sum) / E_k.  (Cumulative
-    Simpson would alternate its stencil between odd and even nodes, an
-    error that the outer Simpson rule of matrix_element does not cancel: a
-    few parts in 1e6 on the Morse surface at the default grid.)  An
-    earlier stop cuts the last block short, so A_k is the same as that of
-    the whole grid.
+    The nodes are cut into blocks over which Re ell changes by at most
+    BLOCK_EFOLDS, the length set by the rows' largest step.  In a block
+    starting at node s, E = u / u(x_s) is bounded, and the integral of f E
+    over each interval takes the 4-point cubic rule h/24 (-1, 13, 13, -1)
+    on nodes k-1..k+2, or the 3-point rule h/12 (5, 8, -1) on the first and
+    last interval; one cumsum over the block then gives A_k = (A_s + sum)
+    / E_k.  (Cumulative Simpson would alternate its stencil between odd and
+    even nodes, an error that the outer Simpson rule of the matrix element
+    does not cancel: a few parts in 1e6 on the Morse surface at the default
+    grid.)  An earlier stop cuts the last block short: A_k is unchanged.
     """
-    n = f.size
+    n = ell.shape[-1]
     stop = n - 1 if stop is None else stop
     step = float(np.max(np.abs(np.diff(ell.real))))
     # the stencil reaches one node beyond either end of a block, which
     # the factor-of-two margin in BLOCK_EFOLDS covers
     length = n if step * n <= BLOCK_EFOLDS else max(1, int(BLOCK_EFOLDS // step))
-    sums = np.empty(stop + 1, dtype=complex)
-    sums[0] = a = 0j
+    sums = np.zeros(ell.shape[:-1] + (stop + 1,), dtype=complex)
     for s in range(0, stop, length):
         e = min(s + length, stop)  # the block's last node
         lo, hi = max(s - 1, 0), min(e + 2, n)
-        scale = np.exp(ell[lo:hi] - ell[s])
-        fe = f[lo:hi] * scale
+        scale = np.exp(ell[..., lo:hi] - ell[..., s, None])
+        fe = f[..., lo:hi] * scale
         # 24/h times the integral of f E over intervals lo+1..hi-3, then
-        # the end rules for the grid's first and last interval
-        parts = [13.0 * (fe[1:-2] + fe[2:-1]) - fe[:-3] - fe[3:]]
+        # the end rules for the first and last interval
+        parts = [13.0 * (fe[..., 1:-2] + fe[..., 2:-1]) - fe[..., :-3] - fe[..., 3:]]
         if s == 0:
-            parts.insert(0, [2.0 * (5.0 * fe[0] + 8.0 * fe[1] - fe[2])])
+            parts.insert(0, 2.0 * (5.0 * fe[..., :1] + 8.0 * fe[..., 1:2] - fe[..., 2:3]))
         if e == n - 1:
-            parts.append([2.0 * (5.0 * fe[-1] + 8.0 * fe[-2] - fe[-3])])
-        running = np.cumsum(np.concatenate(parts))
+            parts.append(2.0 * (5.0 * fe[..., -1:] + 8.0 * fe[..., -2:-1] - fe[..., -3:-2]))
+        running = np.cumsum(np.concatenate(parts, axis=-1), axis=-1)
         running *= h / 24.0
-        running += a
-        sums[s + 1 : e + 1] = running / scale[s + 1 - lo : e + 1 - lo]
-        a = sums[e]
+        running += sums[..., s, None]
+        np.divide(running, scale[..., s + 1 - lo : e + 1 - lo], out=sums[..., s + 1 : e + 1])
     return sums
 
 
-def _hermite(t, v0, s0, v1, s1):
-    """Cubic Hermite interpolant at fraction t of a cell, from the end
-    values v0, v1 and the end slopes times the cell width s0, s1; returns
-    the value and the slope times the cell width."""
-    value = (
-        (1.0 + 2.0 * t) * (1.0 - t) ** 2 * v0
-        + t * (1.0 - t) ** 2 * s0
-        + t**2 * (3.0 - 2.0 * t) * v1
-        + t**2 * (t - 1.0) * s1
-    )
-    slope = (
-        6.0 * t * (t - 1.0) * (v0 - v1)
-        + (1.0 - t) * (1.0 - 3.0 * t) * s0
-        + t * (3.0 * t - 2.0) * s1
-    )
-    return value, slope
-
-
 def _interpolate(ell, j, t, h, v0, d0, v1, d1):
-    """F(x) / u(x_j) at x = x_j + t h, cubic-Hermite interpolated from
-    F = v u and F' = d u at the cell's two nodes, u = exp(ell); returns it
-    and h times its derivative."""
-    e = cmath.exp(ell[j + 1] - ell[j])
-    return _hermite(t, v0, h * d0, v1 * e, h * d1 * e)
+    """F(x) / u(x_j) at x = x_j + t h on every row of ell, u = exp(ell): the
+    cubic Hermite interpolant of F = v u and F' = d u at the cell's nodes."""
+    e = np.exp(ell[..., j + 1] - ell[..., j])
+    c0, c1 = (1.0 + 2.0 * t) * (1.0 - t) ** 2, t * (1.0 - t) ** 2 * h
+    c2, c3 = t**2 * (3.0 - 2.0 * t), t**2 * (t - 1.0) * h
+    return c0 * v0 + c1 * d0 + (c2 * v1 + c3 * d1) * e
 
 
 def _ratio(y, ell, j, t, h):
-    """u(x)/u(x_j) and h times its derivative, y = u'/u, ell = log u."""
-    return _interpolate(ell, j, t, h, 1.0, y[j], 1.0, y[j + 1])
+    """u(x)/u(x_j), y = u'/u, ell = log u."""
+    return _interpolate(ell, j, t, h, 1.0, y[..., j], 1.0, y[..., j + 1])
 
 
 def _cell(grid, x):
@@ -325,101 +306,116 @@ def _cell(grid, x):
     return j, (x - grid.points[j]) / grid.dx
 
 
-class ResolventEvaluator:
-    """Immutable evaluator of G(x, x0; z) for one curve at one complex z,
-    holding y = u'/u and ell = log u of u- and u+ on the grid nodes."""
+class ResolventRows:
+    """G(x, x0; z) of one curve at nz energies: y = u'/u and ell = log u of
+    u- and u+ as (nz, M) rows on nodes first..first + M - 1 of grid, with
+    each row's Wronskian drift if known.  The quadratures and the point read
+    give (nz,) arrays; a ResolventEvaluator is the one-row case."""
 
-    def __init__(self, curve, z, grid, y_minus, ell_minus, y_plus, ell_plus, drift):
-        self.curve = curve
-        self.z = complex(z)
-        self.grid = grid
-        self._ym = y_minus
-        self._lm = ell_minus
-        self._yp = y_plus
-        self._lp = ell_plus
+    def __init__(self, curve, z, grid, first, y_minus, ell_minus, y_plus, ell_plus, drift=None):
+        self.curve, self.z, self.grid, self.first = curve, z, grid, first
+        self.y_minus, self.ell_minus = y_minus, ell_minus
+        self.y_plus, self.ell_plus = y_plus, ell_plus
         self.wronskian_drift = drift
-        self._mass = curve.mass
 
-    # -- local interpolation ----------------------------------------------
+    def nodes(self, lo, hi):
+        """The rows on nodes lo..hi of grid only, as views."""
+        cut = np.s_[..., lo - self.first : hi + 1 - self.first]
+        rows = (self.y_minus[cut], self.ell_minus[cut], self.y_plus[cut], self.ell_plus[cut])
+        return ResolventRows(self.curve, self.z, self.grid, lo, *rows, self.wronskian_drift)
 
-    def _ratios(self, j, t):
-        """u-(x)/u-(x_j) and u+(x)/u+(x_j), each with h times its derivative."""
-        h = self.grid.dx
-        return _ratio(self._ym, self._lm, j, t, h), _ratio(self._yp, self._lp, j, t, h)
+    def _cell(self, x):
+        """x's cell in the rows' nodes and its fraction t."""
+        j, t = _cell(self.grid, x)
+        if not 0 <= j - self.first < self.y_minus.shape[-1] - 1:
+            raise ValueError(f"x = {x} outside the rows' nodes")
+        return j - self.first, t
+
+    def _on_nodes(self, f):
+        f = np.asarray(f)
+        if f.shape[-1:] != self.y_minus.shape[-1:]:
+            raise ValueError("wavefunction must be sampled on the resolvent's nodes")
+        return f
 
     def _node_value(self, j):
         """G(x_j, x_j) = 2m u- u+ / W = 2m / (y+ - y-)."""
-        return 2.0 * self._mass / (self._yp[j] - self._ym[j])
-
-    # -- Green's function values ------------------------------------------
+        return 2.0 * self.curve.mass / (self.y_plus[..., j] - self.y_minus[..., j])
 
     def point(self, x, x0):
         """G(x, x0), interpolating off-node arguments."""
         lo, hi = (x, x0) if x <= x0 else (x0, x)
-        j, t = _cell(self.grid, lo)
-        i, s = _cell(self.grid, hi)
-        r_minus, _ = _ratio(self._ym, self._lm, j, t, self.grid.dx)
-        r_plus, _ = _ratio(self._yp, self._lp, i, s, self.grid.dx)
-        shift = cmath.exp(self._lp[i] - self._lp[j])
-        return complex(self._node_value(j) * r_minus * r_plus * shift)
-
-    def derivative_jump(self, x):
-        """d/dx G(x, x0) jump across x = x0; equals 2m for the exact G."""
-        j, t = _cell(self.grid, x)
-        (r_minus, s_minus), (r_plus, s_plus) = self._ratios(j, t)
-        jump = self._node_value(j) * (r_minus * s_plus - s_minus * r_plus) / self.grid.dx
-        return complex(jump)
-
-    # -- quadratures -------------------------------------------------------
-
-    def _on_grid(self, f):
-        f = np.asarray(f, dtype=complex)
-        if f.shape != self.grid.points.shape:
-            raise ValueError("wavefunction must be sampled on the evaluator grid")
-        return f
+        (j, t), (i, s) = self._cell(lo), self._cell(hi)
+        r_minus = _ratio(self.y_minus, self.ell_minus, j, t, self.grid.dx)
+        r_plus = _ratio(self.y_plus, self.ell_plus, i, s, self.grid.dx)
+        shift = np.exp(self.ell_plus[..., i] - self.ell_plus[..., j])
+        return self._node_value(j) * r_minus * r_plus * shift
 
     def vector(self, f, x0):
-        """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f sampled
-        on the grid, with A and B summed up to the cell's two nodes only and
-        Hermite-interpolated between them."""
-        f = self._on_grid(f)
-        j, t = _cell(self.grid, x0)
+        """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f on the
+        nodes, A and B summed up to x0's cell only and interpolated in it."""
+        f = self._on_nodes(f)
+        j, t = self._cell(x0)
         h = self.grid.dx
-        a = _sums(f, self._lm, h, j + 1)[j:]
-        k = f.size - 2 - j
-        b = _sums(f[::-1], self._lp[::-1], h, k + 1)[k:]
-        return self._vector_at(f, j, t, a, b[::-1])
+        a = _sums(f, self.ell_minus, h, j + 1)[..., j:]
+        k = f.shape[-1] - 2 - j
+        b = _sums(f[..., ::-1], self.ell_plus[..., ::-1], h, k + 1)[..., k:]
+        return self._vector_at(f, j, t, a, b[..., ::-1])
 
     def _vector_at(self, f, j, t, a, b):
         """vector(f, x0) at x0 = x_j + t h from A and B at nodes j, j + 1."""
-        (r_minus, _), (r_plus, _) = self._ratios(j, t)
-        # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j); d/dx (A u-) = f u-,
-        # d/dx (B u+) = -f u+
         h = self.grid.dx
-        a0, _ = _interpolate(self._lm, j, t, h, a[0], f[j], a[1], f[j + 1])
-        b0, _ = _interpolate(self._lp, j, t, h, b[0], -f[j], b[1], -f[j + 1])
-        return complex(self._node_value(j) * (a0 * r_plus + b0 * r_minus))
+        r_minus = _ratio(self.y_minus, self.ell_minus, j, t, h)
+        r_plus = _ratio(self.y_plus, self.ell_plus, j, t, h)
+        # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j): (A u-)' = f u-, (B u+)' = -f u+
+        fj, fk = f[..., j], f[..., j + 1]
+        a0 = _interpolate(self.ell_minus, j, t, h, a[..., 0], fj, a[..., 1], fk)
+        b0 = _interpolate(self.ell_plus, j, t, h, b[..., 0], -fj, b[..., 1], -fk)
+        return self._node_value(j) * (a0 * r_plus + b0 * r_minus)
+
+    def element_and_vector(self, f, g, x0=None):
+        """The double integral of f(x) G(x, x0) g(x0) = integral of g G(x, x)
+        (A + B), A and B from _sums of f both ways; given x0, also
+        vector(f, x0) read from the same sums at x0's cell (else None)."""
+        f, g = self._on_nodes(f), self._on_nodes(g)
+        h = self.grid.dx
+        minus = _sums(f, self.ell_minus, h)
+        plus = _sums(f[..., ::-1], self.ell_plus[..., ::-1], h)[..., ::-1]
+        diagonal = 2.0 * self.curve.mass / (self.y_plus - self.y_minus)
+        element = simpson(g * diagonal * (minus + plus), dx=h, axis=-1)
+        if x0 is None:
+            return element, None
+        j, t = self._cell(x0)
+        return element, self._vector_at(f, j, t, minus[..., j : j + 2], plus[..., j : j + 2])
+
+
+class ResolventEvaluator:
+    """Immutable evaluator of G(x, x0; z) for one curve at one complex z:
+    y = u'/u and ell = log u on the grid nodes, read as one ResolventRows row."""
+
+    def __init__(self, curve, z, grid, y_minus, ell_minus, y_plus, ell_plus, drift):
+        self.curve, self.z, self.grid, self.wronskian_drift = curve, complex(z), grid, drift
+        self._ym, self._lm, self._yp, self._lp = y_minus, ell_minus, y_plus, ell_plus
+        self._mass = curve.mass
+        self.rows = ResolventRows(curve, np.array([self.z]), grid, 0, y_minus[None],
+                                  ell_minus[None], y_plus[None], ell_plus[None], np.array([drift]))
+
+    def point(self, x, x0):
+        """G(x, x0), interpolating off-node arguments."""
+        return complex(self.rows.point(x, x0)[0])
+
+    def vector(self, f, x0):
+        """integral f(x) G(x, x0) dx for f sampled on the grid."""
+        return complex(self.rows.vector(f, x0)[0])
 
     def matrix_element(self, f, g):
-        """double integral f(x) G(x, x0) g(x0) dx dx0 = integral of
-        g G(x, x) (A + B) over the nodes, O(N), with A and B from _sums of
-        f in both directions."""
+        """double integral f(x) G(x, x0) g(x0) dx dx0, O(N)."""
         return self.element_and_vector(f, g)[0]
 
     def element_and_vector(self, f, g, x0=None):
         """matrix_element(f, g) and, given x0, vector(f, x0) read from the
         same sums of f at x0's cell (else None)."""
-        f = self._on_grid(f)
-        g = self._on_grid(g)
-        h = self.grid.dx
-        minus = _sums(f, self._lm, h)
-        plus = _sums(f[::-1], self._lp[::-1], h)[::-1]
-        diagonal = 2.0 * self._mass / (self._yp - self._ym)
-        element = complex(simpson(g * diagonal * (minus + plus), dx=h))
-        if x0 is None:
-            return element, None
-        j, t = _cell(self.grid, x0)
-        return element, self._vector_at(f, j, t, minus[j : j + 2], plus[j : j + 2])
+        element, vector = self.rows.element_and_vector(f, g, x0)
+        return complex(element[0]), None if vector is None else complex(vector[0])
 
 
 def _sweep_pair(curve, zs, grid, stop, start):
@@ -448,17 +444,13 @@ def _sweep_pair(curve, zs, grid, stop, start):
     return zs, ell_minus, y_minus, ell_r[:, ::-1], np.negative(y_r, out=y_r)[:, ::-1]
 
 
-def build_resolvent_batch(curve, zs, grid=None):
-    """Evaluators for one curve at several z values, sharing one set of
-    integration sweeps (vectorized over z)."""
-    if grid is None:
-        grid = DEFAULT_GRID
+def resolvent_rows(curve, zs, grid=None):
+    """ResolventRows of one curve at several z on grid, each row's drift checked."""
+    grid = DEFAULT_GRID if grid is None else grid
     zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, grid.n - 1, 0)
-
-    evaluators = []
+    drift = np.empty(zs.size)
     for k, z in enumerate(zs):
-        ym, yp = y_minus[k], y_plus[k]
-        dy = yp - ym
+        dy = y_plus[k] - y_minus[k]
         # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
         # solutions; the drift is its largest departure from the left edge,
         # the phase taken modulo 2 pi
@@ -466,37 +458,37 @@ def build_resolvent_batch(curve, zs, grid=None):
         log_w += ell_minus[k] + ell_plus[k]
         log_w -= log_w[0]
         phase = np.remainder(log_w.imag + np.pi, 2.0 * np.pi) - np.pi
-        drift = float(np.max(np.hypot(log_w.real, phase)))
-        if not drift < WRONSKIAN_DRIFT_LIMIT:
-            raise DegenerateWronskianError(
-                f"Wronskian drift {drift:.2e} at z = {z} is not below {WRONSKIAN_DRIFT_LIMIT:.0e}"
-            )
-        evaluators.append(
-            ResolventEvaluator(curve, z, grid, ym, ell_minus[k], yp, ell_plus[k], drift)
-        )
-    return evaluators
+        drift[k] = np.max(np.hypot(log_w.real, phase))
+        if not drift[k] < WRONSKIAN_DRIFT_LIMIT:
+            raise DegenerateWronskianError(f"Wronskian drift {drift[k]:.2e} at z = {z} "
+                                           f"is not below {WRONSKIAN_DRIFT_LIMIT:.0e}")
+    return ResolventRows(curve, zs, grid, 0, y_minus, ell_minus, y_plus, ell_plus, drift)
+
+
+def build_resolvent_batch(curve, zs, grid=None):
+    """Evaluators for one curve at several z, one per row of resolvent_rows."""
+    r = resolvent_rows(curve, zs, grid)
+    rows = zip(r.z, r.y_minus, r.ell_minus, r.y_plus, r.ell_plus, r.wronskian_drift)
+    return [ResolventEvaluator(curve, z, r.grid, *arrays, float(d)) for z, *arrays, d in rows]
 
 
 def diagonal_batch(curve, zs, x, grid=None):
     """G(x, x) for one curve at several z, (nz,), from one-sided sweeps: u-
     from the left edge to node j + 1 of x's cell, u+ from the right edge to
-    node j.  No Wronskian drift can be formed, so a y not finite at the cell
-    or |y+ - y-| < WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) at node j raises.
-    Each value is formed as ResolventEvaluator.point forms it."""
+    node j, read as ResolventRows on those two nodes.  No Wronskian drift can
+    be formed, so y not finite there or |y+ - y-| < WRONSKIAN_DRIFT_LIMIT
+    (|y+| + |y-|) at node j raises."""
     grid = DEFAULT_GRID if grid is None else grid
-    j, t = _cell(grid, x)
+    j, _ = _cell(grid, x)
     zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, j + 1, j)
-    ym, lm, yp, lp = y_minus[:, j:], ell_minus[:, j:], y_plus[:, :2], ell_plus[:, :2]
-    p, q = yp[:, 0], ym[:, 0]
-    if not (np.all(np.isfinite([ym, yp]))
+    rows = ResolventRows(curve, zs, grid, j, y_minus[:, j:], ell_minus[:, j:],
+                         y_plus[:, :2], ell_plus[:, :2])
+    p, q = rows.y_plus[:, 0], rows.y_minus[:, 0]
+    if not (np.all(np.isfinite([rows.y_minus, rows.y_plus]))
             and np.all(abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)))):
         raise DegenerateWronskianError(f"u- and u+ at x = {x} are not finite or not "
                                        f"independent for some z in [{zs[0]}, {zs[-1]}]")
-    h, values = grid.dx, np.empty(zs.size, dtype=complex)
-    for k in range(zs.size):
-        r_minus, r_plus = _ratio(ym[k], lm[k], 0, t, h)[0], _ratio(yp[k], lp[k], 0, t, h)[0]
-        values[k] = 2.0 * curve.mass / (yp[k, 0] - ym[k, 0]) * r_minus * r_plus
-    return values
+    return rows.point(x, x)
 
 
 def build_resolvent(curve, z, grid=None):

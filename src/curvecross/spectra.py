@@ -10,11 +10,11 @@ the coupled amplitude and its uncoupled part, the allowed-surface term of
 the partitioning formula, from the same sweeps; `absorption_spectra` and
 `raman_profiles` return that (coupled, uncoupled) pair.  There is no
 separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
-The allowed surface is swept over one node window per scan, recorded in
-metadata["window"]: the states' support and x_c's cell, widened until the
-WKB seeds are forgotten (_window).  The forbidden surface enters only
-through G2(x_c, x_c): it is swept from each edge to x_c's cell only, on
-its own window widened from that cell (metadata["forbidden_window"]).
+The quadratures run once per chunk of energies on the support hull, the
+nodes where the states live and x_c's cell (metadata["support"]), which the
+allowed curve's window widens until the WKB seeds are forgotten (_window,
+metadata["window"]); the forbidden surface gives only G2(x_c, x_c), swept
+to x_c's cell on its own window (metadata["forbidden_window"]).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupled import CoupledBlocks
+from .coupled import g11_rows
 from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import _check_coverage, build_resolvent_batch, diagonal_batch
+from .resolvent import _check_coverage, diagonal_batch, resolvent_rows
 
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
@@ -105,11 +105,11 @@ def coupling_diagonals(model, omega_grid, grid=None):
 
 
 def _scan(model, omega_grid, n_f, grid):
-    """scan's (value, direct, window), and the forbidden surface's window."""
+    """scan's (value, direct, window), the forbidden surface's window and
+    the quadratures' support hull, each a node slice of grid."""
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
-    if grid is None:
-        grid = DEFAULT_GRID
+    grid = DEFAULT_GRID if grid is None else grid
     omega_grid = np.asarray(omega_grid, dtype=float)
     states = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
     for n, chi in zip((0, n_f), np.abs(states)):
@@ -121,31 +121,29 @@ def _scan(model, omega_grid, n_f, grid):
             )
     zs = model.resolvent_argument(omega_grid)
     k0, x_c = model.coupling.strength, model.coupling.location
-    # the hull of x_c's cell and where max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR
-    # of its maximum
+    # the support hull: x_c's cell and max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR max
     chi = np.max(np.abs(states), axis=0)
     need, j = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi)), grid.index_below(x_c)
-    curves = (model.allowed, model.forbidden)
-    window = _window(curves, zs, min(need[0], j), max(need[-1], j + 1), grid)
-    a = int(np.searchsorted(grid.points, window.x_min))
-    chi_i, chi_f = states[:, a : a + window.n]
+    lo, hi = min(need[0], j), max(need[-1], j + 1)
+    window = _window((model.allowed,), zs, lo, hi, grid)
     forbidden = _window((model.forbidden,), zs, j, j + 1, grid)
+    a = int(np.searchsorted(grid.points, window.x_min))
+    chi_i, chi_f = states[:, lo : hi + 1]
     value, direct = np.empty((2, omega_grid.size), dtype=complex)
     for start in range(0, zs.size, SCAN_CHUNK):
-        chunk = zs[start : start + SCAN_CHUNK]
-        evs = build_resolvent_batch(model.allowed, chunk, window)
-        g2 = diagonal_batch(model.forbidden, chunk, x_c, forbidden)
-        for k, (ev1, g2_cc) in enumerate(zip(evs, g2), start):
-            amplitude = CoupledBlocks(ev1, None, k0, x_c, g2_cc).g11(chi_f, chi_i)
-            value[k] = amplitude.value
-            direct[k] = amplitude.direct
-    return value, direct, window, forbidden
+        chunk = np.s_[start : start + SCAN_CHUNK]
+        rows = resolvent_rows(model.allowed, zs[chunk], window).nodes(lo - a, hi - a)
+        g2 = diagonal_batch(model.forbidden, zs[chunk], x_c, forbidden)
+        amplitude = g11_rows(rows, k0, x_c, g2, chi_f, chi_i)
+        value[chunk], direct[chunk] = amplitude.value, amplitude.direct
+    support = Grid(float(grid.points[lo]), float(grid.points[hi]), int(hi - lo + 1))
+    return value, direct, window, forbidden, support
 
 
 def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
-    and without it: the allowed surface swept over the nodes of _window,
-    the forbidden one only toward x_c, for G2(x_c, x_c).
+    and without it: per chunk of SCAN_CHUNK energies, the allowed surface
+    swept over the nodes of _window and the forbidden one only toward x_c.
 
     Returns (value, direct, window): the coupled amplitudes, their uncoupled
     part (the allowed-surface matrix element) and the Grid swept, a node
@@ -157,18 +155,13 @@ def scan(model, omega_grid, n_f=0, grid=None):
 def _spectra(model, omega_grid, n_f, grid):
     """(coupled, uncoupled) spectra of one scan: the absorption spectrum
     for n_f = 0, else the Raman profile into n_f."""
-    if grid is None:
-        grid = DEFAULT_GRID
-    value, direct, window, forbidden = _scan(model, omega_grid, n_f, grid)
+    grid = DEFAULT_GRID if grid is None else grid
+    value, direct, window, forbidden, support = _scan(model, omega_grid, n_f, grid)
+    nodes = {"grid": grid, "window": window, "forbidden_window": forbidden, "support": support}
     spectra = []
     for coupled, amplitudes in zip((True, False), (value, direct)):
-        metadata = {
-            "fingerprint": model_fingerprint(model, grid),
-            "grid": (grid.x_min, grid.x_max, grid.n),
-            "window": (window.x_min, window.x_max, window.n),
-            "forbidden_window": (forbidden.x_min, forbidden.x_max, forbidden.n),
-            "coupled": coupled,
-        }
+        metadata = {name: (g.x_min, g.x_max, g.n) for name, g in nodes.items()}
+        metadata.update(fingerprint=model_fingerprint(model, grid), coupled=coupled)
         if n_f == 0:
             kind, intensity = "absorption", np.real(1j * amplitudes)
         else:

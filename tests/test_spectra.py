@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvecross import cli, resolvent, spectra
+from curvecross.coupled import CoupledBlocks
 from curvecross.errors import GridError, GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
@@ -14,7 +15,7 @@ from curvecross.model import (
     harmonic_eigenstates,
     huang_rhys_factor,
 )
-from curvecross.resolvent import build_resolvent_batch, diagonal_batch
+from curvecross.resolvent import build_resolvent_batch, diagonal_batch, resolvent_rows
 from curvecross.spectra import (
     Spectrum,
     absorption_spectra,
@@ -30,19 +31,19 @@ def with_params(model, **kwargs):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(curve, nz) of every sweep build the scans make: the evaluator
-    builds, and the point-value sweeps that give G2(x_c, x_c)."""
+    """(curve, nz) of every sweep build the scans make: the rows of the
+    allowed surface, and the point-value sweeps that give G2(x_c, x_c)."""
     calls = []
 
     def counting(curve, zs, grid=None):
         calls.append((curve, len(zs)))
-        return build_resolvent_batch(curve, zs, grid)
+        return resolvent_rows(curve, zs, grid)
 
     def counting_diagonal(curve, zs, x, grid=None):
         calls.append((curve, len(zs)))
         return diagonal_batch(curve, zs, x, grid)
 
-    monkeypatch.setattr(spectra, "build_resolvent_batch", counting)
+    monkeypatch.setattr(spectra, "resolvent_rows", counting)
     monkeypatch.setattr(spectra, "diagonal_batch", counting_diagonal)
     return calls
 
@@ -194,6 +195,13 @@ def test_metadata_records_run(model, grid):
     assert coupled.metadata["coupled"] is True
     assert uncoupled.metadata["coupled"] is False
     assert coupled.metadata["fingerprint"] == uncoupled.metadata["fingerprint"]
+    # the quadratures' support hull lies strictly inside the swept window
+    lo, hi, n = coupled.metadata["window"]
+    s_lo, s_hi, s_n = coupled.metadata["support"]
+    assert uncoupled.metadata["support"] == (s_lo, s_hi, s_n)
+    assert lo < s_lo < model.coupling.location < s_hi < hi and s_n < n
+    assert s_hi - s_lo == pytest.approx((s_n - 1) * grid.dx, rel=1e-12)
+    assert s_lo in grid.points and s_hi in grid.points
 
 
 def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, monkeypatch):
@@ -223,16 +231,27 @@ def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
 
 
 def test_scan_direct_is_allowed_matrix_element(model, grid):
-    # the reference evaluators are built on the scan's node window, with
-    # the states sliced to it, so the elements agree bit for bit
+    # the scan's quadratures run on the support hull's columns of the
+    # window's sweeps: the array form on the same rows gives its uncoupled
+    # part bit for bit, and the window's single-energy evaluators agree
+    # within 1e-12
     omega = np.arange(10700.0, 11000.0, 100.0)
-    value, direct, window = spectra.scan(model, omega, 1, grid=grid)
+    value, direct, window, _, support = spectra._scan(model, omega, 1, grid)
     a = int(np.searchsorted(grid.points, window.x_min))
     nodes = slice(a, a + window.n)
     assert 0 < a and nodes.stop < grid.n and grid.points[nodes.stop - 1] == window.x_max
-    chi = harmonic_eigenstates(model.ground, 1, grid.points)[:, nodes]
-    evs = build_resolvent_batch(model.allowed, model.resolvent_argument(omega), window)
-    assert np.array_equal(direct, [ev.matrix_element(chi[1], chi[0]) for ev in evs])
+    lo = int(np.searchsorted(grid.points, support.x_min))
+    hull = slice(lo, lo + support.n)
+    assert a < lo and hull.stop < nodes.stop and grid.points[hull.stop - 1] == support.x_max
+    chi = harmonic_eigenstates(model.ground, 1, grid.points)
+    zs = model.resolvent_argument(omega)
+    rows = resolvent_rows(model.allowed, zs, window).nodes(lo - a, hull.stop - 1 - a)
+    assert np.array_equal(direct, rows.element_and_vector(chi[1, hull], chi[0, hull])[0])
+    with pytest.raises(ValueError, match="outside the rows' nodes"):
+        rows.point(window.x_min, model.coupling.location)
+    evs = build_resolvent_batch(model.allowed, zs, window)
+    full = np.array([ev.matrix_element(chi[1, nodes], chi[0, nodes]) for ev in evs])
+    assert np.max(np.abs(direct - full) / np.abs(full)) < 1e-12
     assert not np.array_equal(value, direct)
 
 
@@ -286,13 +305,16 @@ def test_window_widening_leaves_spectra_unchanged(model, grid, n_f, monkeypatch)
 
 def test_window_keeps_an_open_side(config, grid, monkeypatch):
     # D = 1000 cm^-1 puts the Morse curve's dissociation limit inside the
-    # scan, so its left side is open and never builds the seed budget
+    # scan, so its left side is open and never builds the seed budget: the
+    # forbidden surface's window keeps the grid's left edge, while the
+    # allowed surface's window, set by the allowed curve alone, need not
     shallow = replace(config, forbidden_well_depth_cm1=1000.0).validate().to_model()
     omega = default_scan(step=40.0)
     windowed = _windowed(shallow, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
     full = _windowed(shallow, omega, 1, grid, monkeypatch, math.inf)
-    lo, hi, n = windowed[0].metadata["window"]
+    lo, hi, n = windowed[0].metadata["forbidden_window"]
     assert lo == grid.x_min and hi < grid.x_max
+    assert windowed[0].metadata["window"][0] > grid.x_min
     assert _worst_relative_change(windowed, full) < 1e-12
 
 
@@ -380,3 +402,97 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     shared = 4 * (coupled.metadata["window"][2] - 1)
     assert len(steps) == 4
     assert sum(steps) / omega.size <= 0.75 * shared
+
+
+@pytest.mark.parametrize("n_f", [0, 1])
+def test_window_comes_from_the_allowed_curve_alone(model, grid, n_f):
+    # the allowed surface is swept on the window of the allowed curve from
+    # the support hull; the forbidden curve has its own window
+    omega = default_scan(step=40.0)
+    spec, _ = _job(model, omega, n_f, grid)
+    s_lo, s_hi, s_n = spec.metadata["support"]
+    lo = int(np.searchsorted(grid.points, s_lo))
+    zs = model.resolvent_argument(omega)
+    window = spectra._window((model.allowed,), zs, lo, lo + s_n - 1, grid)
+    assert spec.metadata["window"] == (window.x_min, window.x_max, window.n)
+    shared = spectra._window((model.allowed, model.forbidden), zs, lo, lo + s_n - 1, grid)
+    assert window.n < shared.n
+
+
+@pytest.mark.parametrize("n_f", [0, 1])
+def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, monkeypatch):
+    # one default 64-energy chunk sums f once in each direction over the
+    # hull's (64, M) rows and, for Raman, i once more in each direction up
+    # to x_c's cell; a loop over energies would make 64 times as many calls
+    calls = []
+    sums = resolvent._sums
+
+    def counted(f, ell, h, stop=None):
+        calls.append((ell.shape, stop))
+        return sums(f, ell, h, stop)
+
+    monkeypatch.setattr(resolvent, "_sums", counted)
+    omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
+    spec, _ = _job(model, omega, n_f, grid)
+    m = spec.metadata["support"][2]
+    assert [shape for shape, _ in calls] == [(spectra.SCAN_CHUNK, m)] * (2 if n_f == 0 else 4)
+    assert [stop for _, stop in calls[:2]] == [None, None]
+    if n_f:
+        s_lo = spec.metadata["support"][0]
+        j = grid.index_below(model.coupling.location) - int(np.searchsorted(grid.points, s_lo))
+        assert [stop for _, stop in calls[2:]] == [j + 1, m - 1 - j]
+
+
+@pytest.mark.parametrize("depth", [None, 300.0, 1000.0])
+@pytest.mark.parametrize("gamma", [50.0, 450.0])
+@pytest.mark.parametrize("n_f", [0, 1])
+def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamma, n_f):
+    # the scan's array form on the support hull against one CoupledBlocks
+    # per energy on the whole window, with the same G2(x_c, x_c): value and
+    # direct within 1e-12, on chunks of 1, SCALAR_ROWS + 1 and 64 energies
+    settings = {"damping_cm1": gamma}
+    if depth is not None:
+        settings["forbidden_well_depth_cm1"] = depth
+    model = replace(config, **settings).validate().to_model()
+    k0, x_c = model.coupling.strength, model.coupling.location
+    chi = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
+    for nz in (1, resolvent.SCALAR_ROWS + 1, spectra.SCAN_CHUNK):
+        omega = np.linspace(9500.0, 13500.0, nz)
+        value, direct, window, forbidden, _ = spectra._scan(model, omega, n_f, grid)
+        zs = model.resolvent_argument(omega)
+        g2 = diagonal_batch(model.forbidden, zs, x_c, forbidden)
+        a = int(np.searchsorted(grid.points, window.x_min))
+        chi_i, chi_f = chi[:, a : a + window.n]
+        evs = build_resolvent_batch(model.allowed, zs, window)
+        amplitudes = [
+            CoupledBlocks(ev, None, k0, x_c, g).g11(chi_f, chi_i) for ev, g in zip(evs, g2)
+        ]
+        for got, attribute in ((value, "value"), (direct, "direct")):
+            want = np.array([getattr(amplitude, attribute) for amplitude in amplitudes])
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_scan_survives_dynamic_range_beyond_float64(model, grid):
+    # the grid of test_values_survive_dynamic_range_beyond_float64, 1024
+    # more cells of the default spacing on either side: the scan over the
+    # default photon-energy window agrees with the default grid's, and the
+    # array form on the wide grid's whole (nz, N) rows, where u+- span
+    # about 2100 e-folds, takes many blocks of the chunk-wide length
+    pad = 1024 * grid.dx
+    wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
+    omega = default_scan(step=40.0)
+    for n_f in (0, 1):
+        default, wider = (spectra.scan(model, omega, n_f, g)[:2] for g in (grid, wide))
+        for a, b in zip(default, wider):
+            assert np.max(np.abs(b - a) / np.abs(a)) <= 1e-8
+    zs = model.resolvent_argument(omega[:: len(omega) // 8])
+    x_c = model.coupling.location
+    results = []
+    for g in (grid, wide):
+        chi = harmonic_eigenstates(model.ground, 1, g.points)
+        rows = resolvent_rows(model.allowed, zs, g)
+        results.append((*rows.element_and_vector(chi[1], chi[0], x_c), rows.point(x_c, x_c)))
+    steps = np.max(np.abs(np.diff(rows.ell_minus.real)))
+    assert steps * wide.n > 4 * resolvent.BLOCK_EFOLDS
+    for default, widened in zip(*results):
+        assert np.max(np.abs(widened - default) / np.abs(default)) <= 1e-8
