@@ -18,7 +18,6 @@ from .model import (
     TwoStateModel,
     find_crossing,
     franck_condon_matrix,
-    franck_condon_overlap,
     harmonic_eigenstates,
     huang_rhys_factor,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "TwoStateModel",
     "find_crossing",
     "franck_condon_matrix",
-    "franck_condon_overlap",
     "harmonic_eigenstates",
     "huang_rhys_factor",
     "HarmonicSpectralSum",

@@ -4,8 +4,9 @@ Subcommands: absorption | raman | validate | greens-probe.  Spectra jobs
 write coupled and uncoupled two-column CSV tables plus a metadata sidecar
 whose config echo reproduces the run when fed back through --config.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
-failure (a NumericsError, including a grid that cannot carry the scan).
+Exit codes: 0 success, 1 validation failure, 2 config error (including a
+run too large to allocate), 3 numerical failure (a NumericsError,
+including a grid that cannot carry the scan).
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ def main(argv=None):
         return args.runner(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        config = _resolve_config(args)
+        n_omega = (config.omega_max_cm1 - config.omega_min_cm1) / config.omega_step_cm1 + 1
+        print(f"config error: cannot allocate a run of {config.grid_points} grid points and "
+              f"{n_omega:.3g} photon energies", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:
         # a config that passed validation but broke the numerics (grid not

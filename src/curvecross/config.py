@@ -209,6 +209,8 @@ def load_config(path):
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text") from None
     config, _ = parse_config(text)
     return config
 

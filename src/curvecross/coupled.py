@@ -59,17 +59,15 @@ def g11_rows(rows, k0, x_c, g2_cc, f, i, denominator=None):
 class CoupledBlocks:
     """The coupled block evaluators at one z, sharing cached point values."""
 
-    def __init__(self, ev1, ev2, k0, x_c, g2_cc=None):
-        """ev2 may be None if g2_cc, G2(x_c, x_c) at ev1's z, is given: g11
-        reads nothing else of G2, while g12 and g21 need ev2."""
-        if ev2 is not None and ev1.z != ev2.z:
+    def __init__(self, ev1, ev2, k0, x_c):
+        if ev1.z != ev2.z:
             raise ValueError("both resolvents must be built at the same z")
-        if ev2 is not None and ev1.grid != ev2.grid:
+        if ev1.grid != ev2.grid:
             raise ValueError("both resolvents must be built on the same grid")
         self.ev1, self.ev2 = ev1, ev2
         self.k0, self.x_c = float(k0), float(x_c)
         self.g1_cc = ev1.point(x_c, x_c)
-        self.g2_cc = ev2.point(x_c, x_c) if g2_cc is None else complex(g2_cc)
+        self.g2_cc = ev2.point(x_c, x_c)
         self.denominator = complex(_denominator(self.k0, np.array([self.g1_cc]), self.g2_cc)[0])
 
     def g11(self, f, i):

@@ -169,10 +169,6 @@ class Grid:
     def dx(self):
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    def refined(self):
-        """Same span with exactly halved spacing."""
-        return Grid(self.x_min, self.x_max, 2 * self.n - 1)
-
     def index_below(self, x):
         """Index j with points[j] <= x < points[j+1]."""
         j = int(np.floor((x - self.x_min) / self.dx))
@@ -233,11 +229,6 @@ def franck_condon_matrix(curve_a, curve_b, n_max_a, n_max_b):
             prev = math.sqrt(k) * t[j - 1, k - 1] if k >= 1 else 0.0
             t[j, k] = (prev + beta * t[j - 1, k]) / math.sqrt(j)
     return t
-
-
-def franck_condon_overlap(n, m, curve_a, curve_b):
-    """Single displaced-oscillator overlap <n_a|m_b>."""
-    return franck_condon_matrix(curve_a, curve_b, n, m)[n, m]
 
 
 def huang_rhys_factor(curve_a, curve_b):

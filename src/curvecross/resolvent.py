@@ -390,14 +390,15 @@ class ResolventRows:
 
 class ResolventEvaluator:
     """Immutable evaluator of G(x, x0; z) for one curve at one complex z:
-    y = u'/u and ell = log u on the grid nodes, read as one ResolventRows row."""
+    row k of a ResolventRows, kept as one-row views."""
 
-    def __init__(self, curve, z, grid, y_minus, ell_minus, y_plus, ell_plus, drift):
-        self.curve, self.z, self.grid, self.wronskian_drift = curve, complex(z), grid, drift
-        self._ym, self._lm, self._yp, self._lp = y_minus, ell_minus, y_plus, ell_plus
-        self._mass = curve.mass
-        self.rows = ResolventRows(curve, np.array([self.z]), grid, 0, y_minus[None],
-                                  ell_minus[None], y_plus[None], ell_plus[None], np.array([drift]))
+    def __init__(self, rows, k):
+        one = np.s_[k : k + 1]
+        self.curve, self.z, self.grid = rows.curve, complex(rows.z[k]), rows.grid
+        self.wronskian_drift = float(rows.wronskian_drift[k])
+        self.rows = ResolventRows(rows.curve, rows.z[one], rows.grid, rows.first, rows.y_minus[one],
+                                  rows.ell_minus[one], rows.y_plus[one], rows.ell_plus[one],
+                                  rows.wronskian_drift[one])
 
     def point(self, x, x0):
         """G(x, x0), interpolating off-node arguments."""
@@ -409,13 +410,7 @@ class ResolventEvaluator:
 
     def matrix_element(self, f, g):
         """double integral f(x) G(x, x0) g(x0) dx dx0, O(N)."""
-        return self.element_and_vector(f, g)[0]
-
-    def element_and_vector(self, f, g, x0=None):
-        """matrix_element(f, g) and, given x0, vector(f, x0) read from the
-        same sums of f at x0's cell (else None)."""
-        element, vector = self.rows.element_and_vector(f, g, x0)
-        return complex(element[0]), None if vector is None else complex(vector[0])
+        return complex(self.rows.element_and_vector(f, g)[0][0])
 
 
 def _sweep_pair(curve, zs, grid, stop, start):
@@ -467,9 +462,8 @@ def resolvent_rows(curve, zs, grid=None):
 
 def build_resolvent_batch(curve, zs, grid=None):
     """Evaluators for one curve at several z, one per row of resolvent_rows."""
-    r = resolvent_rows(curve, zs, grid)
-    rows = zip(r.z, r.y_minus, r.ell_minus, r.y_plus, r.ell_plus, r.wronskian_drift)
-    return [ResolventEvaluator(curve, z, r.grid, *arrays, float(d)) for z, *arrays, d in rows]
+    rows = resolvent_rows(curve, zs, grid)
+    return [ResolventEvaluator(rows, k) for k in range(rows.z.size)]
 
 
 def diagonal_batch(curve, zs, x, grid=None):
@@ -564,9 +558,3 @@ class HarmonicSpectralSum:
 
     def matrix_element(self, f, g):
         return complex(np.sum(self._overlaps(f) * self._overlaps(g) * self.weights))
-
-    def completeness_deficit(self, f):
-        """1 - sum_n <phi_n|f>^2 / <f|f> for a real f on the grid."""
-        f = np.asarray(f)
-        norm = simpson(f * f, dx=self.grid.dx)
-        return float(1.0 - np.sum(self._overlaps(f) ** 2) / norm)

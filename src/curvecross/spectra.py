@@ -104,9 +104,17 @@ def coupling_diagonals(model, omega_grid, grid=None):
     return values
 
 
-def _scan(model, omega_grid, n_f, grid):
-    """scan's (value, direct, window), the forbidden surface's window and
-    the quadratures' support hull, each a node slice of grid."""
+def scan(model, omega_grid, n_f=0, grid=None):
+    """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
+    and without it: per chunk of SCAN_CHUNK energies, the allowed surface
+    swept over the nodes of _window and the forbidden one only toward x_c.
+
+    Returns (value, direct, window, forbidden, support): the coupled
+    amplitudes, their uncoupled part (the allowed-surface matrix element),
+    the allowed and forbidden surfaces' windows and the quadratures'
+    support hull, each a node slice of grid.  For a K0 = 0 model value and
+    direct are equal bit for bit.
+    """
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
     grid = DEFAULT_GRID if grid is None else grid
@@ -140,23 +148,11 @@ def _scan(model, omega_grid, n_f, grid):
     return value, direct, window, forbidden, support
 
 
-def scan(model, omega_grid, n_f=0, grid=None):
-    """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
-    and without it: per chunk of SCAN_CHUNK energies, the allowed surface
-    swept over the nodes of _window and the forbidden one only toward x_c.
-
-    Returns (value, direct, window): the coupled amplitudes, their uncoupled
-    part (the allowed-surface matrix element) and the Grid swept, a node
-    slice of grid.  For a K0 = 0 model value and direct are equal bit for bit.
-    """
-    return _scan(model, omega_grid, n_f, grid)[:3]
-
-
 def _spectra(model, omega_grid, n_f, grid):
     """(coupled, uncoupled) spectra of one scan: the absorption spectrum
     for n_f = 0, else the Raman profile into n_f."""
     grid = DEFAULT_GRID if grid is None else grid
-    value, direct, window, forbidden, support = _scan(model, omega_grid, n_f, grid)
+    value, direct, window, forbidden, support = scan(model, omega_grid, n_f, grid)
     nodes = {"grid": grid, "window": window, "forbidden_window": forbidden, "support": support}
     spectra = []
     for coupled, amplitudes in zip((True, False), (value, direct)):
@@ -202,8 +198,3 @@ def photon_energies(omega_min, omega_max, step):
     ending on its last step keeps that endpoint."""
     omega = omega_min + step * np.arange(math.floor((omega_max - omega_min) / step) + 2)
     return omega[omega <= omega_max]
-
-
-def default_scan(step=10.0):
-    """The standard 9500..13500 cm^-1 window."""
-    return photon_energies(9500.0, 13500.0, step)

@@ -139,14 +139,6 @@ def initial_state(model, grid=None):
     return psi
 
 
-def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None):
-    """Yield the position-space state at t = 0, dt, 2dt, ... through
-    t_final, each a new array."""
-    prop = SplitStepPropagator(model, grid=grid, dt=dt, delta_width=delta_width)
-    for hat in prop.evolve(initial, int(math.ceil(t_final / dt - 1e-9))):
-        yield scipy.fft.ifft(hat)
-
-
 def half_fourier(states, omegas, gamma, dt):
     """Trapezoid half-Fourier transform, integral_0^T psi(t) exp(i (omega +
     i gamma) t) dt, of a series of equally shaped arrays at t = 0, dt, ...,
@@ -186,11 +178,6 @@ class IdentityReport:
     absorbed_norm: float = 0.0
     max_step_growth: float = -math.inf
     final_envelope: float = 1.0
-
-    @property
-    def max_deviation(self):
-        parts = self.deviation_g11_elastic + self.deviation_g11_raman + self.deviation_g21
-        return max(parts) if parts else math.nan
 
 
 def packet_observables(prop, omegas, n_steps):

@@ -21,8 +21,8 @@ from curvecross.resolvent import (
 )
 from curvecross.spectra import (
     absorption_spectra,
-    default_scan,
     deviation_metric,
+    photon_energies,
     raman_profiles,
 )
 from curvecross.wavepacket import DEFAULT_DT, verify_resolvent_identity
@@ -275,7 +275,7 @@ def test_criterion_8_raman_more_affected(setup, capsys):
     start = time.time()
 
     def deviations(step):
-        omega = default_scan(step)
+        omega = photon_energies(9500.0, 13500.0, step)
         d_a = deviation_metric(*absorption_spectra(model, omega, grid=grid))
         d_r = deviation_metric(*raman_profiles(model, 1, omega, grid=grid))
         return d_a, d_r

@@ -192,6 +192,25 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "config error" in err and str(tmp_path) in err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[model]\nmass_amu = 35.4 \xff\n")
+    assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("job", ["absorption", "greens-probe"])
+def test_unallocatable_scan_exits_2(tmp_path, capsys, job):
+    # a 1e-12 cm^-1 step asks for 4e15 photon energies, 28 PiB of float64,
+    # more than any address space holds: the allocation fails at once
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("[scan]\nomega_step_cm1 = 1e-12\n")
+    assert main([job, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "4096 grid points and 4e+15 photon energies" in err
+
+
 def test_non_finite_override_exits_2(tmp_path, capsys):
     assert main(["absorption", "--k0", "nan", "--out", str(tmp_path / "run")]) == 2
     assert "coupling_k0_erg_angstrom: must be finite" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvecross import resolvent
-from curvecross.coupled import CoupledBlocks
+from curvecross.coupled import CoupledAmplitude, CoupledBlocks, g11_rows
 from curvecross.errors import ResonanceSingularityError
 from curvecross.model import Grid, harmonic_eigenstates
 from curvecross.resolvent import build_resolvent
@@ -100,14 +100,16 @@ def test_g11_vector_calls(pair, model, monkeypatch):
 
 
 def test_g11_from_the_point_value_of_g2(pair, model):
-    # given G2(x_c, x_c) as a number, g11 needs no forbidden-surface
-    # evaluator and gives the same amplitude bit for bit
+    # given G2(x_c, x_c) as a number, g11_rows needs no forbidden-surface
+    # evaluator and forms its own denominator: the same amplitude as
+    # CoupledBlocks.g11, every field bit for bit
     ev1, ev2, chi = pair
     k0, x_c = model.coupling.strength, model.coupling.location
     full = CoupledBlocks(ev1, ev2, k0, x_c)
-    point = CoupledBlocks(ev1, None, k0, x_c, ev2.point(x_c, x_c))
+    g2_cc = np.array([ev2.point(x_c, x_c)])
     for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
-        assert point.g11(f, i) == full.g11(f, i)
+        point = g11_rows(ev1.rows, k0, x_c, g2_cc, f, i)
+        assert CoupledAmplitude(*(complex(v[0]) for v in vars(point).values())) == full.g11(f, i)
 
 
 def test_blocks_share_denominator(pair, model):

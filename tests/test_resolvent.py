@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from curvecross import resolvent
 from curvecross.errors import DegenerateWronskianError, NumericsError
@@ -61,8 +62,11 @@ def _derivative_jump(ev, x):
         slope = 6 * t * (t - 1) * (1 - e) + (1 - t) * (1 - 3 * t) * s0 + t * (3 * t - 2) * s1
         return value, slope
 
-    (r_minus, s_minus), (r_plus, s_plus) = ratio(ev._ym, ev._lm), ratio(ev._yp, ev._lp)
-    return 2.0 * ev._mass / (ev._yp[j] - ev._ym[j]) * (r_minus * s_plus - s_minus * r_plus) / h
+    rows = ev.rows
+    r_minus, s_minus = ratio(rows.y_minus[0], rows.ell_minus[0])
+    r_plus, s_plus = ratio(rows.y_plus[0], rows.ell_plus[0])
+    diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0, j] - rows.y_minus[0, j])
+    return diagonal * (r_minus * s_plus - s_minus * r_plus) / h
 
 
 def test_derivative_jump(ev_allowed_fine, model):
@@ -184,7 +188,7 @@ def test_sweep_is_plain_rk4(model):
             c_nodes = 2.0 * m * (curve.evaluate(grid.points)[:, None] - zs)
             c_mid = 2.0 * m * (curve.evaluate(grid.midpoints)[:, None] - zs)
             u = np.ones(zs.size, dtype=complex)
-            v = np.array([ev._ym[0] for ev in evs])  # the WKB seed u'/u at x_0
+            v = np.array([ev.rows.y_minus[0, 0] for ev in evs])  # the WKB seed u'/u at x_0
             us, vs = [u], [v]
             for k in range(grid.n - 1):
                 u, v = _rk4_step(c_nodes[k], c_mid[k], c_nodes[k + 1], h, u, v)
@@ -193,8 +197,8 @@ def test_sweep_is_plain_rk4(model):
             u_ref = np.array(us).T
             y_ref = np.array(vs).T / u_ref
             for ev, u_k, y_k in zip(evs, u_ref, y_ref):
-                assert np.max(np.abs(np.exp(ev._lm - np.log(u_k)) - 1.0)) <= 1e-12
-                assert np.max(np.abs(ev._ym - y_k) / np.abs(y_k)) <= 1e-12
+                assert np.max(np.abs(np.exp(ev.rows.ell_minus[0] - np.log(u_k)) - 1.0)) <= 1e-12
+                assert np.max(np.abs(ev.rows.y_minus[0] - y_k) / np.abs(y_k)) <= 1e-12
 
 
 def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
@@ -326,14 +330,16 @@ def test_blocked_sums_equal_sequential_recurrence(model, nodes):
         for ev in build_resolvent_batch(curve, zs, grid):
             for state in states:
                 both = []
-                for f, ell in ((state, ev._lm), (state[::-1], ev._lp[::-1])):
+                rows = ev.rows
+                for f, ell in ((state, rows.ell_minus[0]), (state[::-1], rows.ell_plus[0, ::-1])):
                     expected = _sequential_sums(f, ell, h)
                     scale = np.max(np.abs(expected))
                     assert np.max(np.abs(resolvent._sums(f, ell, h) - expected)) <= 1e-12 * scale
                     blocked.add(np.max(np.abs(np.diff(ell.real))) * n > resolvent.BLOCK_EFOLDS)
                     both.append(expected)
                 # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes
-                on_nodes = 2.0 * ev._mass / (ev._yp - ev._ym) * (both[0] + both[1][::-1])
+                diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0])
+                on_nodes = diagonal * (both[0] + both[1][::-1])
                 scale = np.max(np.abs(on_nodes))
                 for j in (0, 1, j_c, j_c + 1, n - 2, n - 1):
                     assert abs(ev.vector(state, grid.points[j]) - on_nodes[j]) <= 1e-12 * scale
@@ -395,7 +401,7 @@ def test_vector_grid_convergence(model, fine_grid):
     z = model.resolvent_argument(11200.0)
     chi0 = harmonic_eigenstates(model.ground, 0, fine_grid.points)[0]
     coarse = build_resolvent(model.allowed, z, fine_grid).vector(chi0, 0.05)
-    doubled = fine_grid.refined()
+    doubled = Grid(fine_grid.x_min, fine_grid.x_max, 2 * fine_grid.n - 1)
     chi0d = harmonic_eigenstates(model.ground, 0, doubled.points)[0]
     refined = build_resolvent(model.allowed, z, doubled).vector(chi0d, 0.05)
     assert abs(refined - coarse) / abs(refined) < 1e-7
@@ -469,7 +475,10 @@ def test_spectral_sum_tail_reporting(model, fine_grid):
     assert oracle.point_tail_estimate(0.1, 0.1) == np.inf
     assert oracle.point_tail_estimate(0.1, 0.3) > 0.0
     chi0 = harmonic_eigenstates(model.ground, 0, fine_grid.points)[0]
-    assert abs(oracle.completeness_deficit(chi0)) < 1e-10
+    # 1 - sum_n <phi_n|chi0>^2 / <chi0|chi0> over the oracle's 201 states
+    phi = harmonic_eigenstates(model.allowed, 200, fine_grid.points)
+    overlaps = simpson(phi * chi0[None, :], dx=fine_grid.dx, axis=1)
+    assert abs(1.0 - np.sum(overlaps**2) / simpson(chi0 * chi0, dx=fine_grid.dx)) < 1e-10
 
 
 def test_spectral_sum_truncation_for_projections(model, fine_grid):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvecross import cli, resolvent, spectra
-from curvecross.coupled import CoupledBlocks
+from curvecross.coupled import g11_rows
 from curvecross.errors import GridError, GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
@@ -19,8 +19,8 @@ from curvecross.resolvent import build_resolvent_batch, diagonal_batch, resolven
 from curvecross.spectra import (
     Spectrum,
     absorption_spectra,
-    default_scan,
     deviation_metric,
+    photon_energies,
     raman_profiles,
 )
 
@@ -83,7 +83,7 @@ def test_broadband_integral_matches_lorentzian_sum(model, grid):
     # Gamma = 450 merges the ladder into one smooth band whose windowed
     # integral equals the Franck-Condon-weighted sum of Lorentzian
     # window integrals
-    omega = default_scan()
+    omega = photon_energies(9500.0, 13500.0, 10.0)
     _, spec = absorption_spectra(model, omega, grid=grid)
     assert np.all(np.diff(spec.intensity) != 0.0)
     fc = franck_condon_matrix(model.ground, model.allowed, 0, 60)[0]
@@ -100,14 +100,14 @@ def test_broadband_integral_matches_lorentzian_sum(model, grid):
 
 
 def test_absorption_positive(model, grid):
-    spec, _ = absorption_spectra(model, default_scan(), grid=grid)
+    spec, _ = absorption_spectra(model, photon_energies(9500.0, 13500.0, 10.0), grid=grid)
     assert np.min(spec.intensity) > -1e-12
 
 
 def test_uncoupled_absorption_matches_lorentzian_fc_sum(model, grid):
     # pointwise across the window, the band is the Franck-Condon-weighted
     # Lorentzian comb
-    omega = default_scan()
+    omega = photon_energies(9500.0, 13500.0, 10.0)
     _, spec = absorption_spectra(model, omega, grid=grid)
     fc = franck_condon_matrix(model.ground, model.allowed, 0, 60)[0]
     energies = model.allowed.eigenvalue(np.arange(61).astype(float))
@@ -117,7 +117,7 @@ def test_uncoupled_absorption_matches_lorentzian_fc_sum(model, grid):
 
 
 def test_uncoupled_raman_matches_fc_sum(model, grid):
-    omega = default_scan()
+    omega = photon_energies(9500.0, 13500.0, 10.0)
     _, spec = raman_profiles(model, 1, omega, grid=grid)
     fc = franck_condon_matrix(model.ground, model.allowed, 1, 60)
     energies = model.allowed.eigenvalue(np.arange(61).astype(float))
@@ -147,7 +147,7 @@ def test_raman_dies_without_displacement(model, grid):
 
 def test_raman_requires_excited_final_state(model, grid):
     with pytest.raises(ValueError):
-        raman_profiles(model, 0, default_scan(), grid=grid)
+        raman_profiles(model, 0, photon_energies(9500.0, 13500.0, 10.0), grid=grid)
 
 
 def test_deviation_metric_trivia(model, grid):
@@ -236,7 +236,7 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     # part bit for bit, and the window's single-energy evaluators agree
     # within 1e-12
     omega = np.arange(10700.0, 11000.0, 100.0)
-    value, direct, window, _, support = spectra._scan(model, omega, 1, grid)
+    value, direct, window, _, support = spectra.scan(model, omega, 1, grid)
     a = int(np.searchsorted(grid.points, window.x_min))
     nodes = slice(a, a + window.n)
     assert 0 < a and nodes.stop < grid.n and grid.points[nodes.stop - 1] == window.x_max
@@ -288,7 +288,7 @@ def _worst_relative_change(spectra_a, spectra_b):
 def test_window_widening_leaves_spectra_unchanged(model, grid, n_f, monkeypatch):
     # the scan's node window, one widened by 20 more e-folds of seed
     # attenuation, and the whole grid give the same spectra to round-off
-    omega = default_scan(step=40.0)
+    omega = photon_energies(9500.0, 13500.0, 40.0)
     budget = spectra.SEED_EFOLDS
     windowed = _windowed(model, omega, n_f, grid, monkeypatch, budget)
     wider = _windowed(model, omega, n_f, grid, monkeypatch, budget + 20.0)
@@ -309,7 +309,7 @@ def test_window_keeps_an_open_side(config, grid, monkeypatch):
     # forbidden surface's window keeps the grid's left edge, while the
     # allowed surface's window, set by the allowed curve alone, need not
     shallow = replace(config, forbidden_well_depth_cm1=1000.0).validate().to_model()
-    omega = default_scan(step=40.0)
+    omega = photon_energies(9500.0, 13500.0, 40.0)
     windowed = _windowed(shallow, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
     full = _windowed(shallow, omega, 1, grid, monkeypatch, math.inf)
     lo, hi, n = windowed[0].metadata["forbidden_window"]
@@ -408,7 +408,7 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
 def test_window_comes_from_the_allowed_curve_alone(model, grid, n_f):
     # the allowed surface is swept on the window of the allowed curve from
     # the support hull; the forbidden curve has its own window
-    omega = default_scan(step=40.0)
+    omega = photon_energies(9500.0, 13500.0, 40.0)
     spec, _ = _job(model, omega, n_f, grid)
     s_lo, s_hi, s_n = spec.metadata["support"]
     lo = int(np.searchsorted(grid.points, s_lo))
@@ -447,9 +447,10 @@ def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, mo
 @pytest.mark.parametrize("gamma", [50.0, 450.0])
 @pytest.mark.parametrize("n_f", [0, 1])
 def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamma, n_f):
-    # the scan's array form on the support hull against one CoupledBlocks
-    # per energy on the whole window, with the same G2(x_c, x_c): value and
-    # direct within 1e-12, on chunks of 1, SCALAR_ROWS + 1 and 64 energies
+    # the scan's array form on the support hull against g11_rows on one
+    # evaluator's row per energy on the whole window, with the same
+    # G2(x_c, x_c): value and direct within 1e-12, on chunks of 1,
+    # SCALAR_ROWS + 1 and 64 energies
     settings = {"damping_cm1": gamma}
     if depth is not None:
         settings["forbidden_well_depth_cm1"] = depth
@@ -458,17 +459,17 @@ def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamm
     chi = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
     for nz in (1, resolvent.SCALAR_ROWS + 1, spectra.SCAN_CHUNK):
         omega = np.linspace(9500.0, 13500.0, nz)
-        value, direct, window, forbidden, _ = spectra._scan(model, omega, n_f, grid)
+        value, direct, window, forbidden, _ = spectra.scan(model, omega, n_f, grid)
         zs = model.resolvent_argument(omega)
         g2 = diagonal_batch(model.forbidden, zs, x_c, forbidden)
         a = int(np.searchsorted(grid.points, window.x_min))
         chi_i, chi_f = chi[:, a : a + window.n]
         evs = build_resolvent_batch(model.allowed, zs, window)
         amplitudes = [
-            CoupledBlocks(ev, None, k0, x_c, g).g11(chi_f, chi_i) for ev, g in zip(evs, g2)
+            g11_rows(ev.rows, k0, x_c, g2[k : k + 1], chi_f, chi_i) for k, ev in enumerate(evs)
         ]
         for got, attribute in ((value, "value"), (direct, "direct")):
-            want = np.array([getattr(amplitude, attribute) for amplitude in amplitudes])
+            want = np.concatenate([getattr(amplitude, attribute) for amplitude in amplitudes])
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
@@ -480,7 +481,7 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid):
     # about 2100 e-folds, takes many blocks of the chunk-wide length
     pad = 1024 * grid.dx
     wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
-    omega = default_scan(step=40.0)
+    omega = photon_energies(9500.0, 13500.0, 40.0)
     for n_f in (0, 1):
         default, wider = (spectra.scan(model, omega, n_f, g)[:2] for g in (grid, wide))
         for a, b in zip(default, wider):

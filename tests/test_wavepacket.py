@@ -24,7 +24,6 @@ from curvecross.wavepacket import (
     half_fourier,
     initial_state,
     packet_observables,
-    propagate,
     verify_resolvent_identity,
 )
 
@@ -65,6 +64,14 @@ def stepped(prop, psi, n_steps):
     for hat in prop.evolve(psi, n_steps):
         pass
     return scipy.fft.ifft(hat)
+
+
+def propagate(model, initial, dt, t_final, delta_width=4.0, grid=None):
+    """The position-space state at t = 0, dt, 2dt, ... through t_final,
+    each a new array."""
+    prop = SplitStepPropagator(model, grid=grid, dt=dt, delta_width=delta_width)
+    for hat in prop.evolve(initial, int(math.ceil(t_final / dt - 1e-9))):
+        yield scipy.fft.ifft(hat)
 
 
 def coupled_state_in_ramp(model, grid, prop):
@@ -299,7 +306,8 @@ def test_steps_take_no_page_faults():
 
 def test_identity_single_surface(model):
     report = verify_resolvent_identity(uncoupled(model), [10700.0, 11100.0, 11900.0])
-    assert report.max_deviation < 1e-3
+    deviations = report.deviation_g11_elastic + report.deviation_g11_raman + report.deviation_g21
+    assert max(deviations) < 1e-3
 
 
 def test_identity_coupled(model):
