@@ -9,14 +9,11 @@ derivative.  The Green's function is then
     G(x, x0) = 2m u-(min(x, x0)) u+(max(x, x0)) / W,   W = u- u+' - u-' u+,
 
 symmetric by construction.  The equation is linear, so one RK4 step over
-an interval is an exact 2x2 map of (u, u'); the sweeps compute these maps
-in closed form for all intervals and then apply them in turn, on Python
-floats for batches of up to SCALAR_ROWS energies and on numpy rows across
-energies for larger ones.  Both recurrences run on real and imaginary
-parts in real arithmetic, in one fixed order of correctly rounded
-operations, so an energy's solutions are bit for bit the same in any
-batch; numpy's complex ufuncs do not promise that, as their rounding
-depends on array alignment and SIMD lane.
+an interval is an exact 2x2 map of (u, u'); per energy the sweeps compute
+these maps in closed form for all intervals, once for both directions, and
+apply them in turn as one compiled forward substitution of a banded
+triangular system (_BandedSweep).  Each energy is its own solve, so its
+solutions are bit for bit the same in any batch.
 
 Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
@@ -41,7 +38,8 @@ of a batch of energies as (nz, M) rows, possibly a node slice of the
 sweeps, and forms the matrix element, <f|G|x0> from its sums, vector (sums
 up to x0's cell only) and the point read on all rows at once, with one
 block length per batch; a ResolventEvaluator is its one-row case.  Where
-only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no further.
+only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no further,
+and forms y and ell on that cell's two nodes only.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -50,23 +48,16 @@ as an independent oracle for the same object.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg.blas import ztbsv
 
 from .errors import DegenerateWronskianError, GridError
 from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
 
 # Largest Wronskian drift a build accepts (round-off gives about 1e-12).
 WRONSKIAN_DRIFT_LIMIT = 1e-8
-# Sweeps of at most this many energies run row by row on Python floats,
-# larger ones on numpy rows.  One default-grid sweep on a 2-core x86 host
-# (best of 21): 14.9 ms scalar against 16.0 ms rows at nz = 5, 17.3 ms
-# against 16.0 ms at nz = 6.
-SCALAR_ROWS = 5
-# Nodes per block of step maps on the numpy-row path.
-MAP_BLOCK = 128
 # Largest change of Re log u within one block of _sums: half the float64
 # exponent range, so u / u(x_s) and f u / u(x_s) over a block neither
 # overflow nor underflow.
@@ -82,9 +73,9 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
     """The RK4 step of u'' = c u over each interval, as an exact 2x2 map.
 
     c_left, c_mid and c_right are Re c at the intervals' left nodes,
-    midpoints and right nodes, shape (nz, k); c_imag = -2m Im z is the
-    imaginary part, constant along the grid, shape (nz, 1).  One step takes
-    (u, u') to (a u + b u', c u + d u') with
+    midpoints and right nodes, of one shape; c_imag = -2m Im z is the
+    imaginary part, constant along the grid, broadcast against them.  One
+    step takes (u, u') to (a u + b u', c u + d u') with
 
         a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
         b = h + h^3/6 c_m
@@ -92,7 +83,7 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
         d = 1 + h^2/6 (2 c_m + c_r) + h^4/24 c_m c_r
 
     evaluated in real arithmetic.  Returns the real and imaginary parts
-    (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im), each (nz, k).
+    (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im), each of c_mid's shape.
     """
     s1, s2, s3, s4 = h / 6.0, h * h / 6.0, h**3 / 6.0, h**4 / 24.0
     g2 = c_imag * c_imag
@@ -100,7 +91,7 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
         1.0 + s2 * (c_left + 2.0 * c_mid) + s4 * (c_left * c_mid - g2),
         c_imag * (3.0 * s2 + s4 * (c_left + c_mid)),
         h + s3 * c_mid,
-        s3 * c_imag,
+        np.broadcast_to(s3 * c_imag, np.shape(c_mid)),
         s1 * (c_left + 4.0 * c_mid + c_right)
         + 0.5 * s3 * (c_mid * (c_left + c_right) - 2.0 * g2),
         c_imag * (h + 0.5 * s3 * (c_left + 2.0 * c_mid + c_right)),
@@ -109,31 +100,52 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
     )
 
 
-def _sweep(c_nodes, c_mid, c_imag, h, v0):
-    """Integrate u'' = c(x) u left to right with RK4, u(x_0) = 1, u'(x_0) = v0.
+class _BandedSweep:
+    """RK4 sweeps of u'' = c u at nz energies over K intervals with Re c at
+    their midpoints c_mid (nz, K), from u_0 = 1 and u'_0 = v0 (nz,), solved
+    on the first 2(K + 1) columns of band, a zeroed (4, >= 2(K + 1)) complex
+    array that sweeps may share: a solve reads only entries it writes.
 
-    Re c is tabulated at nodes (nz, N) and interval midpoints (nz, N-1);
-    c_imag (nz,) is Im c.  Interval k's 2x2 map T from _step_maps is scaled
-    by 2^(E_k - E_k+1) from _octaves, and (u, u') <- T (u, u') runs in one
-    fixed order of correctly rounded real operations: _sweep_scalar for up
-    to SCALAR_ROWS energies, _sweep_rows above, with the same bits.  The
-    state is plain RK4's times 2^-E_k, bit for bit; E ln 2 is added back into
-    (ell, y) = (log u, u'/u), formed in the sweep's own buffers.
+    Interval k's 2x2 map T from _step_maps, scaled by 2^(E_k - E_k+1) from
+    _octaves, takes (u_k, u'_k) to (u_k+1, u'_k+1), so the states x = (u_0,
+    u'_0, u_1, u'_1, ...) solve a unit lower-triangular system of bandwidth
+    3: column 2k of the band holds -a and -c at offsets 2 and 3, column
+    2k+1 holds -b and -d at offsets 1 and 2.  Each energy is one BLAS forward
+    substitution (ztbsv) in place on a Fortran-ordered band, which f2py
+    would copy on every call if it were C-ordered.  The states are plain
+    RK4's times 2^-E_k to round-off, and an energy's bits do not depend on
+    the batch.
     """
-    nz, n = c_nodes.shape
-    c_imag = c_imag[:, None]
-    octaves = _octaves(c_mid, c_imag, h)
-    um = np.empty((nz, n), dtype=complex)
-    ump = np.empty((nz, n), dtype=complex)
-    um[:, 0] = 1.0
-    ump[:, 0] = v0
-    sweep = _sweep_scalar if nz <= SCALAR_ROWS else _sweep_rows
-    sweep(c_nodes, c_mid, c_imag, h, octaves, um, ump)
-    y = np.divide(ump, um, out=ump)
-    ell = _log(um, out=um)
-    octaves *= math.log(2.0)
-    ell.real += octaves
-    return ell, y
+
+    def __init__(self, c_mid, c_imag, h, v0, band):
+        nz, n = c_mid.shape[0], c_mid.shape[1] + 1
+        self.octaves = _octaves(c_mid, c_imag[:, None], h)
+        self.states = np.zeros((nz, n, 2), dtype=complex)
+        self.states[:, 0, 0] = 1.0
+        self.states[:, 0, 1] = v0
+        self.band = band[:, : 2 * n]
+        # the real and imaginary parts of a, b, c and d in the band
+        self.lanes = [(self.band.real[i, j:-2:2], self.band.imag[i, j:-2:2])
+                      for i, j in ((2, 0), (1, 1), (3, 0), (2, 1))]
+
+    def solve(self, k, maps):
+        """Energy k's sweep in place: the maps (a_re, a_im, ..., d_im) of its
+        intervals, in the order it runs them, go into the band times
+        -2^(E_k - E_k+1), and ztbsv solves for the states."""
+        scales = np.ldexp(-1.0, (self.octaves[k, :-1] - self.octaves[k, 1:]).astype(int))
+        for (re_lane, im_lane), re, im in zip(self.lanes, maps[::2], maps[1::2]):
+            np.multiply(re, scales, out=re_lane)
+            np.multiply(im, scales, out=im_lane)
+        ztbsv(3, self.band, self.states[k].reshape(-1), lower=1, diag=1, overwrite_x=1)
+
+    def logs(self, nodes):
+        """(ell, y) = (log u, u'/u) on the sweep's nodes (a slice), formed in
+        the states' buffer, with E ln 2 added back into ell."""
+        u, up = self.states[:, nodes, 0], self.states[:, nodes, 1]
+        y = np.divide(up, u, out=up)
+        ell = _log(u, out=u)
+        ell.real += self.octaves[:, nodes] * math.log(2.0)
+        return ell, y
 
 
 def _octaves(c_mid, c_imag, h):
@@ -155,79 +167,6 @@ def _log(a, out):
     np.log(np.abs(a), out=out.real)
     out.imag = phase
     return out
-
-
-def _sweep_scalar(c_nodes, c_mid, c_imag, h, octaves, um, ump):
-    """_sweep's recurrence one row at a time on Python floats: maps are read
-    and states written through buffers, with no per-node numpy call."""
-    maps = _step_maps(c_nodes[:, :-1], c_mid, c_nodes[:, 1:], c_imag, h)
-    maps = np.stack(np.broadcast_arrays(*maps), axis=-1)
-    np.ldexp(maps, -np.diff(octaves).astype(int)[..., None], out=maps)
-    for k in range(um.shape[0]):
-        u_out = memoryview(um[k].view(float))
-        v_out = memoryview(ump[k].view(float))
-        ur, ui, vr, vi = u_out[0], u_out[1], v_out[0], v_out[1]
-        j = 2
-        for ar, ai, br, bi, cr, ci, dr, di in struct.iter_unpack("8d", maps[k]):
-            ur, ui, vr, vi = (
-                ar * ur - ai * ui + br * vr - bi * vi,
-                ai * ur + ar * ui + bi * vr + br * vi,
-                cr * ur - ci * ui + dr * vr - di * vi,
-                ci * ur + cr * ui + di * vr + dr * vi,
-            )
-            u_out[j] = ur
-            u_out[j + 1] = ui
-            v_out[j] = vr
-            v_out[j + 1] = vi
-            j += 2
-
-
-def _sweep_rows(c_nodes, c_mid, c_imag, h, octaves, um, ump):
-    """_sweep's recurrence on numpy rows of all nz energies at once.
-
-    The state (Re u, Im u, Re u', Im u') is multiplied column by column by
-    a real 4x4 map per node and the four products are added in the order
-    _sweep_scalar uses.  Maps and states are kept for MAP_BLOCK nodes at a
-    time.
-    """
-    nz, n = c_nodes.shape
-    u_flat = um.view(float).reshape(nz, n, 2)
-    v_flat = ump.view(float).reshape(nz, n, 2)
-    # maps[i, col, row]: the factor of state[col] in the new state[row]
-    maps = np.empty((MAP_BLOCK, 4, 4, nz))
-    states = np.empty((MAP_BLOCK, 4, nz))
-    prod = np.empty((4, 4, nz))
-    p0, p1, p2, p3 = prod
-    state = np.concatenate([u_flat[:, 0].T, v_flat[:, 0].T])
-    for start in range(0, n - 1, MAP_BLOCK):
-        stop = min(start + MAP_BLOCK, n - 1)
-        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = (
-            t.T
-            for t in _step_maps(
-                c_nodes[:, start:stop], c_mid[:, start:stop],
-                c_nodes[:, start + 1 : stop + 1], c_imag, h,
-            )
-        )
-        block = maps[: stop - start]
-        for row, entries in enumerate((
-            (a_re, -a_im, b_re, -b_im),
-            (a_im, a_re, b_im, b_re),
-            (c_re, -c_im, d_re, -d_im),
-            (c_im, c_re, d_im, d_re),
-        )):
-            for col, entry in enumerate(entries):
-                block[:, col, row] = entry
-        shift = octaves[:, start:stop] - octaves[:, start + 1 : stop + 1]
-        block *= np.ldexp(1.0, shift.T.astype(int))[:, None, None, :]
-        for i, t in enumerate(block):
-            np.multiply(t, state[:, None, :], out=prod)
-            state = states[i]
-            np.add(p0, p1, out=state)
-            np.add(state, p2, out=state)
-            np.add(state, p3, out=state)
-        done = states[: stop - start]
-        u_flat[:, start + 1 : stop + 1] = done[:, :2].transpose(2, 0, 1)
-        v_flat[:, start + 1 : stop + 1] = done[:, 2:].transpose(2, 0, 1)
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -414,8 +353,9 @@ class ResolventEvaluator:
 
 
 def _sweep_pair(curve, zs, grid, stop, start):
-    """(zs, ell-, y-, ell+, y+): u- swept from the left edge over nodes
-    0..stop, u+ from the right edge over nodes start..N-1."""
+    """(zs, ell-, y-, ell+, y+) on nodes start..stop: u- swept from the left
+    edge over nodes 0..stop, u+ from the right edge over nodes start..N-1.
+    Per energy both sweeps read one call of _step_maps."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
         raise ValueError("resolvents require a finite z with Im z > 0")
@@ -430,13 +370,24 @@ def _sweep_pair(curve, zs, grid, stop, start):
     c_mid = 2.0 * m * (v_mid[None, :] - zs.real[:, None])
     c_imag = -(2.0 * m * zs.imag)
 
+    h = grid.dx
     v0 = _wkb_log_derivative(c_nodes[:, 0] + 1j * c_imag, m, float(curve.gradient(x[0])))
-    ell_minus, y_minus = _sweep(c_nodes[:, : stop + 1], c_mid[:, :stop], c_imag, grid.dx, v0)
-
     v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
-    right = np.s_[:, : start - 1 if start else None : -1]
-    ell_r, y_r = _sweep(c_nodes[right], c_mid[right], c_imag, grid.dx, v0r)
-    return zs, ell_minus, y_minus, ell_r[:, ::-1], np.negative(y_r, out=y_r)[:, ::-1]
+    forward, backward = np.s_[:stop], np.s_[: start - 1 if start else None : -1]
+    band = np.zeros((4, 2 * max(stop + 1, grid.n - start)), dtype=complex, order="F")
+    minus = _BandedSweep(c_mid[:, forward], c_imag, h, v0, band)
+    plus = _BandedSweep(c_mid[:, backward], c_imag, h, v0r, band)
+    for k in range(zs.size):
+        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = _step_maps(
+            c_nodes[k, :-1], c_mid[k], c_nodes[k, 1:], c_imag[k], h
+        )
+        minus.solve(k, [t[forward] for t in (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im)])
+        # run backward, an interval's map is the forward one with a and d
+        # swapped, and c the same to round-off
+        plus.solve(k, [t[backward] for t in (d_re, d_im, b_re, b_im, c_re, c_im, a_re, a_im)])
+    ell_minus, y_minus = minus.logs(np.s_[start:])
+    ell_plus, y_plus = plus.logs(np.s_[grid.n - 1 - stop :])
+    return zs, ell_minus, y_minus, ell_plus[:, ::-1], np.negative(y_plus, out=y_plus)[:, ::-1]
 
 
 def resolvent_rows(curve, zs, grid=None):
@@ -475,8 +426,7 @@ def diagonal_batch(curve, zs, x, grid=None):
     grid = DEFAULT_GRID if grid is None else grid
     j, _ = _cell(grid, x)
     zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, j + 1, j)
-    rows = ResolventRows(curve, zs, grid, j, y_minus[:, j:], ell_minus[:, j:],
-                         y_plus[:, :2], ell_plus[:, :2])
+    rows = ResolventRows(curve, zs, grid, j, y_minus, ell_minus, y_plus, ell_plus)
     p, q = rows.y_plus[:, 0], rows.y_minus[:, 0]
     if not (np.all(np.isfinite([rows.y_minus, rows.y_plus]))
             and np.all(abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)))):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from curvecross import resolvent
+from curvecross import resolvent, spectra
 from curvecross.errors import DegenerateWronskianError, NumericsError
 from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
-    SCALAR_ROWS,
     HarmonicSpectralSum,
     _step_maps,
     build_resolvent,
@@ -83,12 +82,12 @@ def test_wronskian_constancy(model, grid):
 
 
 def test_batch_matches_single_build(model, grid):
-    # a batch of SCALAR_ROWS + 1 energies is swept on numpy rows, each
-    # single build on Python floats: the bits must not depend on the path
+    # each energy is its own banded solve, so a batch of two or six
+    # energies must give a single build's bits
     chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
     for omega in (
         np.array([10800.0, 12000.0]),
-        np.linspace(10000.0, 13000.0, SCALAR_ROWS + 1),
+        np.linspace(10000.0, 13000.0, 6),
     ):
         zs = model.resolvent_argument(omega)
         for curve in (model.allowed, model.forbidden):
@@ -98,6 +97,20 @@ def test_batch_matches_single_build(model, grid):
                 assert single.point(0.1, -0.2) == ev.point(0.1, -0.2)
                 assert single.matrix_element(chi0, chi0) == ev.matrix_element(chi0, chi0)
                 assert single.wronskian_drift == ev.wronskian_drift
+
+
+def test_chunk_rows_equal_single_energy_sweeps(model, grid):
+    # a scan chunk's rows on each curve's default window against one sweep
+    # per energy: ell, y and drift equal bit for bit
+    omega = np.linspace(9500.0, 13500.0, spectra.SCAN_CHUNK)
+    _, _, window, forbidden, _ = spectra.scan(model, omega, 0, grid)
+    zs = model.resolvent_argument(omega)
+    for curve, nodes in ((model.allowed, window), (model.forbidden, forbidden)):
+        chunk = resolvent.resolvent_rows(curve, zs, nodes)
+        for k, z in enumerate(zs):
+            single = resolvent.resolvent_rows(curve, [z], nodes)
+            for name in ("ell_minus", "y_minus", "ell_plus", "y_plus", "wronskian_drift"):
+                assert np.array_equal(getattr(single, name)[0], getattr(chunk, name)[k])
 
 
 def test_morse_quadrature_converges(model, grid):
@@ -174,13 +187,13 @@ def test_step_maps_equal_rk4_step(model, grid):
 
 
 def test_sweep_is_plain_rk4(model):
-    # the power-of-two scales change no bit of the recurrence: on a grid
-    # where plain complex RK4 stays inside float64, u- and y- match it on
-    # both sweep paths (the row batch repeats the three energies)
+    # the power-of-two scales change the recurrence at round-off only: on
+    # a grid where plain complex RK4 stays inside float64, u- and y- match
+    # it in batches of three and six energies (the six repeat the three)
     grid = Grid(-0.5, 0.7, 1639)
     h = grid.dx
     omegas = np.array([10300.0, 11200.0, 12400.0])
-    for batch in (omegas, np.resize(omegas, SCALAR_ROWS + 1)):
+    for batch in (omegas, np.resize(omegas, 6)):
         zs = model.resolvent_argument(batch)
         for curve in (model.allowed, model.forbidden):
             evs = build_resolvent_batch(curve, zs, grid)
@@ -203,12 +216,13 @@ def test_sweep_is_plain_rk4(model):
 
 def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     # without its scales a default-grid sweep leaves float64; the NaN drift
-    # must raise on both paths instead of returning numbers
+    # must raise in batches of one and six energies instead of returning
+    # numbers
     def no_octaves(c_mid, c_imag, h):
         return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
 
     monkeypatch.setattr(resolvent, "_octaves", no_octaves)
-    for nz in (1, SCALAR_ROWS + 1):
+    for nz in (1, 6):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
             build_resolvent_batch(model.allowed, zs, grid)
@@ -217,12 +231,12 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
 def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the one-sided sweeps of the point path leave float64 on the Morse
     # wall without their scales; y at x_c's cell is then not finite, and
-    # the point path must raise on both sweep paths
+    # the point path must raise for one energy and for a scan chunk
     def no_octaves(c_mid, c_imag, h):
         return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
 
     monkeypatch.setattr(resolvent, "_octaves", no_octaves)
-    for nz in (1, SCALAR_ROWS + 4):
+    for nz in (1, spectra.SCAN_CHUNK):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
             diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
@@ -238,7 +252,7 @@ def test_point_path_rejects_a_dependent_pair(model, grid, monkeypatch):
         diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
 
 
-@pytest.mark.parametrize("nz", [1, SCALAR_ROWS + 1])
+@pytest.mark.parametrize("nz", [1, 6])
 def test_point_path_is_the_evaluator_diagonal(model, grid, nz):
     # on one grid the one-sided sweeps are the full sweeps cut short, and
     # each value is formed as point forms it: equal bit for bit, also in

@@ -390,13 +390,13 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     # Raman chunk, against four full sweeps (two per surface) on the
     # shared window
     steps = []
-    sweep = resolvent._sweep
+    octaves = resolvent._octaves
 
-    def counted(c_nodes, c_mid, c_imag, h, v0):
+    def counted(c_mid, c_imag, h):
         steps.append(c_mid.size)
-        return sweep(c_nodes, c_mid, c_imag, h, v0)
+        return octaves(c_mid, c_imag, h)
 
-    monkeypatch.setattr(resolvent, "_sweep", counted)
+    monkeypatch.setattr(resolvent, "_octaves", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
     coupled, _ = raman_profiles(model, 1, omega, grid=grid)
     shared = 4 * (coupled.metadata["window"][2] - 1)
@@ -449,15 +449,15 @@ def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, mo
 def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamma, n_f):
     # the scan's array form on the support hull against g11_rows on one
     # evaluator's row per energy on the whole window, with the same
-    # G2(x_c, x_c): value and direct within 1e-12, on chunks of 1,
-    # SCALAR_ROWS + 1 and 64 energies
+    # G2(x_c, x_c): value and direct within 1e-12, on chunks of 1, 6 and
+    # SCAN_CHUNK energies
     settings = {"damping_cm1": gamma}
     if depth is not None:
         settings["forbidden_well_depth_cm1"] = depth
     model = replace(config, **settings).validate().to_model()
     k0, x_c = model.coupling.strength, model.coupling.location
     chi = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
-    for nz in (1, resolvent.SCALAR_ROWS + 1, spectra.SCAN_CHUNK):
+    for nz in (1, 6, spectra.SCAN_CHUNK):
         omega = np.linspace(9500.0, 13500.0, nz)
         value, direct, window, forbidden, _ = spectra.scan(model, omega, n_f, grid)
         zs = model.resolvent_argument(omega)
