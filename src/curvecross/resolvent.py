@@ -30,16 +30,15 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-where A is one blocked direct sum (_sums): the nodes are cut into blocks
-over which u / u(x_s), s the block's first node, stays bounded, each block
-takes one cumsum of f u / u(x_s), and A is carried from block to block.
-B is the same sum on the reversed arrays.  ResolventRows holds y and ell
-of a batch of energies as (nz, M) rows, possibly a node slice of the
-sweeps, and forms the matrix element, <f|G|x0> from its sums, vector (sums
-up to x0's cell only) and the point read on all rows at once, with one
-block length per batch; a ResolventEvaluator is its one-row case.  Where
-only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no further,
-and forms y and ell on that cell's two nodes only.
+where A is a recurrence along the nodes in the bounded ratio u_k / u_k+1
+(_sums), like the sweeps one banded forward substitution per row, and B
+is the same sum on the reversed arrays.  ResolventRows holds y and ell of
+a batch of energies as (nz, M) rows, possibly a node slice of the sweeps,
+and forms the matrix element, <f|G|x0> from its sums, vector (sums up to
+x0's cell only) and the point read on all rows at once, each row's values
+independent of the batch; a ResolventEvaluator is its one-row case.
+Where only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no
+further, and forms y and ell on that cell's two nodes only.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -58,10 +57,6 @@ from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
 
 # Largest Wronskian drift a build accepts (round-off gives about 1e-12).
 WRONSKIAN_DRIFT_LIMIT = 1e-8
-# Largest change of Re log u within one block of _sums: half the float64
-# exponent range, so u / u(x_s) and f u / u(x_s) over a block neither
-# overflow nor underflow.
-BLOCK_EFOLDS = 0.5 * math.log(np.finfo(float).max)
 # Largest local wavenumber times grid step that a sweep accepts.  Against
 # an 8192-node reference over 9500-13500 cm^-1, the default model's
 # coupled spectra are off by 2.4e-4 (absorption) and 6.3e-4 (Raman) at
@@ -101,10 +96,11 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
 
 
 class _BandedSweep:
-    """RK4 sweeps of u'' = c u at nz energies over K intervals with Re c at
-    their midpoints c_mid (nz, K), from u_0 = 1 and u'_0 = v0 (nz,), solved
-    on the first 2(K + 1) columns of band, a zeroed (4, >= 2(K + 1)) complex
-    array that sweeps may share: a solve reads only entries it writes.
+    """RK4 sweeps of u'' = c u at nz energies over K intervals, growth (nz, K)
+    the growth of the local WKB wave over each in octaves, from u_0 = 1 and
+    u'_0 = v0 (nz,), solved on the first 2(K + 1) columns of band, a zeroed
+    (4, >= 2(K + 1)) complex array that sweeps may share: a solve reads only
+    entries it writes.
 
     Interval k's 2x2 map T from _step_maps, scaled by 2^(E_k - E_k+1) from
     _octaves, takes (u_k, u'_k) to (u_k+1, u'_k+1), so the states x = (u_0,
@@ -117,9 +113,9 @@ class _BandedSweep:
     the batch.
     """
 
-    def __init__(self, c_mid, c_imag, h, v0, band):
-        nz, n = c_mid.shape[0], c_mid.shape[1] + 1
-        self.octaves = _octaves(c_mid, c_imag[:, None], h)
+    def __init__(self, growth, v0, band):
+        nz, n = growth.shape[0], growth.shape[1] + 1
+        self.octaves = _octaves(growth)
         self.states = np.zeros((nz, n, 2), dtype=complex)
         self.states[:, 0, 0] = 1.0
         self.states[:, 0, 1] = v0
@@ -148,15 +144,12 @@ class _BandedSweep:
         return ell, y
 
 
-def _octaves(c_mid, c_imag, h):
+def _octaves(growth):
     """E_k, RK4's growth of the local WKB wave from x_0 to x_k in whole octaves,
-    (nz, N) with E_0 = 0: the running sum of log2 R(s), R(s) = 1 + s + s^2/2
-    + s^3/6 + s^4/24, s = h Re sqrt(c_mid), rounded so the scales 2^-E are exact."""
-    octaves = np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
-    s = octaves[:, 1:]
-    np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag) + c_mid), out=s)
-    np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
-    np.rint(np.cumsum(s, axis=1, out=s), out=s)
+    (nz, N) with E_0 = 0: the running sum of the growth per interval (nz, N - 1),
+    rounded so the scales 2^-E are exact."""
+    octaves = np.zeros((growth.shape[0], growth.shape[1] + 1))
+    np.rint(np.cumsum(growth, axis=1, out=octaves[:, 1:]), out=octaves[:, 1:])
     return octaves
 
 
@@ -186,41 +179,40 @@ def _sums(f, ell, h, stop=None):
     by default every node, with u = exp(ell), for (nz, M) rows of ell (f
     broadcast against them): (nz, stop + 1).
 
-    The nodes are cut into blocks over which Re ell changes by at most
-    BLOCK_EFOLDS, the length set by the rows' largest step.  In a block
-    starting at node s, E = u / u(x_s) is bounded, and the integral of f E
-    over each interval takes the 4-point cubic rule h/24 (-1, 13, 13, -1)
-    on nodes k-1..k+2, or the 3-point rule h/12 (5, 8, -1) on the first and
-    last interval; one cumsum over the block then gives A_k = (A_s + sum)
-    / E_k.  (Cumulative Simpson would alternate its stencil between odd and
-    even nodes, an error that the outer Simpson rule of the matrix element
-    does not cancel: a few parts in 1e6 on the Morse surface at the default
-    grid.)  An earlier stop cuts the last block short: A_k is unchanged.
+    With r_k = u_k / u_k+1, bounded however u grows, A_0 = 0 and A_k+1 =
+    r_k A_k + q_k, q_k the integral of f u over interval k divided by u_k+1:
+    the 4-point cubic rule h/24 (-1, 13, 13, -1) on nodes k-1..k+2, or the
+    3-point rule h/12 (5, 8, -1) on the first and last interval, each weight
+    a product of at most two ratios.  (Cumulative Simpson would alternate
+    its stencil between odd and even nodes, an error that the outer Simpson
+    rule of the matrix element does not cancel: a few parts in 1e6 on the
+    Morse surface at the default grid.)  Each row is one BLAS forward
+    substitution (ztbsv) of the unit lower-bidiagonal system with -r below
+    the diagonal, so an earlier stop leaves A_k unchanged.
     """
     n = ell.shape[-1]
     stop = n - 1 if stop is None else stop
-    step = float(np.max(np.abs(np.diff(ell.real))))
-    # the stencil reaches one node beyond either end of a block, which
-    # the factor-of-two margin in BLOCK_EFOLDS covers
-    length = n if step * n <= BLOCK_EFOLDS else max(1, int(BLOCK_EFOLDS // step))
-    sums = np.zeros(ell.shape[:-1] + (stop + 1,), dtype=complex)
-    for s in range(0, stop, length):
-        e = min(s + length, stop)  # the block's last node
-        lo, hi = max(s - 1, 0), min(e + 2, n)
-        scale = np.exp(ell[..., lo:hi] - ell[..., s, None])
-        fe = f[..., lo:hi] * scale
-        # 24/h times the integral of f E over intervals lo+1..hi-3, then
-        # the end rules for the first and last interval
-        parts = [13.0 * (fe[..., 1:-2] + fe[..., 2:-1]) - fe[..., :-3] - fe[..., 3:]]
-        if s == 0:
-            parts.insert(0, 2.0 * (5.0 * fe[..., :1] + 8.0 * fe[..., 1:2] - fe[..., 2:3]))
-        if e == n - 1:
-            parts.append(2.0 * (5.0 * fe[..., -1:] + 8.0 * fe[..., -2:-1] - fe[..., -3:-2]))
-        running = np.cumsum(np.concatenate(parts, axis=-1), axis=-1)
-        running *= h / 24.0
-        running += sums[..., s, None]
-        np.divide(running, scale[..., s + 1 - lo : e + 1 - lo], out=sums[..., s + 1 : e + 1])
-    return sums
+    m = min(stop + 2, n)  # the nodes that intervals 0..stop-1 reach
+    # intervals 1..last-1 take the 4-point rule, interval n-2 the end rule
+    last = stop - 1 if stop == n - 1 else stop
+    f_rows = np.broadcast_to(f, ell.shape).reshape(-1, n)[:, :m]
+    sums = np.zeros((f_rows.shape[0], stop + 1), dtype=complex)
+    band = np.zeros((2, stop + 1), dtype=complex, order="F")
+    for fk, ek, a in zip(f_rows, ell.reshape(-1, n)[:, :m], sums):
+        r = np.exp(ek[:-1] - ek[1:])
+        np.negative(r[:stop], out=band[1, :stop])
+        fr = fk[:-1] * r
+        q = a[1:]  # the right-hand side 24/h q_k
+        q[0] = 2.0 * (5.0 * fr[0] + 8.0 * fk[1] - fk[2] / r[1])
+        q[1:last] = (r[1:last] * (13.0 * fk[1:last] - fr[: last - 1])
+                     + 13.0 * fk[2 : last + 1] - fk[3 : last + 2] / r[2 : last + 1])
+        if last < stop:
+            q[-1] = 2.0 * (5.0 * fk[-1] + 8.0 * fr[-1] - fr[-2] * r[-1])
+        q *= h / 24.0
+        # f2py would solve a copy of a row that is not contiguous and aligned
+        if not np.may_share_memory(ztbsv(1, band, a, lower=1, diag=1, overwrite_x=1), a):
+            raise RuntimeError("ztbsv did not solve a row of the sums in place")
+    return sums.reshape(ell.shape[:-1] + (stop + 1,))
 
 
 def _interpolate(ell, j, t, h, v0, d0, v1, d1):
@@ -375,8 +367,12 @@ def _sweep_pair(curve, zs, grid, stop, start):
     v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
     forward, backward = np.s_[:stop], np.s_[: start - 1 if start else None : -1]
     band = np.zeros((4, 2 * max(stop + 1, grid.n - start)), dtype=complex, order="F")
-    minus = _BandedSweep(c_mid[:, forward], c_imag, h, v0, band)
-    plus = _BandedSweep(c_mid[:, backward], c_imag, h, v0r, band)
+    # RK4's growth of the local WKB wave over each interval in octaves, both
+    # ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24, s = h Re sqrt(c)
+    s = np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag[:, None]) + c_mid))
+    growth = np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
+    minus = _BandedSweep(growth[:, forward], v0, band)
+    plus = _BandedSweep(growth[:, backward], v0r, band)
     for k in range(zs.size):
         a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = _step_maps(
             c_nodes[k, :-1], c_mid[k], c_nodes[k, 1:], c_imag[k], h

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -12,6 +14,10 @@ from curvecross.resolvent import (
     build_resolvent_batch,
     diagonal_batch,
 )
+
+# Half the float64 exponent range in e-folds: a sum over nodes where u
+# changes by more cannot take one scale for all its terms.
+HALF_EXPONENT_RANGE = 0.5 * math.log(np.finfo(float).max)
 
 
 class FlatCurve:
@@ -100,17 +106,27 @@ def test_batch_matches_single_build(model, grid):
 
 
 def test_chunk_rows_equal_single_energy_sweeps(model, grid):
-    # a scan chunk's rows on each curve's default window against one sweep
-    # per energy: ell, y and drift equal bit for bit
+    # a scan chunk's rows on each curve's default window and on the whole
+    # grid, where u+- span more than half the float64 exponent range,
+    # against one sweep per energy: ell, y and drift, and the quadratures
+    # that g11 takes from them, equal bit for bit
     omega = np.linspace(9500.0, 13500.0, spectra.SCAN_CHUNK)
     _, _, window, forbidden, _ = spectra.scan(model, omega, 0, grid)
     zs = model.resolvent_argument(omega)
-    for curve, nodes in ((model.allowed, window), (model.forbidden, forbidden)):
+    x_c = model.coupling.location
+    for curve, nodes in ((model.allowed, window), (model.forbidden, forbidden),
+                         (model.allowed, grid), (model.forbidden, grid)):
+        chi = harmonic_eigenstates(model.ground, 1, nodes.points)
         chunk = resolvent.resolvent_rows(curve, zs, nodes)
+        element, vector = chunk.element_and_vector(chi[1], chi[0], x_c)
+        own = chunk.vector(chi[0], x_c)
         for k, z in enumerate(zs):
             single = resolvent.resolvent_rows(curve, [z], nodes)
             for name in ("ell_minus", "y_minus", "ell_plus", "y_plus", "wronskian_drift"):
                 assert np.array_equal(getattr(single, name)[0], getattr(chunk, name)[k])
+            single_element, single_vector = single.element_and_vector(chi[1], chi[0], x_c)
+            assert single_element[0] == element[k] and single_vector[0] == vector[k]
+            assert single.vector(chi[0], x_c)[0] == own[k]
 
 
 def test_morse_quadrature_converges(model, grid):
@@ -218,8 +234,8 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     # without its scales a default-grid sweep leaves float64; the NaN drift
     # must raise in batches of one and six energies instead of returning
     # numbers
-    def no_octaves(c_mid, c_imag, h):
-        return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
+    def no_octaves(growth):
+        return np.zeros((growth.shape[0], growth.shape[1] + 1))
 
     monkeypatch.setattr(resolvent, "_octaves", no_octaves)
     for nz in (1, 6):
@@ -232,8 +248,8 @@ def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the one-sided sweeps of the point path leave float64 on the Morse
     # wall without their scales; y at x_c's cell is then not finite, and
     # the point path must raise for one energy and for a scan chunk
-    def no_octaves(c_mid, c_imag, h):
-        return np.zeros((c_mid.shape[0], c_mid.shape[1] + 1))
+    def no_octaves(growth):
+        return np.zeros((growth.shape[0], growth.shape[1] + 1))
 
     monkeypatch.setattr(resolvent, "_octaves", no_octaves)
     for nz in (1, spectra.SCAN_CHUNK):
@@ -319,9 +335,10 @@ def _sequential_sums(f, ell, h):
 
 @pytest.mark.parametrize("nodes", [1639, 4096, 32768])
 def test_blocked_sums_equal_sequential_recurrence(model, nodes):
-    # the harmonic curve's sums on the narrow grid take one block, all
-    # others several; A on the forward arrays and B on the reversed ones,
-    # in full as matrix_element takes them and at nodes through vector
+    # the harmonic curve's sums on the narrow grid span less than half the
+    # float64 exponent range, all others more; A on the forward arrays and
+    # B on the reversed ones, in full as matrix_element takes them and at
+    # nodes through vector
     if nodes == 1639:
         grid = Grid(-0.5, 0.7, nodes)
         zs = model.resolvent_argument(np.array([10300.0, 11200.0, 12400.0]))
@@ -349,7 +366,7 @@ def test_blocked_sums_equal_sequential_recurrence(model, nodes):
                     expected = _sequential_sums(f, ell, h)
                     scale = np.max(np.abs(expected))
                     assert np.max(np.abs(resolvent._sums(f, ell, h) - expected)) <= 1e-12 * scale
-                    blocked.add(np.max(np.abs(np.diff(ell.real))) * n > resolvent.BLOCK_EFOLDS)
+                    blocked.add(np.max(np.abs(np.diff(ell.real))) * n > HALF_EXPONENT_RANGE)
                     both.append(expected)
                 # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes
                 diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0])

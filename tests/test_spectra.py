@@ -24,6 +24,10 @@ from curvecross.spectra import (
     raman_profiles,
 )
 
+# Half the float64 exponent range in e-folds: a sum over nodes where u
+# changes by more cannot take one scale for all its terms.
+HALF_EXPONENT_RANGE = 0.5 * math.log(np.finfo(float).max)
+
 
 def with_params(model, **kwargs):
     return replace(model, **kwargs)
@@ -392,9 +396,9 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     steps = []
     octaves = resolvent._octaves
 
-    def counted(c_mid, c_imag, h):
-        steps.append(c_mid.size)
-        return octaves(c_mid, c_imag, h)
+    def counted(growth):
+        steps.append(growth.size)
+        return octaves(growth)
 
     monkeypatch.setattr(resolvent, "_octaves", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
@@ -478,7 +482,7 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid):
     # more cells of the default spacing on either side: the scan over the
     # default photon-energy window agrees with the default grid's, and the
     # array form on the wide grid's whole (nz, N) rows, where u+- span
-    # about 2100 e-folds, takes many blocks of the chunk-wide length
+    # about 2100 e-folds, more than twice the float64 exponent range
     pad = 1024 * grid.dx
     wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
     omega = photon_energies(9500.0, 13500.0, 40.0)
@@ -494,6 +498,6 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid):
         rows = resolvent_rows(model.allowed, zs, g)
         results.append((*rows.element_and_vector(chi[1], chi[0], x_c), rows.point(x_c, x_c)))
     steps = np.max(np.abs(np.diff(rows.ell_minus.real)))
-    assert steps * wide.n > 4 * resolvent.BLOCK_EFOLDS
+    assert steps * wide.n > 4 * HALF_EXPONENT_RANGE
     for default, widened in zip(*results):
         assert np.max(np.abs(widened - default) / np.abs(default)) <= 1e-8
