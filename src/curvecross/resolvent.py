@@ -33,12 +33,17 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 where A is a recurrence along the nodes in the bounded ratio u_k / u_k+1
 (_sums), like the sweeps one banded forward substitution per row, and B
 is the same sum on the reversed arrays.  ResolventRows holds y and ell of
-a batch of energies as (nz, M) rows, possibly a node slice of the sweeps,
+a batch of energies as (nz, M) rows, possibly a node range of the sweeps,
 and forms the matrix element, <f|G|x0> from its sums, vector (sums up to
 x0's cell only) and the point read on all rows at once, each row's values
-independent of the batch; a ResolventEvaluator is its one-row case.
-Where only G(x, x) is wanted, diagonal_batch sweeps to x's cell and no
-further, and forms y and ell on that cell's two nodes only.
+independent of the batch; a ResolventEvaluator is its one-row case.  The
+quadratures touch only the nodes their states occupy, a state's support
+being the nodes where |f| >= SUPPORT_FLOOR max |f|: A is summed from the
+first node of f's support and B from its last, each 0 before it, and they
+run only as far as g's support or x0's cell, where the outer Simpson rule
+and the reads take them.  Where only G(x, x) is wanted, diagonal_batch
+sweeps to x's cell and no further, and forms y and ell on that cell's two
+nodes only.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -62,6 +67,10 @@ WRONSKIAN_DRIFT_LIMIT = 1e-8
 # coupled spectra are off by 2.4e-4 (absorption) and 6.3e-4 (Raman) at
 # k_max dx = 0.47, and by 5.8e-3 and 1.3e-2 at 0.93.
 MAX_K_DX = 0.5
+# A state's support: the nodes where |f| >= SUPPORT_FLOOR max |f|.  Off it
+# f is taken as 0, which moves <g|G|f> by about SUPPORT_FLOOR times its
+# bound max |G f| integral |g|.
+SUPPORT_FLOOR = 1e-16
 
 
 def _step_maps(c_left, c_mid, c_right, c_imag, h):
@@ -188,7 +197,10 @@ def _sums(f, ell, h, stop=None):
     rule of the matrix element does not cancel: a few parts in 1e6 on the
     Morse surface at the default grid.)  Each row is one BLAS forward
     substitution (ztbsv) of the unit lower-bidiagonal system with -r below
-    the diagonal, so an earlier stop leaves A_k unchanged.
+    the diagonal, so an earlier stop leaves A_k unchanged.  ResolventRows
+    passes the arrays from the first node of f's support on (or from its
+    last, reversed), so that x_0 is that node and the sum skips the nodes
+    where f is taken as 0.
     """
     n = ell.shape[-1]
     stop = n - 1 if stop is None else stop
@@ -249,12 +261,6 @@ class ResolventRows:
         self.y_plus, self.ell_plus = y_plus, ell_plus
         self.wronskian_drift = drift
 
-    def nodes(self, lo, hi):
-        """The rows on nodes lo..hi of grid only, as views."""
-        cut = np.s_[..., lo - self.first : hi + 1 - self.first]
-        rows = (self.y_minus[cut], self.ell_minus[cut], self.y_plus[cut], self.ell_plus[cut])
-        return ResolventRows(self.curve, self.z, self.grid, lo, *rows, self.wronskian_drift)
-
     def _cell(self, x):
         """x's cell in the rows' nodes and its fraction t."""
         j, t = _cell(self.grid, x)
@@ -263,10 +269,34 @@ class ResolventRows:
         return j - self.first, t
 
     def _on_nodes(self, f):
+        """f on the rows' nodes, finite, and its support (first, last) there."""
         f = np.asarray(f)
         if f.shape[-1:] != self.y_minus.shape[-1:]:
             raise ValueError("wavefunction must be sampled on the resolvent's nodes")
-        return f
+        size = np.abs(f).reshape(-1, f.shape[-1]).max(axis=0)
+        peak = np.max(size)
+        if not np.isfinite(peak):
+            raise ValueError("wavefunction must be finite")
+        support = np.flatnonzero(size >= SUPPORT_FLOOR * peak)
+        return f, (support[0], support[-1])
+
+    def _sums_on(self, f, support, lo, hi):
+        """A and B of f on nodes lo..hi, (nz, hi - lo + 1) each: A summed from
+        the first node of f's support, B from its last, each 0 before it.
+        Where a sum starts does not depend on lo and hi, so the sums on
+        any nodes are the same bit for bit."""
+        first, last = support
+        h = self.grid.dx
+        a = np.zeros(self.ell_minus.shape[:-1] + (hi - lo + 1,), dtype=complex)
+        b = np.zeros_like(a)
+        if hi > first:
+            sums = _sums(f[..., first:], self.ell_minus[..., first:], h, hi - first)
+            a[..., max(first - lo, 0) :] = sums[..., max(lo - first, 0) :]
+        if lo < last:
+            sums = _sums(f[..., last::-1], self.ell_plus[..., last::-1], h, last - lo)
+            end = min(last, hi) + 1 - lo
+            b[..., :end] = sums[..., ::-1][..., :end]
+        return a, b
 
     def _node_value(self, j):
         """G(x_j, x_j) = 2m u- u+ / W = 2m / (y+ - y-)."""
@@ -284,13 +314,9 @@ class ResolventRows:
     def vector(self, f, x0):
         """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f on the
         nodes, A and B summed up to x0's cell only and interpolated in it."""
-        f = self._on_nodes(f)
+        f, support = self._on_nodes(f)
         j, t = self._cell(x0)
-        h = self.grid.dx
-        a = _sums(f, self.ell_minus, h, j + 1)[..., j:]
-        k = f.shape[-1] - 2 - j
-        b = _sums(f[..., ::-1], self.ell_plus[..., ::-1], h, k + 1)[..., k:]
-        return self._vector_at(f, j, t, a, b[..., ::-1])
+        return self._vector_at(f, j, t, *self._sums_on(f, support, j, j + 1))
 
     def _vector_at(self, f, j, t, a, b):
         """vector(f, x0) at x0 = x_j + t h from A and B at nodes j, j + 1."""
@@ -305,18 +331,23 @@ class ResolventRows:
 
     def element_and_vector(self, f, g, x0=None):
         """The double integral of f(x) G(x, x0) g(x0) = integral of g G(x, x)
-        (A + B), A and B from _sums of f both ways; given x0, also
+        (A + B) over g's support, A and B from _sums_on of f; given x0, also
         vector(f, x0) read from the same sums at x0's cell (else None)."""
-        f, g = self._on_nodes(f), self._on_nodes(g)
-        h = self.grid.dx
-        minus = _sums(f, self.ell_minus, h)
-        plus = _sums(f[..., ::-1], self.ell_plus[..., ::-1], h)[..., ::-1]
-        diagonal = 2.0 * self.curve.mass / (self.y_plus - self.y_minus)
-        element = simpson(g * diagonal * (minus + plus), dx=h, axis=-1)
+        f, support = self._on_nodes(f)
+        g, (lo, hi) = self._on_nodes(g)
+        start, stop = lo, hi
+        if x0 is not None:
+            j, t = self._cell(x0)
+            start, stop = min(lo, j), max(hi, j + 1)
+        minus, plus = self._sums_on(f, support, start, stop)
+        on = np.s_[..., lo : hi + 1]
+        diagonal = 2.0 * self.curve.mass / (self.y_plus[on] - self.y_minus[on])
+        summed = (minus + plus)[..., lo - start : hi + 1 - start]
+        element = simpson(g[on] * diagonal * summed, dx=self.grid.dx, axis=-1)
         if x0 is None:
             return element, None
-        j, t = self._cell(x0)
-        return element, self._vector_at(f, j, t, minus[..., j : j + 2], plus[..., j : j + 2])
+        cell = np.s_[..., j - start : j - start + 2]
+        return element, self._vector_at(f, j, t, minus[cell], plus[cell])
 
 
 class ResolventEvaluator:
@@ -386,15 +417,18 @@ def _sweep_pair(curve, zs, grid, stop, start):
     return zs, ell_minus, y_minus, ell_plus[:, ::-1], np.negative(y_plus, out=y_plus)[:, ::-1]
 
 
-def resolvent_rows(curve, zs, grid=None):
-    """ResolventRows of one curve at several z on grid, each row's drift checked."""
+def resolvent_rows(curve, zs, grid=None, nodes=None):
+    """ResolventRows of one curve at several z on grid, each row's drift
+    checked; given nodes = (lo, hi), u- is swept only to node hi and u+ only
+    to node lo, and the rows and the drift hold nodes lo..hi."""
     grid = DEFAULT_GRID if grid is None else grid
-    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, grid.n - 1, 0)
+    lo, hi = (0, grid.n - 1) if nodes is None else nodes
+    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, hi, lo)
     drift = np.empty(zs.size)
     for k, z in enumerate(zs):
         dy = y_plus[k] - y_minus[k]
         # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
-        # solutions; the drift is its largest departure from the left edge,
+        # solutions; the drift is its largest departure from the first node,
         # the phase taken modulo 2 pi
         log_w = _log(dy, out=dy)
         log_w += ell_minus[k] + ell_plus[k]
@@ -404,7 +438,7 @@ def resolvent_rows(curve, zs, grid=None):
         if not drift[k] < WRONSKIAN_DRIFT_LIMIT:
             raise DegenerateWronskianError(f"Wronskian drift {drift[k]:.2e} at z = {z} "
                                            f"is not below {WRONSKIAN_DRIFT_LIMIT:.0e}")
-    return ResolventRows(curve, zs, grid, 0, y_minus, ell_minus, y_plus, ell_plus, drift)
+    return ResolventRows(curve, zs, grid, lo, y_minus, ell_minus, y_plus, ell_plus, drift)
 
 
 def build_resolvent_batch(curve, zs, grid=None):

@@ -10,11 +10,14 @@ the coupled amplitude and its uncoupled part, the allowed-surface term of
 the partitioning formula, from the same sweeps; `absorption_spectra` and
 `raman_profiles` return that (coupled, uncoupled) pair.  There is no
 separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
-The quadratures run once per chunk of energies on the support hull, the
-nodes where the states live and x_c's cell (metadata["support"]), which the
-allowed curve's window widens until the WKB seeds are forgotten (_window,
-metadata["window"]); the forbidden surface gives only G2(x_c, x_c), swept
-to x_c's cell on its own window (metadata["forbidden_window"]).
+The support hull is the nodes where the states live and x_c's cell
+(metadata["support"]); the allowed curve's window widens it until the WKB
+seeds are forgotten (_window, metadata["window"]).  Per chunk of energies
+the allowed surface is swept from the window's edges to the hull's far
+ends only, and its rows hold the hull's nodes, where the quadratures run
+once per chunk, each on its states' own support.  The forbidden surface
+gives only G2(x_c, x_c), swept to x_c's cell on its own window
+(metadata["forbidden_window"]).
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ import numpy as np
 from .coupled import g11_rows
 from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import _check_coverage, diagonal_batch, resolvent_rows
+from .resolvent import SUPPORT_FLOOR, _check_coverage, diagonal_batch, resolvent_rows
 
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
 # for the initial and final vibrational states.  On the default grid the
 # worst state, n = 200, reaches 1.3e-70.
 MAX_EDGE_AMPLITUDE = 1e-8
-# The support floor of the states and the seeds' attenuation budget (_window)
-SUPPORT_FLOOR = 1e-16
+# The seeds' attenuation budget (_window)
 SEED_EFOLDS = 40.0
 
 
@@ -107,7 +109,8 @@ def coupling_diagonals(model, omega_grid, grid=None):
 def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
     and without it: per chunk of SCAN_CHUNK energies, the allowed surface
-    swept over the nodes of _window and the forbidden one only toward x_c.
+    swept on _window's nodes up to the support hull's far ends, and the
+    forbidden one only toward x_c.
 
     Returns (value, direct, window, forbidden, support): the coupled
     amplitudes, their uncoupled part (the allowed-surface matrix element),
@@ -140,7 +143,7 @@ def scan(model, omega_grid, n_f=0, grid=None):
     value, direct = np.empty((2, omega_grid.size), dtype=complex)
     for start in range(0, zs.size, SCAN_CHUNK):
         chunk = np.s_[start : start + SCAN_CHUNK]
-        rows = resolvent_rows(model.allowed, zs[chunk], window).nodes(lo - a, hi - a)
+        rows = resolvent_rows(model.allowed, zs[chunk], window, (lo - a, hi - a))
         g2 = diagonal_batch(model.forbidden, zs[chunk], x_c, forbidden)
         amplitude = g11_rows(rows, k0, x_c, g2, chi_f, chi_i)
         value[chunk], direct[chunk] = amplitude.value, amplitude.direct

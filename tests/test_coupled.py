@@ -70,11 +70,17 @@ def test_diagonal_blocks_equal_separate_quadratures(pair, model):
         assert amp.value == direct + correction
 
 
+def _support(f):
+    nodes = np.flatnonzero(np.abs(f) >= resolvent.SUPPORT_FLOOR * np.max(np.abs(f)))
+    return nodes[0], nodes[-1]
+
+
 def test_g11_vector_calls(pair, model, monkeypatch):
     # <f|G1|x_c> comes from the sums of f that the matrix element forms, so
-    # g11 sums f once in each direction over the whole grid and, for f != i,
-    # i once more in each direction up to x_c's cell through vector (of
-    # ev1's one row)
+    # g11 sums f once in each direction, from the ends of f's support to
+    # the far end of i's support, and, for f != i, i once more in each
+    # direction from the ends of its support up to x_c's cell through
+    # vector (of ev1's one row)
     ev1, ev2, chi = pair
     calls = []
     vector, sums = resolvent.ResolventRows.vector, resolvent._sums
@@ -90,13 +96,15 @@ def test_g11_vector_calls(pair, model, monkeypatch):
     monkeypatch.setattr(resolvent.ResolventRows, "vector", counted)
     monkeypatch.setattr(resolvent, "_sums", counted_sums)
     blocks = CoupledBlocks(ev1, ev2, model.coupling.strength, model.coupling.location)
-    n, j = ev1.grid.n, ev1.grid.index_below(model.coupling.location)
+    j = ev1.grid.index_below(model.coupling.location)
+    (f_lo, f_hi), (i_lo, i_hi) = _support(chi[1]), _support(chi[0])
+    assert f_lo < i_lo < j < i_hi < f_hi
     calls.clear()
     blocks.g11(chi[1], chi[0])
-    assert calls == [None, None, "vector", j + 1, n - 1 - j]
+    assert calls == [i_hi - f_lo, f_hi - i_lo, "vector", j + 1 - i_lo, i_hi - j]
     calls.clear()
     blocks.g11(chi[0], chi[0])
-    assert calls == [None, None]
+    assert calls == [i_hi - i_lo, i_hi - i_lo]
 
 
 def test_g11_from_the_point_value_of_g2(pair, model):

@@ -6,7 +6,9 @@ bounded by the absorption of either state it connects.  H is symmetric
 and real, so <1|G11|0> = <0|G11|1>.  At K0 = 0 the partitioning formula
 reduces to the bare allowed-surface resolvent exactly.  The forbidden
 surface carries no dipole, so the absorption A = -Im <chi_0|G11|chi_0>
-integrates to pi over all photon energies, coupled or not.
+integrates to pi over all photon energies, coupled or not.  The
+quadratures, which sum only on their states' support, equal the same sums
+over the whole grid to round-off.
 """
 
 import math
@@ -15,7 +17,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+from curvecross import resolvent
 from curvecross.config import RunConfig
 from curvecross.coupled import CoupledBlocks
 from curvecross.model import harmonic_eigenstates
@@ -82,3 +86,49 @@ def test_absorption_sum_rule_and_positivity():
         mean = np.trapezoid(omega * intensity, omega) / area
         tails = model.damping / math.pi * (1.0 / (omega[-1] - mean) + 1.0 / (mean - omega[0]))
         assert abs(area / math.pi + tails - 1.0) < 5e-4
+
+
+def _whole_grid(rows, f, g, x0):
+    """<f|G|g>, <f|G|x0> and <f|G|x_j> on every node, from the sums of f
+    over the whole rows and the outer Simpson rule over the whole grid."""
+    h = rows.grid.dx
+    minus = resolvent._sums(f, rows.ell_minus, h)
+    plus = resolvent._sums(f[::-1], rows.ell_plus[:, ::-1], h)[:, ::-1]
+    on_nodes = 2.0 * rows.curve.mass / (rows.y_plus - rows.y_minus) * (minus + plus)
+    j, t = rows._cell(x0)
+    vector = rows._vector_at(f, j, t, minus[:, j : j + 2], plus[:, j : j + 2])
+    return simpson(g * on_nodes, dx=h, axis=-1), vector, on_nodes
+
+
+# chi_0..chi_3, and a Gaussian at 0.3 angstrom whose support, 0.04-0.56
+# angstrom, misses x_c's cell and reaches past chi_3's
+STATES = (0, 1, 2, 3, "gaussian")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    omega=st.floats(9500.0, 13500.0),
+    gamma=st.floats(50.0, 900.0),
+    f=st.sampled_from(STATES),
+    g=st.sampled_from(STATES),
+    x0=st.one_of(st.just(DEFAULT.crossing_position_angstrom), st.floats(-0.45, 0.45)),
+)
+def test_quadratures_on_the_support_equal_the_whole_grid(omega, gamma, f, g, x0):
+    model = replace(DEFAULT, damping_cm1=gamma).validate().to_model()
+    grid = DEFAULT.to_grid()
+    x = grid.points
+    states = {n: chi for n, chi in enumerate(harmonic_eigenstates(model.ground, 3, x))}
+    states["gaussian"] = np.exp(-0.5 * ((x - 0.3) / 0.03) ** 2)
+    f, g = states[f], states[g]
+    rows = build_resolvent(model.allowed, model.resolvent_argument(omega), grid).rows
+    element, vector = rows.element_and_vector(f, g, x0)
+    want_element, want_vector, on_nodes = _whole_grid(rows, f, g, x0)
+    # relative to the bounds max |G f| and integral |g| max |G f|: taking a
+    # state as 0 below 1e-16 of its maximum moves a value by about 1e-16 of
+    # them, which can be far more than 1e-13 of a value in a state's tail
+    # (<chi_0|G|x0 = 0.375> at 9500 cm^-1 is 2.4e-10 of max |G chi_0|)
+    scale = np.max(np.abs(on_nodes))
+    assert abs(vector[0] - want_vector[0]) <= 1e-13 * scale
+    assert abs(element[0] - want_element[0]) <= 1e-13 * scale * simpson(np.abs(g), dx=grid.dx)
+    # each sum starts on f's support whatever g and x0 are
+    assert rows.vector(f, x0) == vector

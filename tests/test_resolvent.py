@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from curvecross import resolvent, spectra
+from curvecross.coupled import CoupledBlocks
 from curvecross.errors import DegenerateWronskianError, NumericsError
 from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
@@ -143,13 +144,32 @@ def test_morse_quadrature_converges(model, grid):
         assert abs(coarse - refined) <= 1e-7 * abs(refined)
 
 
-def test_values_survive_dynamic_range_beyond_float64(model, grid):
+def _summed_spans(monkeypatch):
+    """The range of Re ell over the nodes of each _sums call, in e-folds."""
+    spans = []
+    sums = resolvent._sums
+
+    def spanned(f, ell, h, stop=None):
+        summed = ell.real[..., : ell.shape[-1] if stop is None else stop + 1]
+        spans.append(float(np.max(np.ptp(summed, axis=-1))))
+        return sums(f, ell, h, stop)
+
+    monkeypatch.setattr(resolvent, "_sums", spanned)
+    return spans
+
+
+def test_values_survive_dynamic_range_beyond_float64(model, grid, monkeypatch):
     # 1024 more cells of the default spacing on either side: every default
     # node is a node here too, and u+- span about 2100 e-folds across the
-    # wide grid, more than a float64 can hold
+    # wide grid, more than a float64 can hold.  The chi quadratures sum on
+    # the chi support only; a wave that fills the wide grid is summed over
+    # the whole rows, and its matrix element and vector at node j agree
+    # with the sequential recurrence
     pad = 1024 * grid.dx
     wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
     x_c = model.coupling.location
+    wave = np.exp(2j * wide.points)
+    spans = _summed_spans(monkeypatch)
     for omega in (9800.0, 11000.0, 12500.0):
         z = model.resolvent_argument(omega)
         results = []
@@ -159,6 +179,17 @@ def test_values_survive_dynamic_range_beyond_float64(model, grid):
             results.append((ev.matrix_element(chi[1], chi[0]), ev.point(x_c, x_c)))
         for default, widened in zip(*results):
             assert abs(widened - default) <= 1e-8 * abs(default)
+        rows, h, j = ev.rows, wide.dx, wide.index_below(x_c)
+        minus = _sequential_sums(wave, rows.ell_minus[0], h)
+        plus = _sequential_sums(wave[::-1], rows.ell_plus[0, ::-1], h)[::-1]
+        on_nodes = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0]) * (minus + plus)
+        scale = np.max(np.abs(on_nodes))
+        spans.clear()
+        element = ev.matrix_element(wave, chi[0])
+        want = simpson(chi[0] * on_nodes, dx=h)
+        assert abs(element - want) <= 1e-12 * scale * simpson(np.abs(chi[0]), dx=h)
+        assert abs(ev.vector(wave, wide.points[j]) - on_nodes[j]) <= 1e-12 * scale
+        assert len(spans) == 4 and min(spans) > HALF_EXPONENT_RANGE
 
 
 def _rk4_step(ci, cm, cn, h, u, v):
@@ -298,16 +329,27 @@ def test_point_outside_grid_rejected(ev_allowed_fine):
 
 
 def test_quadratures_reject_states_off_the_grid(model, grid):
-    ev = build_resolvent(model.allowed, model.resolvent_argument(11100.0), grid)
-    chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    # states of the wrong shape, and states with a NaN inside the support
+    # or an inf outside it
+    z = model.resolvent_argument(11100.0)
+    ev, ev2 = (build_resolvent(curve, z, grid) for curve in (model.allowed, model.forbidden))
     x_c = model.coupling.location
-    for bad in (1.0, np.ones(1), chi0[:-1]):
+    blocks = CoupledBlocks(ev, ev2, model.coupling.strength, x_c)
+    chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    nan, inf = chi0.copy(), chi0.astype(complex)
+    nan[grid.n // 2] = np.nan
+    inf[0] = complex(np.inf, 0.0)
+    for bad in (1.0, np.ones(1), chi0[:-1], nan, inf):
         with pytest.raises(ValueError):
             ev.matrix_element(chi0, bad)
         with pytest.raises(ValueError):
             ev.matrix_element(bad, chi0)
         with pytest.raises(ValueError):
             ev.vector(bad, x_c)
+        with pytest.raises(ValueError):
+            blocks.g11(bad, chi0)
+        with pytest.raises(ValueError):
+            blocks.g11(chi0, bad)
 
 
 def _sequential_sums(f, ell, h):

@@ -39,9 +39,9 @@ def builds(monkeypatch):
     allowed surface, and the point-value sweeps that give G2(x_c, x_c)."""
     calls = []
 
-    def counting(curve, zs, grid=None):
+    def counting(curve, zs, grid=None, nodes=None):
         calls.append((curve, len(zs)))
-        return resolvent_rows(curve, zs, grid)
+        return resolvent_rows(curve, zs, grid, nodes)
 
     def counting_diagonal(curve, zs, x, grid=None):
         calls.append((curve, len(zs)))
@@ -50,6 +50,11 @@ def builds(monkeypatch):
     monkeypatch.setattr(spectra, "resolvent_rows", counting)
     monkeypatch.setattr(spectra, "diagonal_batch", counting_diagonal)
     return calls
+
+
+def _support(f):
+    nodes = np.flatnonzero(np.abs(f) >= resolvent.SUPPORT_FLOOR * np.max(np.abs(f)))
+    return nodes[0], nodes[-1]
 
 
 def test_spectrum_requires_increasing_omega():
@@ -235,10 +240,11 @@ def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
 
 
 def test_scan_direct_is_allowed_matrix_element(model, grid):
-    # the scan's quadratures run on the support hull's columns of the
-    # window's sweeps: the array form on the same rows gives its uncoupled
-    # part bit for bit, and the window's single-energy evaluators agree
-    # within 1e-12
+    # the scan's quadratures run on the window's sweeps stopped at the
+    # support hull's far ends, which equal the whole window's sweeps there
+    # bit for bit: the array form on the same rows gives its uncoupled part
+    # bit for bit, and the window's single-energy evaluators agree within
+    # 1e-12
     omega = np.arange(10700.0, 11000.0, 100.0)
     value, direct, window, _, support = spectra.scan(model, omega, 1, grid)
     a = int(np.searchsorted(grid.points, window.x_min))
@@ -249,7 +255,10 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     assert a < lo and hull.stop < nodes.stop and grid.points[hull.stop - 1] == support.x_max
     chi = harmonic_eigenstates(model.ground, 1, grid.points)
     zs = model.resolvent_argument(omega)
-    rows = resolvent_rows(model.allowed, zs, window).nodes(lo - a, hull.stop - 1 - a)
+    rows = resolvent_rows(model.allowed, zs, window, (lo - a, hull.stop - 1 - a))
+    whole = resolvent_rows(model.allowed, zs, window)
+    for name in ("y_minus", "ell_minus", "y_plus", "ell_plus"):
+        assert np.array_equal(getattr(rows, name), getattr(whole, name)[:, lo - a : hull.stop - a])
     assert np.array_equal(direct, rows.element_and_vector(chi[1, hull], chi[0, hull])[0])
     with pytest.raises(ValueError, match="outside the rows' nodes"):
         rows.point(window.x_min, model.coupling.location)
@@ -355,7 +364,7 @@ def test_window_holds_the_coupling_cell(model, grid, monkeypatch):
     lo, hi, n = windowed[0].metadata["window"]
     assert default_hi < 0.9 < hi and n < grid.n
     chi = harmonic_eigenstates(model.ground, 1, np.array([0.9]))
-    assert np.max(np.abs(chi)) < spectra.SUPPORT_FLOOR
+    assert np.max(np.abs(chi)) < resolvent.SUPPORT_FLOOR
     assert _worst_relative_change(windowed, full) < 1e-12
 
 
@@ -390,8 +399,10 @@ def test_metadata_records_the_forbidden_window(model, grid):
 
 
 def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
-    # node steps nz (n - 1) summed over the sweeps of one default 64-energy
-    # Raman chunk, against four full sweeps (two per surface) on the
+    # node steps nz (n - 1) of each sweep of one default 64-energy Raman
+    # chunk: on the allowed surface from the window's edges to the support
+    # hull's far ends, on the forbidden one from its window's edges to x_c's
+    # cell; summed, against four full sweeps (two per surface) on the
     # shared window
     steps = []
     octaves = resolvent._octaves
@@ -403,9 +414,16 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     monkeypatch.setattr(resolvent, "_octaves", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
     coupled, _ = raman_profiles(model, 1, omega, grid=grid)
+    a, b, lo, hi, f_a, f_b = (
+        int(np.searchsorted(grid.points, edge))
+        for name in ("window", "support", "forbidden_window")
+        for edge in coupled.metadata[name][:2]
+    )
+    j = grid.index_below(model.coupling.location)
+    nz = omega.size
+    assert steps == [nz * (hi - a), nz * (b - lo), nz * (j + 1 - f_a), nz * (f_b - j)]
     shared = 4 * (coupled.metadata["window"][2] - 1)
-    assert len(steps) == 4
-    assert sum(steps) / omega.size <= 0.75 * shared
+    assert sum(steps) / nz <= 0.65 * shared
 
 
 @pytest.mark.parametrize("n_f", [0, 1])
@@ -425,9 +443,11 @@ def test_window_comes_from_the_allowed_curve_alone(model, grid, n_f):
 
 @pytest.mark.parametrize("n_f", [0, 1])
 def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, monkeypatch):
-    # one default 64-energy chunk sums f once in each direction over the
-    # hull's (64, M) rows and, for Raman, i once more in each direction up
-    # to x_c's cell; a loop over energies would make 64 times as many calls
+    # one default 64-energy chunk sums f once in each direction on the
+    # hull's (64, M) rows, from the ends of f's support to the far end of
+    # i's support, and, for Raman, i once more in each direction from the
+    # ends of its support up to x_c's cell; a loop over energies would make
+    # 64 times as many calls
     calls = []
     sums = resolvent._sums
 
@@ -438,13 +458,17 @@ def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, mo
     monkeypatch.setattr(resolvent, "_sums", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
     spec, _ = _job(model, omega, n_f, grid)
+    nz = spectra.SCAN_CHUNK
     m = spec.metadata["support"][2]
-    assert [shape for shape, _ in calls] == [(spectra.SCAN_CHUNK, m)] * (2 if n_f == 0 else 4)
-    assert [stop for _, stop in calls[:2]] == [None, None]
+    s_lo = int(np.searchsorted(grid.points, spec.metadata["support"][0]))
+    chi = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f], s_lo : s_lo + m]
+    (i_lo, i_hi), (f_lo, f_hi) = (_support(state) for state in chi)
+    j = grid.index_below(model.coupling.location) - s_lo
+    want = [((nz, m - f_lo), max(i_hi, j + 1) - f_lo), ((nz, f_hi + 1), f_hi - min(i_lo, j))]
     if n_f:
-        s_lo = spec.metadata["support"][0]
-        j = grid.index_below(model.coupling.location) - int(np.searchsorted(grid.points, s_lo))
-        assert [stop for _, stop in calls[2:]] == [j + 1, m - 1 - j]
+        assert 0 == f_lo < i_lo < j < i_hi < f_hi == m - 1
+        want += [((nz, m - i_lo), j + 1 - i_lo), ((nz, i_hi + 1), i_hi - j)]
+    assert calls == want
 
 
 @pytest.mark.parametrize("depth", [None, 300.0, 1000.0])
@@ -477,12 +501,14 @@ def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamm
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
-def test_scan_survives_dynamic_range_beyond_float64(model, grid):
+def test_scan_survives_dynamic_range_beyond_float64(model, grid, monkeypatch):
     # the grid of test_values_survive_dynamic_range_beyond_float64, 1024
     # more cells of the default spacing on either side: the scan over the
     # default photon-energy window agrees with the default grid's, and the
     # array form on the wide grid's whole (nz, N) rows, where u+- span
-    # about 2100 e-folds, more than twice the float64 exponent range
+    # about 2100 e-folds, more than twice the float64 exponent range.  A
+    # wave that fills the wide grid is summed over those whole rows, and
+    # its quadratures equal the single-energy evaluators' 
     pad = 1024 * grid.dx
     wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
     omega = photon_energies(9500.0, 13500.0, 40.0)
@@ -501,3 +527,19 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid):
     assert steps * wide.n > 4 * HALF_EXPONENT_RANGE
     for default, widened in zip(*results):
         assert np.max(np.abs(widened - default) / np.abs(default)) <= 1e-8
+    wave = np.exp(2j * wide.points)
+    spans = []
+    sums = resolvent._sums
+
+    def spanned(f, ell, h, stop=None):
+        spans.append(np.min(np.ptp(ell.real[..., : stop + 1], axis=-1)))
+        return sums(f, ell, h, stop)
+
+    monkeypatch.setattr(resolvent, "_sums", spanned)
+    element, vector = rows.element_and_vector(wave, chi[0], x_c)
+    assert len(spans) == 2 and min(spans) > HALF_EXPONENT_RANGE
+    evs = build_resolvent_batch(model.allowed, zs, wide)
+    for got, want in ((element, [ev.matrix_element(wave, chi[0]) for ev in evs]),
+                      (vector, [ev.vector(wave, x_c) for ev in evs])):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
