@@ -269,7 +269,8 @@ class ResolventRows:
         return j - self.first, t
 
     def _on_nodes(self, f):
-        """f on the rows' nodes, finite, and its support (first, last) there."""
+        """f on the rows' nodes, finite, and its support (first, last) there,
+        at least the three nodes that the sums' and Simpson's rules take."""
         f = np.asarray(f)
         if f.shape[-1:] != self.y_minus.shape[-1:]:
             raise ValueError("wavefunction must be sampled on the resolvent's nodes")
@@ -278,6 +279,8 @@ class ResolventRows:
         if not np.isfinite(peak):
             raise ValueError("wavefunction must be finite")
         support = np.flatnonzero(size >= SUPPORT_FLOOR * peak)
+        if support[-1] - support[0] < 2:
+            raise ValueError("wavefunction must span at least three nodes")
         return f, (support[0], support[-1])
 
     def _sums_on(self, f, support, lo, hi):

@@ -329,8 +329,9 @@ def test_point_outside_grid_rejected(ev_allowed_fine):
 
 
 def test_quadratures_reject_states_off_the_grid(model, grid):
-    # states of the wrong shape, and states with a NaN inside the support
-    # or an inf outside it
+    # states of the wrong shape, states with a NaN inside the support or
+    # an inf outside it, and a state on two nodes, fewer than the three
+    # that the sums' and Simpson's rules take
     z = model.resolvent_argument(11100.0)
     ev, ev2 = (build_resolvent(curve, z, grid) for curve in (model.allowed, model.forbidden))
     x_c = model.coupling.location
@@ -339,7 +340,9 @@ def test_quadratures_reject_states_off_the_grid(model, grid):
     nan, inf = chi0.copy(), chi0.astype(complex)
     nan[grid.n // 2] = np.nan
     inf[0] = complex(np.inf, 0.0)
-    for bad in (1.0, np.ones(1), chi0[:-1], nan, inf):
+    narrow = np.zeros(grid.n)
+    narrow[2000:2002] = 1.0
+    for bad in (1.0, np.ones(1), chi0[:-1], nan, inf, narrow):
         with pytest.raises(ValueError):
             ev.matrix_element(chi0, bad)
         with pytest.raises(ValueError):
