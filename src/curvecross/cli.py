@@ -67,24 +67,18 @@ def _write_spectra(out, kind, spectra, config):
     _write_sidecar(os.path.join(out, f"{kind}.meta.txt"), config, kind)
 
 
-def _run_absorption(args):
+def _run_spectra(args):
+    """The absorption or raman job: coupled and uncoupled tables of one scan."""
     config = _resolve_config(args)
     model = config.to_model()
     grid = config.to_grid()
     omega = config.omega_grid()
     out = _output_dir(args.out)
-    _write_spectra(out, "absorption", absorption_spectra(model, omega, grid), config)
-    return EXIT_OK
-
-
-def _run_raman(args):
-    config = _resolve_config(args)
-    model = config.to_model()
-    grid = config.to_grid()
-    omega = config.omega_grid()
-    n_f = config.raman_final_state
-    out = _output_dir(args.out)
-    _write_spectra(out, "raman", raman_profiles(model, n_f, omega, grid), config)
+    if args.command == "absorption":
+        spectra = absorption_spectra(model, omega, grid)
+    else:
+        spectra = raman_profiles(model, config.raman_final_state, omega, grid)
+    _write_spectra(out, args.command, spectra, config)
     return EXIT_OK
 
 
@@ -122,8 +116,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"curvecross {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, runner, doc in (
-        ("absorption", _run_absorption, "absorption spectrum scan, coupled and uncoupled"),
-        ("raman", _run_raman, "Raman excitation profile scan, coupled and uncoupled"),
+        ("absorption", _run_spectra, "absorption spectrum scan, coupled and uncoupled"),
+        ("raman", _run_spectra, "Raman excitation profile scan, coupled and uncoupled"),
         ("validate", _run_validate, "run the physics invariant suite"),
         ("greens-probe", _run_greens_probe, "dump G(x_c, x_c; z) over the scan window"),
     ):

@@ -41,9 +41,9 @@ quadratures touch only the nodes their states occupy, a state's support
 being the nodes where |f| >= SUPPORT_FLOOR max |f|: A is summed from the
 first node of f's support and B from its last, each 0 before it, and they
 run only as far as g's support or x0's cell, where the outer Simpson rule
-and the reads take them.  Where only G(x, x) is wanted, diagonal_batch
-sweeps to x's cell and no further, and forms y and ell on that cell's two
-nodes only.
+and the reads take them.  Where only G(x, x) is wanted, resolvent_rows
+on the nodes (j, j + 1) of x's cell sweeps to that cell and no further,
+and its point read gives the value.
 
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
@@ -241,32 +241,27 @@ def _ratio(y, ell, j, t, h):
     return _interpolate(ell, j, t, h, 1.0, y[..., j], 1.0, y[..., j + 1])
 
 
-def _cell(grid, x):
-    """x's cell j on grid and its fraction t: x = x_j + t dx."""
-    if not grid.x_min <= x <= grid.x_max:
-        raise ValueError(f"x = {x} outside the grid [{grid.x_min}, {grid.x_max}]")
-    j = grid.index_below(x)
-    return j, (x - grid.points[j]) / grid.dx
-
-
 class ResolventRows:
     """G(x, x0; z) of one curve at nz energies: y = u'/u and ell = log u of
     u- and u+ as (nz, M) rows on nodes first..first + M - 1 of grid, with
-    each row's Wronskian drift if known.  The quadratures and the point read
-    give (nz,) arrays; a ResolventEvaluator is the one-row case."""
+    each row's Wronskian drift.  The quadratures and the point read give
+    (nz,) arrays; a ResolventEvaluator is the one-row case."""
 
-    def __init__(self, curve, z, grid, first, y_minus, ell_minus, y_plus, ell_plus, drift=None):
+    def __init__(self, curve, z, grid, first, y_minus, ell_minus, y_plus, ell_plus, drift):
         self.curve, self.z, self.grid, self.first = curve, z, grid, first
         self.y_minus, self.ell_minus = y_minus, ell_minus
         self.y_plus, self.ell_plus = y_plus, ell_plus
         self.wronskian_drift = drift
 
     def _cell(self, x):
-        """x's cell in the rows' nodes and its fraction t."""
-        j, t = _cell(self.grid, x)
+        """x's cell j in the rows' nodes and its fraction t: x = x_j + t dx."""
+        grid = self.grid
+        if not grid.x_min <= x <= grid.x_max:
+            raise ValueError(f"x = {x} outside the grid [{grid.x_min}, {grid.x_max}]")
+        j = grid.index_below(x)
         if not 0 <= j - self.first < self.y_minus.shape[-1] - 1:
             raise ValueError(f"x = {x} outside the rows' nodes")
-        return j - self.first, t
+        return j - self.first, (x - grid.points[j]) / grid.dx
 
     def _on_nodes(self, f):
         """f on the rows' nodes, finite, and its support (first, last) there,
@@ -422,13 +417,19 @@ def _sweep_pair(curve, zs, grid, stop, start):
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
     """ResolventRows of one curve at several z on grid, each row's drift
-    checked; given nodes = (lo, hi), u- is swept only to node hi and u+ only
-    to node lo, and the rows and the drift hold nodes lo..hi."""
+    checked, and u- and u+ independent at the rows' first node: |y+ - y-| >=
+    WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) there.  Given nodes = (lo, hi), u- is
+    swept only to node hi and u+ only to node lo, and the rows and the drift
+    hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1) of x's cell."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
     zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, hi, lo)
     drift = np.empty(zs.size)
     for k, z in enumerate(zs):
+        p, q = y_plus[k, 0], y_minus[k, 0]
+        if not abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)):
+            raise DegenerateWronskianError(f"u- and u+ at node {lo} are not independent "
+                                           f"at z = {z}")
         dy = y_plus[k] - y_minus[k]
         # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
         # solutions; the drift is its largest departure from the first node,
@@ -448,24 +449,6 @@ def build_resolvent_batch(curve, zs, grid=None):
     """Evaluators for one curve at several z, one per row of resolvent_rows."""
     rows = resolvent_rows(curve, zs, grid)
     return [ResolventEvaluator(rows, k) for k in range(rows.z.size)]
-
-
-def diagonal_batch(curve, zs, x, grid=None):
-    """G(x, x) for one curve at several z, (nz,), from one-sided sweeps: u-
-    from the left edge to node j + 1 of x's cell, u+ from the right edge to
-    node j, read as ResolventRows on those two nodes.  No Wronskian drift can
-    be formed, so y not finite there or |y+ - y-| < WRONSKIAN_DRIFT_LIMIT
-    (|y+| + |y-|) at node j raises."""
-    grid = DEFAULT_GRID if grid is None else grid
-    j, _ = _cell(grid, x)
-    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, j + 1, j)
-    rows = ResolventRows(curve, zs, grid, j, y_minus, ell_minus, y_plus, ell_plus)
-    p, q = rows.y_plus[:, 0], rows.y_minus[:, 0]
-    if not (np.all(np.isfinite([rows.y_minus, rows.y_plus]))
-            and np.all(abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)))):
-        raise DegenerateWronskianError(f"u- and u+ at x = {x} are not finite or not "
-                                       f"independent for some z in [{zs[0]}, {zs[-1]}]")
-    return rows.point(x, x)
 
 
 def build_resolvent(curve, z, grid=None):

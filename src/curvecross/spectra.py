@@ -16,8 +16,8 @@ seeds are forgotten (_window, metadata["window"]).  Per chunk of energies
 the allowed surface is swept from the window's edges to the hull's far
 ends only, and its rows hold the hull's nodes, where the quadratures run
 once per chunk, each on its states' own support.  The forbidden surface
-gives only G2(x_c, x_c), swept to x_c's cell on its own window
-(metadata["forbidden_window"]).
+gives only G2(x_c, x_c): resolvent_rows on x_c's cell, swept to that cell
+on the curve's own window (_diagonal, metadata["forbidden_window"]).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .coupled import g11_rows
 from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import SUPPORT_FLOOR, _check_coverage, diagonal_batch, resolvent_rows
+from .resolvent import SUPPORT_FLOOR, _check_coverage, resolvent_rows
 
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
@@ -91,19 +91,28 @@ def _window(curves, zs, lo, hi, grid):
     return Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
 
 
+def _diagonal(curve, zs, x, grid):
+    """(G(x, x) of curve at the energies zs, its window): the window is
+    _window's from x's cell, and per chunk of SCAN_CHUNK energies the rows
+    hold that cell's two nodes only, each sweep stopping there."""
+    j = grid.index_below(x)
+    window = _window((curve,), zs, j, j + 1, grid)
+    k = window.index_below(x)
+    values = np.empty(zs.size, dtype=complex)
+    for start in range(0, zs.size, SCAN_CHUNK):
+        chunk = np.s_[start : start + SCAN_CHUNK]
+        values[chunk] = resolvent_rows(curve, zs[chunk], window, (k, k + 1)).point(x, x)
+    return values, window
+
+
 def coupling_diagonals(model, omega_grid, grid=None):
     """(G1(x_c, x_c), G2(x_c, x_c)) over the photon-energy grid, each surface
-    swept only toward x_c on its own window (_window from x_c's cell)."""
+    swept only toward x_c on its own window (_diagonal)."""
     grid = DEFAULT_GRID if grid is None else grid
     zs = model.resolvent_argument(np.asarray(omega_grid, dtype=float))
     x_c = model.coupling.location
-    j = grid.index_below(x_c)
-    values = np.empty((2, zs.size), dtype=complex)
-    for row, curve in zip(values, (model.allowed, model.forbidden)):
-        window = _window((curve,), zs, j, j + 1, grid)
-        for s in range(0, zs.size, SCAN_CHUNK):
-            row[s : s + SCAN_CHUNK] = diagonal_batch(curve, zs[s : s + SCAN_CHUNK], x_c, window)
-    return values
+    return np.array([_diagonal(curve, zs, x_c, grid)[0]
+                     for curve in (model.allowed, model.forbidden)])
 
 
 def scan(model, omega_grid, n_f=0, grid=None):
@@ -137,15 +146,14 @@ def scan(model, omega_grid, n_f=0, grid=None):
     need, j = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi)), grid.index_below(x_c)
     lo, hi = min(need[0], j), max(need[-1], j + 1)
     window = _window((model.allowed,), zs, lo, hi, grid)
-    forbidden = _window((model.forbidden,), zs, j, j + 1, grid)
+    g2, forbidden = _diagonal(model.forbidden, zs, x_c, grid)
     a = int(np.searchsorted(grid.points, window.x_min))
     chi_i, chi_f = states[:, lo : hi + 1]
     value, direct = np.empty((2, omega_grid.size), dtype=complex)
     for start in range(0, zs.size, SCAN_CHUNK):
         chunk = np.s_[start : start + SCAN_CHUNK]
         rows = resolvent_rows(model.allowed, zs[chunk], window, (lo - a, hi - a))
-        g2 = diagonal_batch(model.forbidden, zs[chunk], x_c, forbidden)
-        amplitude = g11_rows(rows, k0, x_c, g2, chi_f, chi_i)
+        amplitude = g11_rows(rows, k0, x_c, g2[chunk], chi_f, chi_i)
         value[chunk], direct[chunk] = amplitude.value, amplitude.direct
     support = Grid(float(grid.points[lo]), float(grid.points[hi]), int(hi - lo + 1))
     return value, direct, window, forbidden, support

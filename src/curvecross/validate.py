@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from .config import RunConfig
 from .coupled import CoupledBlocks
 from .model import Grid, harmonic_eigenstates
 from .resolvent import (
@@ -143,12 +144,13 @@ def check_k0_scaling(model, grid):
     quadratic and G12 linear; fitted at 5000 cm^-1, below the band, where
     the shared denominator is close to one.  The detail also reports the
     gap V1(x_c) - V2(x_c) between the diabatic curves at the coupling
-    point."""
+    point.  A K0 = 0 model has no scale to fit on, so the powers are then
+    fitted on the default K0."""
     z = model.resolvent_argument(5000.0)
     ev1 = build_resolvent(model.allowed, z, grid)
     ev2 = build_resolvent(model.forbidden, z, grid)
     chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
-    k_full = model.coupling.strength
+    k_full = model.coupling.strength or RunConfig().to_model().coupling.strength
     x_c = model.coupling.location
     ks = k_full * np.array([1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2])
     c11, c12 = [], []

@@ -261,3 +261,12 @@ def test_validate_quick_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_validate_quick_passes_without_coupling(capsys):
+    # K0 = 0 leaves no scale for the K0-power fit, which then takes the
+    # default K0
+    assert main(["validate", "--quick", "--k0", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  K0-scaling exponents" in out
+    assert "FAIL" not in out

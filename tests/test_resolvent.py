@@ -13,7 +13,6 @@ from curvecross.resolvent import (
     _step_maps,
     build_resolvent,
     build_resolvent_batch,
-    diagonal_batch,
 )
 
 # Half the float64 exponent range in e-folds: a sum over nodes where u
@@ -275,6 +274,12 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
             build_resolvent_batch(model.allowed, zs, grid)
 
 
+def _point_path(curve, zs, x, grid):
+    """G(x, x) from the rows on x's cell, each sweep stopping there."""
+    k = grid.index_below(x)
+    return resolvent.resolvent_rows(curve, zs, grid, (k, k + 1)).point(x, x)
+
+
 def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the one-sided sweeps of the point path leave float64 on the Morse
     # wall without their scales; y at x_c's cell is then not finite, and
@@ -286,17 +291,17 @@ def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     for nz in (1, spectra.SCAN_CHUNK):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
-            diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+            _point_path(model.forbidden, zs, model.coupling.location, grid)
 
 
 def test_point_path_rejects_a_dependent_pair(model, grid, monkeypatch):
     # |y+ - y-| <= |y+| + |y-| always, so a limit of 1 flags every pair as
     # dependent: the guard runs on the pair's margin at the cell
     zs = model.resolvent_argument(np.array([11000.0]))
-    diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+    _point_path(model.forbidden, zs, model.coupling.location, grid)
     monkeypatch.setattr(resolvent, "WRONSKIAN_DRIFT_LIMIT", 1.0)
     with pytest.raises(DegenerateWronskianError, match="not independent"):
-        diagonal_batch(model.forbidden, zs, model.coupling.location, grid)
+        _point_path(model.forbidden, zs, model.coupling.location, grid)
 
 
 @pytest.mark.parametrize("nz", [1, 6])
@@ -308,7 +313,7 @@ def test_point_path_is_the_evaluator_diagonal(model, grid, nz):
     for curve in (model.allowed, model.forbidden):
         evs = build_resolvent_batch(curve, zs, grid)
         for x in (model.coupling.location, 0.3, grid.x_min, grid.x_max - 0.1 * grid.dx):
-            values = diagonal_batch(curve, zs, x, grid)
+            values = _point_path(curve, zs, x, grid)
             assert np.array_equal(values, [ev.point(x, x) for ev in evs])
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from closed_forms import harmonic_diagonal, morse_diagonal
 
 from curvecross import cli, resolvent, spectra
 from curvecross.coupled import g11_rows
@@ -15,7 +16,7 @@ from curvecross.model import (
     harmonic_eigenstates,
     huang_rhys_factor,
 )
-from curvecross.resolvent import build_resolvent_batch, diagonal_batch, resolvent_rows
+from curvecross.resolvent import build_resolvent_batch, resolvent_rows
 from curvecross.spectra import (
     Spectrum,
     absorption_spectra,
@@ -36,19 +37,14 @@ def with_params(model, **kwargs):
 @pytest.fixture
 def builds(monkeypatch):
     """(curve, nz) of every sweep build the scans make: the rows of the
-    allowed surface, and the point-value sweeps that give G2(x_c, x_c)."""
+    allowed surface, and the rows on x_c's cell that give G2(x_c, x_c)."""
     calls = []
 
     def counting(curve, zs, grid=None, nodes=None):
         calls.append((curve, len(zs)))
         return resolvent_rows(curve, zs, grid, nodes)
 
-    def counting_diagonal(curve, zs, x, grid=None):
-        calls.append((curve, len(zs)))
-        return diagonal_batch(curve, zs, x, grid)
-
     monkeypatch.setattr(spectra, "resolvent_rows", counting)
-    monkeypatch.setattr(spectra, "diagonal_batch", counting_diagonal)
     return calls
 
 
@@ -233,7 +229,7 @@ def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
     omega = np.arange(10700.0, 11000.0, 100.0)
     uncoupled_model = with_params(model, coupling=DeltaCoupling(0.0, model.coupling.location))
     coupled, uncoupled = raman_profiles(uncoupled_model, 1, omega, grid=grid)
-    assert builds == [(model.allowed, 3), (model.forbidden, 3)]
+    assert builds == [(model.forbidden, 3), (model.allowed, 3)]
     assert np.array_equal(coupled.intensity, uncoupled.intensity)
     _, reference = raman_profiles(model, 1, omega, grid=grid)
     assert np.array_equal(uncoupled.intensity, reference.intensity)
@@ -387,6 +383,23 @@ def test_point_path_matches_the_full_grid(config, grid, depth, gamma):
         assert np.max(np.abs(values - full) / np.abs(full)) < 1e-12
 
 
+@pytest.mark.parametrize("depth", [None, 300.0, 1000.0])
+def test_point_path_matches_the_closed_forms(config, grid, depth):
+    # G1(x_c, x_c) and G2(x_c, x_c) on the default grid against the
+    # parabolic-cylinder and Whittaker closed forms at 30 digits; the gaps
+    # are the grid's, about 1e-8
+    settings = {} if depth is None else {"forbidden_well_depth_cm1": depth}
+    model = replace(config, **settings).validate().to_model()
+    omega = np.array([10000.0, 11000.0, 12000.0, 13000.0])
+    zs = model.resolvent_argument(omega)
+    x_c = model.coupling.location
+    g1, g2 = spectra.coupling_diagonals(model, omega, grid)
+    for values, closed_form, curve in ((g1, harmonic_diagonal, model.allowed),
+                                       (g2, morse_diagonal, model.forbidden)):
+        exact = np.array([closed_form(curve, z, x_c) for z in zs])
+        assert np.max(np.abs(values - exact) / np.abs(exact)) < 1e-6
+
+
 def test_metadata_records_the_forbidden_window(model, grid):
     # the forbidden surface is swept on its own window, which holds x_c's
     # cell and lies within the scan's window
@@ -421,7 +434,7 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     )
     j = grid.index_below(model.coupling.location)
     nz = omega.size
-    assert steps == [nz * (hi - a), nz * (b - lo), nz * (j + 1 - f_a), nz * (f_b - j)]
+    assert steps == [nz * (j + 1 - f_a), nz * (f_b - j), nz * (hi - a), nz * (b - lo)]
     shared = 4 * (coupled.metadata["window"][2] - 1)
     assert sum(steps) / nz <= 0.65 * shared
 
@@ -489,7 +502,8 @@ def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamm
         omega = np.linspace(9500.0, 13500.0, nz)
         value, direct, window, forbidden, _ = spectra.scan(model, omega, n_f, grid)
         zs = model.resolvent_argument(omega)
-        g2 = diagonal_batch(model.forbidden, zs, x_c, forbidden)
+        k = forbidden.index_below(x_c)
+        g2 = resolvent_rows(model.forbidden, zs, forbidden, (k, k + 1)).point(x_c, x_c)
         a = int(np.searchsorted(grid.points, window.x_min))
         chi_i, chi_f = chi[:, a : a + window.n]
         evs = build_resolvent_batch(model.allowed, zs, window)
