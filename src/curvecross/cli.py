@@ -19,7 +19,6 @@ from . import __version__
 from .config import OVERRIDES, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, NumericsError
 from .spectra import absorption_spectra, coupling_diagonals, raman_profiles
-from .validate import run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,6 +82,10 @@ def _run_spectra(args):
 
 
 def _run_validate(args):
+    # imported here: the suite's wavepacket check loads scipy.fft, which
+    # the spectra jobs do not need
+    from .validate import run_suite
+
     config = _resolve_config(args)
     results = run_suite(config, quick=args.quick)
     for result in results:

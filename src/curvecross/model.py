@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import MultipleCrossingsWarning, NoCrossingError, UnsupportedCurveError
 
@@ -241,9 +240,14 @@ def find_crossing(curve_1, curve_2, bracket, scan_points=2001):
     """Position where the two potentials are equal inside the bracket.
 
     The bracket is scanned for sign changes of V1 - V2; each change is
-    polished by Brent's method to |dx| < 1e-10.  With several roots the
-    one nearest the bracket midpoint is returned and a warning is issued.
+    polished by Brent's method (scipy.optimize.brentq, imported here so
+    that importing the model does not load scipy.optimize) to within
+    1e-12 + 8.9e-16 |x| of the root (xtol=1e-12, rtol=8.9e-16).  With
+    several roots the one nearest the bracket midpoint is returned and a
+    warning is issued.
     """
+    from scipy.optimize import brentq
+
     x_lo, x_hi = bracket
     if not x_hi > x_lo:
         raise ValueError("bracket must satisfy x_lo < x_hi")

@@ -45,6 +45,10 @@ and the reads take them.  Where only G(x, x) is wanted, resolvent_rows
 on the nodes (j, j + 1) of x's cell sweeps to that cell and no further,
 and its point read gives the value.
 
+The outer quadratures use _simpson, Simpson's rule written out with
+scipy.integrate.simpson's arithmetic for equal steps, so that they give
+its values bit for bit without importing scipy.integrate.
+
 A truncated eigenfunction expansion over harmonic eigenstates is provided
 as an independent oracle for the same object.
 """
@@ -54,7 +58,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.blas import ztbsv
 
 from .errors import DegenerateWronskianError, GridError
@@ -71,6 +74,25 @@ MAX_K_DX = 0.5
 # f is taken as 0, which moves <g|G|f> by about SUPPORT_FLOOR times its
 # bound max |G f| integral |g|.
 SUPPORT_FLOOR = 1e-16
+
+
+def _simpson(y, dx):
+    """Simpson's rule over the last axis of y, sampled with step dx on at
+    least three nodes, with scipy.integrate.simpson's arithmetic: the
+    composite rule, and for an even node count the composite rule on all
+    but the last node plus the correction (alpha, beta, -eta) of the last
+    interval from the steps h0 = h1 = dx."""
+    n = y.shape[-1]
+    m = n - 1 if n % 2 == 0 else n
+    total = np.sum(y[..., 0 : m - 2 : 2] + 4.0 * y[..., 1 : m - 1 : 2] + y[..., 2:m:2], axis=-1)
+    total *= dx / 3.0
+    if m < n:
+        h0 = h1 = np.float64(dx)
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        total += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return total
 
 
 def _step_maps(c_left, c_mid, c_right, c_imag, h):
@@ -341,7 +363,7 @@ class ResolventRows:
         on = np.s_[..., lo : hi + 1]
         diagonal = 2.0 * self.curve.mass / (self.y_plus[on] - self.y_minus[on])
         summed = (minus + plus)[..., lo - start : hi + 1 - start]
-        element = simpson(g[on] * diagonal * summed, dx=self.grid.dx, axis=-1)
+        element = _simpson(g[on] * diagonal * summed, self.grid.dx)
         if x0 is None:
             return element, None
         cell = np.s_[..., j - start : j - start + 2]
@@ -516,7 +538,7 @@ class HarmonicSpectralSum:
         return deficit / abs(self.z - self.energies[-1])
 
     def _overlaps(self, f):
-        return simpson(self._table * np.asarray(f)[None, :], dx=self.grid.dx, axis=1)
+        return _simpson(self._table * np.asarray(f)[None, :], self.grid.dx)
 
     def vector(self, f, x0):
         phi0 = harmonic_eigenstates(self.curve, self.n_max, np.array([x0]))[:, 0]

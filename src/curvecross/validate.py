@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .config import RunConfig
 from .coupled import CoupledBlocks
@@ -17,6 +16,7 @@ from .model import Grid, harmonic_eigenstates
 from .resolvent import (
     WRONSKIAN_DRIFT_LIMIT,
     HarmonicSpectralSum,
+    _simpson,
     build_resolvent,
     build_resolvent_batch,
 )
@@ -56,7 +56,7 @@ def _gaussian_bump(x, center, width, power):
 def check_orthonormality(model, grid):
     n_top = 20
     table = harmonic_eigenstates(model.ground, n_top, grid.points)
-    gram = simpson(table[:, None, :] * table[None, :, :], dx=grid.dx, axis=2)
+    gram = _simpson(table[:, None, :] * table[None, :, :], grid.dx)
     dev = float(np.max(np.abs(gram - np.eye(n_top + 1))))
     return CheckResult(
         "eigenstate orthonormality", dev < 1e-8, f"max |<n|m> - delta| = {dev:.2e}"
@@ -176,6 +176,10 @@ def check_k0_scaling(model, grid):
 
 
 def check_wavepacket(model):
+    """The wavepacket identity check at three energies, passed on the G11
+    deviations; the detail also says where the norm went: the G21
+    deviation, the norm the absorber took and the largest one-step norm
+    growth."""
     rep = verify_resolvent_identity(
         model,
         (10800.0, 11400.0, 12000.0),
@@ -187,7 +191,9 @@ def check_wavepacket(model):
     return CheckResult(
         "wavepacket cross-check",
         dev < 0.02,
-        f"max G11 deviation {dev:.4f} (tol 0.02), absorbed norm {rep.absorbed_norm:.2e}",
+        f"max G11 deviation {dev:.4f} (tol 0.02), max G21 deviation "
+        f"{max(rep.deviation_g21):.4f}, absorbed norm {rep.absorbed_norm:.2e}, "
+        f"max step norm growth {rep.max_step_growth:.2e}",
     )
 
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import curvecross
 from curvecross import cli
 from curvecross.cli import main
 from curvecross.config import load_config
@@ -270,3 +275,31 @@ def test_validate_quick_passes_without_coupling(capsys):
     out = capsys.readouterr().out
     assert "PASS  K0-scaling exponents" in out
     assert "FAIL" not in out
+
+
+def scipy_modules(code):
+    """The scipy.* modules in sys.modules after code runs in a fresh
+    interpreter that imports curvecross from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvecross.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_spectra_path_loads_no_scipy_beyond_linalg(tmp_path):
+    # importing the CLI and running an absorption job load only what
+    # scipy.linalg loads on its own: no scipy.optimize, integrate, fft,
+    # sparse or spatial
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(NARROW)
+    budget = scipy_modules("import scipy.linalg")
+    assert "scipy.linalg" in budget
+    for code in ("import curvecross.cli",
+                 f"from curvecross.cli import main\n"
+                 f"assert main(['absorption', '--config', {str(cfg)!r}, "
+                 f"'--out', {str(tmp_path / 'run')!r}]) == 0"):
+        loaded = scipy_modules(code)
+        assert loaded <= budget, sorted(loaded - budget)

@@ -7,9 +7,10 @@ from scipy.integrate import simpson
 from curvecross import resolvent, spectra
 from curvecross.coupled import CoupledBlocks
 from curvecross.errors import DegenerateWronskianError, NumericsError
-from curvecross.model import Grid, franck_condon_matrix, harmonic_eigenstates
+from curvecross.model import DEFAULT_GRID, Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
     HarmonicSpectralSum,
+    _simpson,
     _step_maps,
     build_resolvent,
     build_resolvent_batch,
@@ -589,3 +590,16 @@ def test_weak_form_identity(ev_allowed_fine, model, fine_grid):
         q = second / (2.0 * m) + (ev_allowed_fine.z - v) * phi
         phi0 = np.exp(-a * (x0 - center) ** 2)
         assert ev_allowed_fine.vector(q, x0) == pytest.approx(phi0, rel=1e-6)
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, Grid(-3.0, 1.5, 16384), Grid(-1.5, 1.5, 32768)],
+                         ids=["default", "wavepacket", "fine"])
+def test_simpson_rule_is_scipys_bit_for_bit(grid, rng):
+    # the written-out rule against scipy.integrate.simpson on equal steps:
+    # odd and even counts, real and complex, 1-d and (nz, M) rows
+    for n in [*range(3, 42), 538, 539, 1182, 1183, 4096, 4097]:
+        for shape in ((n,), (3, n)):
+            real = rng.standard_normal(shape)
+            for y in (real, real + 1j * rng.standard_normal(shape)):
+                got, want = _simpson(y, grid.dx), simpson(y, dx=grid.dx, axis=-1)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (n, shape)

@@ -400,6 +400,30 @@ def test_point_path_matches_the_closed_forms(config, grid, depth):
         assert np.max(np.abs(values - exact) / np.abs(exact)) < 1e-6
 
 
+@pytest.mark.parametrize("depth", [None, 1000.0])
+def test_scan_matches_the_analytic_amplitude(config, grid, depth):
+    # the coupled amplitude of the partitioning formula from the closed
+    # forms, direct + K0^2 v_f G2 v_i / (1 - K0^2 G1 G2) with direct and
+    # v = <x_c|G1|chi> the allowed surface's sums over states n <= 200 and
+    # G1, G2 at x_c at 30 digits; the gaps are the grid's, about 5e-8
+    settings = {} if depth is None else {"forbidden_well_depth_cm1": depth}
+    model = replace(config, **settings).validate().to_model()
+    omega = np.array([10000.0, 10900.0, 11800.0, 12700.0, 13500.0])
+    zs = model.resolvent_argument(omega)
+    k0, x_c = model.coupling.strength, model.coupling.location
+    overlaps = franck_condon_matrix(model.ground, model.allowed, 1, 200)
+    poles = 1.0 / (zs[:, None] - model.allowed.eigenvalue(np.arange(201.0)))
+    phi_c = harmonic_eigenstates(model.allowed, 200, [x_c])[:, 0]
+    v = poles @ (phi_c[:, None] * overlaps.T)
+    g1 = np.array([harmonic_diagonal(model.allowed, z, x_c) for z in zs])
+    g2 = np.array([morse_diagonal(model.forbidden, z, x_c) for z in zs])
+    for n_f in (0, 1):
+        value = spectra.scan(model, omega, n_f, grid)[0]
+        direct = poles @ (overlaps[n_f] * overlaps[0])
+        exact = direct + k0**2 * v[:, n_f] * g2 * v[:, 0] / (1.0 - k0**2 * g1 * g2)
+        assert np.max(np.abs(value - exact) / np.abs(exact)) < 1e-6
+
+
 def test_metadata_records_the_forbidden_window(model, grid):
     # the forbidden surface is swept on its own window, which holds x_c's
     # cell and lies within the scan's window

@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 
 import curvecross
+from curvecross import validate
 from curvecross.config import RunConfig
 from curvecross.errors import StepSizeError, TailTruncationWarning
 from curvecross.model import Grid, MorseCurve, harmonic_eigenstates
@@ -20,6 +21,7 @@ from curvecross.wavepacket import (
     NORM_GROWTH_LIMIT,
     WAVEPACKET_GRID,
     X_SAMPLES,
+    IdentityReport,
     SplitStepPropagator,
     half_fourier,
     initial_state,
@@ -343,3 +345,19 @@ def test_identity_forbidden_component(model):
         wp_grid=Grid(-3.0, 1.5, 16384),
     )
     assert max(report.deviation_g21) < 0.03
+
+
+def test_validate_reports_where_the_norm_went(model, monkeypatch):
+    # the wavepacket check's detail carries the largest G21 deviation and
+    # one-step norm growth beside the G11 deviation and the absorbed norm;
+    # it still passes on the G11 deviations alone
+    report = IdentityReport(omega=[10800.0, 11400.0], deviation_g11_elastic=[0.0011, 0.0013],
+                            deviation_g11_raman=[0.0017, 0.0012], deviation_g21=[0.0456, 0.0123],
+                            absorbed_norm=1.5e-3, max_step_growth=3.25e-9)
+    monkeypatch.setattr(validate, "verify_resolvent_identity", lambda *args, **kwargs: report)
+    result = validate.check_wavepacket(model)
+    assert result.passed
+    assert "max G11 deviation 0.0017" in result.detail
+    assert "max G21 deviation 0.0456" in result.detail
+    assert "absorbed norm 1.50e-03" in result.detail
+    assert "max step norm growth 3.25e-09" in result.detail
