@@ -17,26 +17,29 @@ solutions are bit for bit the same in any batch.
 
 Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
-the power of two that cancels RK4's growth of the local WKB wave, and the
-solutions are stored as y = u'/u and ell = log u per node (B. R. Johnson's
-log-derivative, J. Comput. Phys. 13, 445 (1973)), so everything is bounded:
+the power of two that cancels RK4's growth of the local WKB wave, and each
+solution is stored as y = u'/u per node (B. R. Johnson's log-derivative,
+J. Comput. Phys. 13, 445 (1973)) and as the ratio of each node's value to
+the next one's in its sweep's direction, r-_k = u-_k / u-_k+1 and
+r+_k = u+_k+1 / u+_k, so everything is bounded:
 
     G(x_j, x_j) = 2m / (y+ - y-)                         on the nodes,
     G(x, x0)    = G(x_j, x_j) u-(x)/u-(x_j) u+(x0)/u+(x_j)   off them,
 
-with u(x)/u(x_j) from cubic Hermite interpolation in the cell.  For a
-state f, A(x) = (integral of f u- up to x) / u-(x) and its mirror
+with u(x)/u(x_j) from cubic Hermite interpolation in the cell, and
+u+(x_i)/u+(x_j) the product of the ratios between.  For a state f,
+A(x) = (integral of f u- up to x) / u-(x) and its mirror
 B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-where A is a recurrence along the nodes in the bounded ratio u_k / u_k+1
-(_sums), like the sweeps one banded forward substitution per row, and B
-is the same sum on the reversed arrays.  ResolventRows holds y and ell of
-a batch of energies as (nz, M) rows, possibly a node range of the sweeps,
-and forms the matrix element, <f|G|x0> from its sums, vector (sums up to
-x0's cell only) and the point read on all rows at once, each row's values
-independent of the batch; a ResolventEvaluator is its one-row case.  The
+where A is a recurrence along the nodes in r- (_sums), like the sweeps
+one banded forward substitution per row, and B is the same sum on the
+reversed arrays, in r+.  ResolventRows holds y and the ratios of a batch
+of energies as (nz, M) and (nz, M - 1) rows, possibly a node range of the
+sweeps, and forms the matrix element, <f|G|x0> from its sums, vector (sums
+up to x0's cell only) and the point read on all rows at once, each row's
+values independent of the batch; a ResolventEvaluator is its one-row case.  The
 quadratures touch only the nodes their states occupy, a state's support
 being the nodes where |f| >= SUPPORT_FLOOR max |f|: A is summed from the
 first node of f's support and B from its last, each 0 before it, and they
@@ -146,7 +149,8 @@ class _BandedSweep:
 
     def __init__(self, growth, v0, band):
         nz, n = growth.shape[0], growth.shape[1] + 1
-        self.octaves = _octaves(growth)
+        # int32 exponents: np.ldexp takes a slow path for int64 ones
+        self.octaves = _octaves(growth).astype(np.int32)
         self.states = np.zeros((nz, n, 2), dtype=complex)
         self.states[:, 0, 0] = 1.0
         self.states[:, 0, 1] = v0
@@ -159,20 +163,22 @@ class _BandedSweep:
         """Energy k's sweep in place: the maps (a_re, a_im, ..., d_im) of its
         intervals, in the order it runs them, go into the band times
         -2^(E_k - E_k+1), and ztbsv solves for the states."""
-        scales = np.ldexp(-1.0, (self.octaves[k, :-1] - self.octaves[k, 1:]).astype(int))
+        scales = np.ldexp(-1.0, self.octaves[k, :-1] - self.octaves[k, 1:])
         for (re_lane, im_lane), re, im in zip(self.lanes, maps[::2], maps[1::2]):
             np.multiply(re, scales, out=re_lane)
             np.multiply(im, scales, out=im_lane)
         ztbsv(3, self.band, self.states[k].reshape(-1), lower=1, diag=1, overwrite_x=1)
 
-    def logs(self, nodes):
-        """(ell, y) = (log u, u'/u) on the sweep's nodes (a slice), formed in
-        the states' buffer, with E ln 2 added back into ell."""
+    def ratios(self, nodes):
+        """(r, y) on the sweep's nodes (a slice of M), formed in the states'
+        buffer: r_i = u_i / u_i+1 in sweep order, (nz, M - 1), the scaled
+        states' ratio times 2^(E_i - E_i+1), and y = u'/u, (nz, M)."""
         u, up = self.states[:, nodes, 0], self.states[:, nodes, 1]
         y = np.divide(up, u, out=up)
-        ell = _log(u, out=u)
-        ell.real += self.octaves[:, nodes] * math.log(2.0)
-        return ell, y
+        r = np.divide(u[:, :-1], u[:, 1:], out=u[:, :-1])
+        octaves = self.octaves[:, nodes]
+        r *= np.ldexp(1.0, octaves[:, :-1] - octaves[:, 1:])
+        return r, y
 
 
 def _octaves(growth):
@@ -182,15 +188,6 @@ def _octaves(growth):
     octaves = np.zeros((growth.shape[0], growth.shape[1] + 1))
     np.rint(np.cumsum(growth, axis=1, out=octaves[:, 1:]), out=octaves[:, 1:])
     return octaves
-
-
-def _log(a, out):
-    """log a for a complex array, written into out (which may be a), from
-    real ufuncs: numpy's complex log costs several times more."""
-    phase = np.angle(a)
-    np.log(np.abs(a), out=out.real)
-    out.imag = phase
-    return out
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -205,35 +202,35 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _sums(f, ell, h, stop=None):
+def _sums(f, ratios, h, stop=None):
     """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop,
-    by default every node, with u = exp(ell), for (nz, M) rows of ell (f
-    broadcast against them): (nz, stop + 1).
+    by default every node, for (nz, M - 1) rows of ratios r_k = u_k / u_k+1
+    (f, on M nodes, broadcast against them): (nz, stop + 1).
 
-    With r_k = u_k / u_k+1, bounded however u grows, A_0 = 0 and A_k+1 =
-    r_k A_k + q_k, q_k the integral of f u over interval k divided by u_k+1:
-    the 4-point cubic rule h/24 (-1, 13, 13, -1) on nodes k-1..k+2, or the
-    3-point rule h/12 (5, 8, -1) on the first and last interval, each weight
-    a product of at most two ratios.  (Cumulative Simpson would alternate
+    With r bounded however u grows, A_0 = 0 and A_k+1 = r_k A_k + q_k, q_k
+    the integral of f u over interval k divided by u_k+1: the 4-point cubic
+    rule h/24 (-1, 13, 13, -1) on nodes k-1..k+2, or the 3-point rule h/12
+    (5, 8, -1) on the first and last interval, each weight a product of at
+    most two ratios.  (Cumulative Simpson would alternate
     its stencil between odd and even nodes, an error that the outer Simpson
     rule of the matrix element does not cancel: a few parts in 1e6 on the
     Morse surface at the default grid.)  Each row is one BLAS forward
     substitution (ztbsv) of the unit lower-bidiagonal system with -r below
     the diagonal, so an earlier stop leaves A_k unchanged.  ResolventRows
-    passes the arrays from the first node of f's support on (or from its
-    last, reversed), so that x_0 is that node and the sum skips the nodes
-    where f is taken as 0.
+    passes f and r- from the first node of f's support on, or f reversed
+    from its last and r+ reversed from the interval before it, so that x_0
+    is that node and the sum skips the nodes where f is taken as 0.
     """
-    n = ell.shape[-1]
+    n = ratios.shape[-1] + 1
     stop = n - 1 if stop is None else stop
     m = min(stop + 2, n)  # the nodes that intervals 0..stop-1 reach
     # intervals 1..last-1 take the 4-point rule, interval n-2 the end rule
     last = stop - 1 if stop == n - 1 else stop
-    f_rows = np.broadcast_to(f, ell.shape).reshape(-1, n)[:, :m]
+    rows = ratios.shape[:-1]
+    f_rows = np.broadcast_to(f, rows + (n,)).reshape(-1, n)[:, :m]
     sums = np.zeros((f_rows.shape[0], stop + 1), dtype=complex)
     band = np.zeros((2, stop + 1), dtype=complex, order="F")
-    for fk, ek, a in zip(f_rows, ell.reshape(-1, n)[:, :m], sums):
-        r = np.exp(ek[:-1] - ek[1:])
+    for fk, r, a in zip(f_rows, ratios.reshape(-1, n - 1)[:, : m - 1], sums):
         np.negative(r[:stop], out=band[1, :stop])
         fr = fk[:-1] * r
         q = a[1:]  # the right-hand side 24/h q_k
@@ -246,33 +243,34 @@ def _sums(f, ell, h, stop=None):
         # f2py would solve a copy of a row that is not contiguous and aligned
         if not np.may_share_memory(ztbsv(1, band, a, lower=1, diag=1, overwrite_x=1), a):
             raise RuntimeError("ztbsv did not solve a row of the sums in place")
-    return sums.reshape(ell.shape[:-1] + (stop + 1,))
+    return sums.reshape(rows + (stop + 1,))
 
 
-def _interpolate(ell, j, t, h, v0, d0, v1, d1):
-    """F(x) / u(x_j) at x = x_j + t h on every row of ell, u = exp(ell): the
+def _interpolate(e, t, h, v0, d0, v1, d1):
+    """F(x) / u(x_j) at x = x_j + t h, e = u(x_j+1) / u(x_j) (per row): the
     cubic Hermite interpolant of F = v u and F' = d u at the cell's nodes."""
-    e = np.exp(ell[..., j + 1] - ell[..., j])
     c0, c1 = (1.0 + 2.0 * t) * (1.0 - t) ** 2, t * (1.0 - t) ** 2 * h
     c2, c3 = t**2 * (3.0 - 2.0 * t), t**2 * (t - 1.0) * h
     return c0 * v0 + c1 * d0 + (c2 * v1 + c3 * d1) * e
 
 
-def _ratio(y, ell, j, t, h):
-    """u(x)/u(x_j), y = u'/u, ell = log u."""
-    return _interpolate(ell, j, t, h, 1.0, y[..., j], 1.0, y[..., j + 1])
+def _ratio(y, e, j, t, h):
+    """u(x)/u(x_j), y = u'/u, e = u(x_j+1) / u(x_j)."""
+    return _interpolate(e, t, h, 1.0, y[..., j], 1.0, y[..., j + 1])
 
 
 class ResolventRows:
-    """G(x, x0; z) of one curve at nz energies: y = u'/u and ell = log u of
-    u- and u+ as (nz, M) rows on nodes first..first + M - 1 of grid, with
-    each row's Wronskian drift.  The quadratures and the point read give
-    (nz,) arrays; a ResolventEvaluator is the one-row case."""
+    """G(x, x0; z) of one curve at nz energies on nodes first..first + M - 1
+    of grid: y = u'/u of u- and u+ as (nz, M) rows, the ratios r-_k =
+    u-_k / u-_k+1 and r+_k = u+_k+1 / u+_k as (nz, M - 1) rows, k counted
+    from the rows' first node, and each row's Wronskian drift.  The
+    quadratures and the point read give (nz,) arrays; a ResolventEvaluator
+    is the one-row case."""
 
-    def __init__(self, curve, z, grid, first, y_minus, ell_minus, y_plus, ell_plus, drift):
+    def __init__(self, curve, z, grid, first, y_minus, r_minus, y_plus, r_plus, drift):
         self.curve, self.z, self.grid, self.first = curve, z, grid, first
-        self.y_minus, self.ell_minus = y_minus, ell_minus
-        self.y_plus, self.ell_plus = y_plus, ell_plus
+        self.y_minus, self.r_minus = y_minus, r_minus
+        self.y_plus, self.r_plus = y_plus, r_plus
         self.wronskian_drift = drift
 
     def _cell(self, x):
@@ -307,13 +305,13 @@ class ResolventRows:
         any nodes are the same bit for bit."""
         first, last = support
         h = self.grid.dx
-        a = np.zeros(self.ell_minus.shape[:-1] + (hi - lo + 1,), dtype=complex)
+        a = np.zeros(self.y_minus.shape[:-1] + (hi - lo + 1,), dtype=complex)
         b = np.zeros_like(a)
         if hi > first:
-            sums = _sums(f[..., first:], self.ell_minus[..., first:], h, hi - first)
+            sums = _sums(f[..., first:], self.r_minus[..., first:], h, hi - first)
             a[..., max(first - lo, 0) :] = sums[..., max(lo - first, 0) :]
         if lo < last:
-            sums = _sums(f[..., last::-1], self.ell_plus[..., last::-1], h, last - lo)
+            sums = _sums(f[..., last::-1], self.r_plus[..., last - 1 :: -1], h, last - lo)
             end = min(last, hi) + 1 - lo
             b[..., :end] = sums[..., ::-1][..., :end]
         return a, b
@@ -326,9 +324,10 @@ class ResolventRows:
         """G(x, x0), interpolating off-node arguments."""
         lo, hi = (x, x0) if x <= x0 else (x0, x)
         (j, t), (i, s) = self._cell(lo), self._cell(hi)
-        r_minus = _ratio(self.y_minus, self.ell_minus, j, t, self.grid.dx)
-        r_plus = _ratio(self.y_plus, self.ell_plus, i, s, self.grid.dx)
-        shift = np.exp(self.ell_plus[..., i] - self.ell_plus[..., j])
+        r_minus = _ratio(self.y_minus, 1.0 / self.r_minus[..., j], j, t, self.grid.dx)
+        r_plus = _ratio(self.y_plus, self.r_plus[..., i], i, s, self.grid.dx)
+        # u+(x_i) / u+(x_j), the ratios of the cells between
+        shift = np.prod(self.r_plus[..., j:i], axis=-1)
         return self._node_value(j) * r_minus * r_plus * shift
 
     def vector(self, f, x0):
@@ -341,12 +340,13 @@ class ResolventRows:
     def _vector_at(self, f, j, t, a, b):
         """vector(f, x0) at x0 = x_j + t h from A and B at nodes j, j + 1."""
         h = self.grid.dx
-        r_minus = _ratio(self.y_minus, self.ell_minus, j, t, h)
-        r_plus = _ratio(self.y_plus, self.ell_plus, j, t, h)
+        e_minus, e_plus = 1.0 / self.r_minus[..., j], self.r_plus[..., j]  # u(x_j+1) / u(x_j)
+        r_minus = _ratio(self.y_minus, e_minus, j, t, h)
+        r_plus = _ratio(self.y_plus, e_plus, j, t, h)
         # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j): (A u-)' = f u-, (B u+)' = -f u+
         fj, fk = f[..., j], f[..., j + 1]
-        a0 = _interpolate(self.ell_minus, j, t, h, a[..., 0], fj, a[..., 1], fk)
-        b0 = _interpolate(self.ell_plus, j, t, h, b[..., 0], -fj, b[..., 1], -fk)
+        a0 = _interpolate(e_minus, t, h, a[..., 0], fj, a[..., 1], fk)
+        b0 = _interpolate(e_plus, t, h, b[..., 0], -fj, b[..., 1], -fk)
         return self._node_value(j) * (a0 * r_plus + b0 * r_minus)
 
     def element_and_vector(self, f, g, x0=None):
@@ -379,7 +379,7 @@ class ResolventEvaluator:
         self.curve, self.z, self.grid = rows.curve, complex(rows.z[k]), rows.grid
         self.wronskian_drift = float(rows.wronskian_drift[k])
         self.rows = ResolventRows(rows.curve, rows.z[one], rows.grid, rows.first, rows.y_minus[one],
-                                  rows.ell_minus[one], rows.y_plus[one], rows.ell_plus[one],
+                                  rows.r_minus[one], rows.y_plus[one], rows.r_plus[one],
                                   rows.wronskian_drift[one])
 
     def point(self, x, x0):
@@ -396,9 +396,10 @@ class ResolventEvaluator:
 
 
 def _sweep_pair(curve, zs, grid, stop, start):
-    """(zs, ell-, y-, ell+, y+) on nodes start..stop: u- swept from the left
-    edge over nodes 0..stop, u+ from the right edge over nodes start..N-1.
-    Per energy both sweeps read one call of _step_maps."""
+    """(zs, r-, y-, r+, y+) on nodes start..stop, as ResolventRows holds
+    them: u- swept from the left edge over nodes 0..stop, u+ from the right
+    edge over nodes start..N-1.  Per energy both sweeps read one call of
+    _step_maps."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
         raise ValueError("resolvents require a finite z with Im z > 0")
@@ -432,9 +433,10 @@ def _sweep_pair(curve, zs, grid, stop, start):
         # run backward, an interval's map is the forward one with a and d
         # swapped, and c the same to round-off
         plus.solve(k, [t[backward] for t in (d_re, d_im, b_re, b_im, c_re, c_im, a_re, a_im)])
-    ell_minus, y_minus = minus.logs(np.s_[start:])
-    ell_plus, y_plus = plus.logs(np.s_[grid.n - 1 - stop :])
-    return zs, ell_minus, y_minus, ell_plus[:, ::-1], np.negative(y_plus, out=y_plus)[:, ::-1]
+    r_minus, y_minus = minus.ratios(np.s_[start:])
+    # u+'s ratios in sweep order, u+_k+1 / u+_k from node N - 1 down, reversed
+    r_plus, y_plus = plus.ratios(np.s_[grid.n - 1 - stop :])
+    return zs, r_minus, y_minus, r_plus[:, ::-1], np.negative(y_plus, out=y_plus)[:, ::-1]
 
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
@@ -445,26 +447,27 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
     hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1) of x's cell."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
-    zs, ell_minus, y_minus, ell_plus, y_plus = _sweep_pair(curve, zs, grid, hi, lo)
+    zs, r_minus, y_minus, r_plus, y_plus = _sweep_pair(curve, zs, grid, hi, lo)
     drift = np.empty(zs.size)
     for k, z in enumerate(zs):
         p, q = y_plus[k, 0], y_minus[k, 0]
         if not abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)):
             raise DegenerateWronskianError(f"u- and u+ at node {lo} are not independent "
                                            f"at z = {z}")
+        # W = u- u+ (y+ - y-) is constant for the exact solutions; the drift
+        # is the largest |W_k / W_0 - 1|, with W_k / W_0 = (dy_k / dy_0) times
+        # the running product of r+ / r-, dy = y+ - y-
         dy = y_plus[k] - y_minus[k]
-        # log W = ell- + ell+ + log(y+ - y-) is constant for the exact
-        # solutions; the drift is its largest departure from the first node,
-        # the phase taken modulo 2 pi
-        log_w = _log(dy, out=dy)
-        log_w += ell_minus[k] + ell_plus[k]
-        log_w -= log_w[0]
-        phase = np.remainder(log_w.imag + np.pi, 2.0 * np.pi) - np.pi
-        drift[k] = np.max(np.hypot(log_w.real, phase))
+        dy /= dy[0]
+        w = np.divide(r_plus[k], r_minus[k])
+        np.cumprod(w, out=w)
+        w *= dy[1:]
+        w -= 1.0
+        drift[k] = np.max(np.abs(w), initial=0.0)
         if not drift[k] < WRONSKIAN_DRIFT_LIMIT:
             raise DegenerateWronskianError(f"Wronskian drift {drift[k]:.2e} at z = {z} "
                                            f"is not below {WRONSKIAN_DRIFT_LIMIT:.0e}")
-    return ResolventRows(curve, zs, grid, lo, y_minus, ell_minus, y_plus, ell_plus, drift)
+    return ResolventRows(curve, zs, grid, lo, y_minus, r_minus, y_plus, r_plus, drift)
 
 
 def build_resolvent_batch(curve, zs, grid=None):

@@ -89,9 +89,9 @@ def test_g11_vector_calls(pair, model, monkeypatch):
         calls.append("vector")
         return vector(self, f, x0)
 
-    def counted_sums(f, ell, h, stop=None):
+    def counted_sums(f, ratios, h, stop=None):
         calls.append(stop)
-        return sums(f, ell, h, stop)
+        return sums(f, ratios, h, stop)
 
     monkeypatch.setattr(resolvent.ResolventRows, "vector", counted)
     monkeypatch.setattr(resolvent, "_sums", counted_sums)

@@ -8,13 +8,16 @@ reduces to the bare allowed-surface resolvent exactly.  The forbidden
 surface carries no dipole, so the absorption A = -Im <chi_0|G11|chi_0>
 integrates to pi over all photon energies, coupled or not.  The
 quadratures, which sum only on their states' support, equal the same sums
-over the whole grid to round-off.
+over the whole grid to round-off.  G2(x_c, x_c) agrees with the Morse
+curve's closed form in Whittaker functions over its well depths and
+dampings.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from closed_forms import morse_diagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
@@ -24,7 +27,7 @@ from curvecross.config import RunConfig
 from curvecross.coupled import CoupledBlocks
 from curvecross.model import harmonic_eigenstates
 from curvecross.resolvent import build_resolvent
-from curvecross.spectra import absorption_spectra, photon_energies
+from curvecross.spectra import absorption_spectra, coupling_diagonals, photon_energies
 
 DEFAULT = RunConfig()
 
@@ -92,8 +95,8 @@ def _whole_grid(rows, f, g, x0):
     """<f|G|g>, <f|G|x0> and <f|G|x_j> on every node, from the sums of f
     over the whole rows and the outer Simpson rule over the whole grid."""
     h = rows.grid.dx
-    minus = resolvent._sums(f, rows.ell_minus, h)
-    plus = resolvent._sums(f[::-1], rows.ell_plus[:, ::-1], h)[:, ::-1]
+    minus = resolvent._sums(f, rows.r_minus, h)
+    plus = resolvent._sums(f[::-1], rows.r_plus[:, ::-1], h)[:, ::-1]
     on_nodes = 2.0 * rows.curve.mass / (rows.y_plus - rows.y_minus) * (minus + plus)
     j, t = rows._cell(x0)
     vector = rows._vector_at(f, j, t, minus[:, j : j + 2], plus[:, j : j + 2])
@@ -132,3 +135,20 @@ def test_quadratures_on_the_support_equal_the_whole_grid(omega, gamma, f, g, x0)
     assert abs(element[0] - want_element[0]) <= 1e-13 * scale * simpson(np.abs(g), dx=grid.dx)
     # each sum starts on f's support whatever g and x0 are
     assert rows.vector(f, x0) == vector
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    depth=st.floats(300.0, 5000.0),
+    gamma=st.floats(150.0, 900.0),
+    omega=st.floats(9500.0, 13500.0),
+)
+def test_forbidden_diagonal_matches_the_whittaker_form(depth, gamma, omega):
+    # G2(x_c, x_c) from the point path on the default grid against the
+    # closed form at 30 digits, below, across and above the dissociation
+    # limit 10800 + D cm^-1; the gaps are the grid's, at most about 1e-7
+    model = replace(DEFAULT, forbidden_well_depth_cm1=depth, damping_cm1=gamma).validate().to_model()
+    g2 = coupling_diagonals(model, [omega], DEFAULT.to_grid())[1, 0]
+    z = model.resolvent_argument(omega)
+    exact = morse_diagonal(model.forbidden, z, model.coupling.location)
+    assert abs(g2 - exact) <= 1e-6 * abs(exact)

@@ -21,6 +21,12 @@ from curvecross.resolvent import (
 HALF_EXPONENT_RANGE = 0.5 * math.log(np.finfo(float).max)
 
 
+def _efolds(ratios):
+    """log |u_k / u_0| on the nodes, from rows of ratios r_k = u_k / u_k+1."""
+    steps = -np.log(np.abs(ratios))
+    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), np.cumsum(steps, axis=-1)], axis=-1)
+
+
 class FlatCurve:
     """Constant potential; the resolvent has the free-particle closed form."""
 
@@ -59,9 +65,8 @@ def _derivative_jump(ev, x):
     j = ev.grid.index_below(x)
     t = (x - ev.grid.points[j]) / h
 
-    def ratio(y, ell):
+    def ratio(y, e):
         # end values 1 and e = u(x_j+1)/u(x_j), end slopes h y_j and h y_j+1 e
-        e = np.exp(ell[j + 1] - ell[j])
         s0, s1 = h * y[j], h * y[j + 1] * e
         value = ((1 + 2 * t) * (1 - t) ** 2 + t * (1 - t) ** 2 * s0
                  + t**2 * (3 - 2 * t) * e + t**2 * (t - 1) * s1)
@@ -69,8 +74,8 @@ def _derivative_jump(ev, x):
         return value, slope
 
     rows = ev.rows
-    r_minus, s_minus = ratio(rows.y_minus[0], rows.ell_minus[0])
-    r_plus, s_plus = ratio(rows.y_plus[0], rows.ell_plus[0])
+    r_minus, s_minus = ratio(rows.y_minus[0], 1.0 / rows.r_minus[0, j])
+    r_plus, s_plus = ratio(rows.y_plus[0], rows.r_plus[0, j])
     diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0, j] - rows.y_minus[0, j])
     return diagonal * (r_minus * s_plus - s_minus * r_plus) / h
 
@@ -86,6 +91,32 @@ def test_wronskian_constancy(model, grid):
     for curve in (model.allowed, model.forbidden):
         for ev in build_resolvent_batch(curve, zs, grid):
             assert ev.wronskian_drift < 1e-8
+
+
+def test_drift_is_round_off_and_catches_a_broken_sweep(config, model, grid, monkeypatch):
+    # on the default 401 energies the drift of both curves' rows is
+    # round-off; a relative error of 1e-6 in b of one interval of each sweep
+    # (interval 5 of u- and interval N - 7 of u+) moves W by about 1e-7 and
+    # must raise.  Scaling b in _step_maps instead would go unseen: the
+    # backward map is the adjugate of the forward one, so both sweeps would
+    # conserve the same wrong W
+    zs = model.resolvent_argument(config.omega_grid())
+    for curve in (model.allowed, model.forbidden):
+        for start in range(0, zs.size, spectra.SCAN_CHUNK):
+            rows = resolvent.resolvent_rows(curve, zs[start : start + spectra.SCAN_CHUNK], grid)
+            assert np.max(rows.wronskian_drift) < 1e-12
+    solve = resolvent._BandedSweep.solve
+
+    def broken(self, k, maps):
+        maps = [np.array(part) for part in maps]
+        for part in maps[2:4]:  # b_re, b_im
+            part[5] *= 1.0 + 1e-6
+        return solve(self, k, maps)
+
+    monkeypatch.setattr(resolvent._BandedSweep, "solve", broken)
+    for curve in (model.allowed, model.forbidden):
+        with pytest.raises(DegenerateWronskianError, match="drift"):
+            resolvent.resolvent_rows(curve, zs[::100], grid)
 
 
 def test_batch_matches_single_build(model, grid):
@@ -109,7 +140,7 @@ def test_batch_matches_single_build(model, grid):
 def test_chunk_rows_equal_single_energy_sweeps(model, grid):
     # a scan chunk's rows on each curve's default window and on the whole
     # grid, where u+- span more than half the float64 exponent range,
-    # against one sweep per energy: ell, y and drift, and the quadratures
+    # against one sweep per energy: the ratios, y and drift, and the quadratures
     # that g11 takes from them, equal bit for bit
     omega = np.linspace(9500.0, 13500.0, spectra.SCAN_CHUNK)
     _, _, window, forbidden, _ = spectra.scan(model, omega, 0, grid)
@@ -123,7 +154,7 @@ def test_chunk_rows_equal_single_energy_sweeps(model, grid):
         own = chunk.vector(chi[0], x_c)
         for k, z in enumerate(zs):
             single = resolvent.resolvent_rows(curve, [z], nodes)
-            for name in ("ell_minus", "y_minus", "ell_plus", "y_plus", "wronskian_drift"):
+            for name in ("r_minus", "y_minus", "r_plus", "y_plus", "wronskian_drift"):
                 assert np.array_equal(getattr(single, name)[0], getattr(chunk, name)[k])
             single_element, single_vector = single.element_and_vector(chi[1], chi[0], x_c)
             assert single_element[0] == element[k] and single_vector[0] == vector[k]
@@ -145,14 +176,14 @@ def test_morse_quadrature_converges(model, grid):
 
 
 def _summed_spans(monkeypatch):
-    """The range of Re ell over the nodes of each _sums call, in e-folds."""
+    """The range of log |u| over the nodes of each _sums call, in e-folds."""
     spans = []
     sums = resolvent._sums
 
-    def spanned(f, ell, h, stop=None):
-        summed = ell.real[..., : ell.shape[-1] if stop is None else stop + 1]
+    def spanned(f, ratios, h, stop=None):
+        summed = _efolds(ratios[..., :stop])
         spans.append(float(np.max(np.ptp(summed, axis=-1))))
-        return sums(f, ell, h, stop)
+        return sums(f, ratios, h, stop)
 
     monkeypatch.setattr(resolvent, "_sums", spanned)
     return spans
@@ -180,8 +211,8 @@ def test_values_survive_dynamic_range_beyond_float64(model, grid, monkeypatch):
         for default, widened in zip(*results):
             assert abs(widened - default) <= 1e-8 * abs(default)
         rows, h, j = ev.rows, wide.dx, wide.index_below(x_c)
-        minus = _sequential_sums(wave, rows.ell_minus[0], h)
-        plus = _sequential_sums(wave[::-1], rows.ell_plus[0, ::-1], h)[::-1]
+        minus = _sequential_sums(wave, rows.r_minus[0], h)
+        plus = _sequential_sums(wave[::-1], rows.r_plus[0, ::-1], h)[::-1]
         on_nodes = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0]) * (minus + plus)
         scale = np.max(np.abs(on_nodes))
         spans.clear()
@@ -257,7 +288,9 @@ def test_sweep_is_plain_rk4(model):
             u_ref = np.array(us).T
             y_ref = np.array(vs).T / u_ref
             for ev, u_k, y_k in zip(evs, u_ref, y_ref):
-                assert np.max(np.abs(np.exp(ev.rows.ell_minus[0] - np.log(u_k)) - 1.0)) <= 1e-12
+                # u from u_0 = 1 and the ratios r_k = u_k / u_k+1
+                u = np.concatenate([[1.0], np.cumprod(1.0 / ev.rows.r_minus[0])])
+                assert np.max(np.abs(u / u_k - 1.0)) <= 1e-12
                 assert np.max(np.abs(ev.rows.y_minus[0] - y_k) / np.abs(y_k)) <= 1e-12
 
 
@@ -361,21 +394,19 @@ def test_quadratures_reject_states_off_the_grid(model, grid):
             blocks.g11(chi0, bad)
 
 
-def _sequential_sums(f, ell, h):
+def _sequential_sums(f, rho, h):
     """A_{k+1} = rho_k A_k + q_k node by node, rho_k = u_k / u_{k+1} and q_k
     the integral of f u over interval k divided by u_{k+1}: the 4-point rule
-    h/24 (-1, 13, 13, -1), the 3-point rule h/12 (5, 8, -1) at the ends."""
+    h/24 (-1, 13, 13, -1), the 3-point rule h/12 (5, 8, -1) at the ends, with
+    u_m / u_{k+1} = rho_k, rho_{k-1} rho_k and 1 / rho_{k+1} at m = k, k - 1
+    and k + 2."""
     n = f.size
-    rho = np.exp(ell[:-1] - ell[1:])
-
-    def w(m, k):  # f u / u_{k+1} at node m
-        return f[m] * np.exp(ell[m] - ell[k + 1])
-
     k = np.arange(1, n - 2)
     q = np.empty(n - 1, dtype=complex)
-    q[1:-1] = h / 24.0 * (13.0 * (w(k, k) + w(k + 1, k)) - w(k - 1, k) - w(k + 2, k))
-    q[0] = h / 12.0 * (5.0 * w(0, 0) + 8.0 * w(1, 0) - w(2, 0))
-    q[-1] = h / 12.0 * (5.0 * w(n - 1, n - 2) + 8.0 * w(n - 2, n - 2) - w(n - 3, n - 2))
+    q[1:-1] = h / 24.0 * (13.0 * (f[k] * rho[k] + f[k + 1]) - f[k - 1] * rho[k - 1] * rho[k]
+                          - f[k + 2] / rho[k + 1])
+    q[0] = h / 12.0 * (5.0 * f[0] * rho[0] + 8.0 * f[1] - f[2] / rho[1])
+    q[-1] = h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] * rho[-1] - f[-3] * rho[-2] * rho[-1])
     a = 0j
     sums = [a]
     for r, dq in zip(rho.tolist(), q.tolist()):
@@ -413,11 +444,11 @@ def test_blocked_sums_equal_sequential_recurrence(model, nodes):
             for state in states:
                 both = []
                 rows = ev.rows
-                for f, ell in ((state, rows.ell_minus[0]), (state[::-1], rows.ell_plus[0, ::-1])):
-                    expected = _sequential_sums(f, ell, h)
+                for f, r in ((state, rows.r_minus[0]), (state[::-1], rows.r_plus[0, ::-1])):
+                    expected = _sequential_sums(f, r, h)
                     scale = np.max(np.abs(expected))
-                    assert np.max(np.abs(resolvent._sums(f, ell, h) - expected)) <= 1e-12 * scale
-                    blocked.add(np.max(np.abs(np.diff(ell.real))) * n > HALF_EXPONENT_RANGE)
+                    assert np.max(np.abs(resolvent._sums(f, r, h) - expected)) <= 1e-12 * scale
+                    blocked.add(np.max(np.abs(np.log(np.abs(r)))) * n > HALF_EXPONENT_RANGE)
                     both.append(expected)
                 # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes
                 diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0])

@@ -30,6 +30,12 @@ from curvecross.spectra import (
 HALF_EXPONENT_RANGE = 0.5 * math.log(np.finfo(float).max)
 
 
+def _efolds(ratios):
+    """log |u_k / u_0| on the nodes, from rows of ratios r_k = u_k / u_k+1."""
+    steps = -np.log(np.abs(ratios))
+    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), np.cumsum(steps, axis=-1)], axis=-1)
+
+
 def with_params(model, **kwargs):
     return replace(model, **kwargs)
 
@@ -253,8 +259,10 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     zs = model.resolvent_argument(omega)
     rows = resolvent_rows(model.allowed, zs, window, (lo - a, hull.stop - 1 - a))
     whole = resolvent_rows(model.allowed, zs, window)
-    for name in ("y_minus", "ell_minus", "y_plus", "ell_plus"):
+    for name in ("y_minus", "y_plus"):
         assert np.array_equal(getattr(rows, name), getattr(whole, name)[:, lo - a : hull.stop - a])
+    for name in ("r_minus", "r_plus"):
+        assert np.array_equal(getattr(rows, name), getattr(whole, name)[:, lo - a : hull.stop - a - 1])
     assert np.array_equal(direct, rows.element_and_vector(chi[1, hull], chi[0, hull])[0])
     with pytest.raises(ValueError, match="outside the rows' nodes"):
         rows.point(window.x_min, model.coupling.location)
@@ -488,9 +496,10 @@ def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, mo
     calls = []
     sums = resolvent._sums
 
-    def counted(f, ell, h, stop=None):
-        calls.append((ell.shape, stop))
-        return sums(f, ell, h, stop)
+    def counted(f, ratios, h, stop=None):
+        # the rows' shape on the nodes that the ratios join
+        calls.append((ratios.shape[:-1] + (ratios.shape[-1] + 1,), stop))
+        return sums(f, ratios, h, stop)
 
     monkeypatch.setattr(resolvent, "_sums", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
@@ -561,7 +570,7 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid, monkeypatch):
         chi = harmonic_eigenstates(model.ground, 1, g.points)
         rows = resolvent_rows(model.allowed, zs, g)
         results.append((*rows.element_and_vector(chi[1], chi[0], x_c), rows.point(x_c, x_c)))
-    steps = np.max(np.abs(np.diff(rows.ell_minus.real)))
+    steps = np.max(np.abs(np.log(np.abs(rows.r_minus))))
     assert steps * wide.n > 4 * HALF_EXPONENT_RANGE
     for default, widened in zip(*results):
         assert np.max(np.abs(widened - default) / np.abs(default)) <= 1e-8
@@ -569,9 +578,9 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid, monkeypatch):
     spans = []
     sums = resolvent._sums
 
-    def spanned(f, ell, h, stop=None):
-        spans.append(np.min(np.ptp(ell.real[..., : stop + 1], axis=-1)))
-        return sums(f, ell, h, stop)
+    def spanned(f, ratios, h, stop=None):
+        spans.append(np.min(np.ptp(_efolds(ratios[..., :stop]), axis=-1)))
+        return sums(f, ratios, h, stop)
 
     monkeypatch.setattr(resolvent, "_sums", spanned)
     element, vector = rows.element_and_vector(wave, chi[0], x_c)
