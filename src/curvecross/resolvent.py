@@ -12,8 +12,10 @@ symmetric by construction.  The equation is linear, so one RK4 step over
 an interval is an exact 2x2 map of (u, u'); per energy the sweeps compute
 these maps in closed form for all intervals, once for both directions, and
 apply them in turn as one compiled forward substitution of a banded
-triangular system (_BandedSweep).  Each energy is its own solve, so its
-solutions are bit for bit the same in any batch.
+triangular system (_sweep).  resolvent_rows takes the energies one at a
+time, sweeping, reading and checking each before the next, so its
+solutions are bit for bit the same in any batch and a batch holds only
+its rows and one energy's sweep.
 
 Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
@@ -46,7 +48,8 @@ first node of f's support and B from its last, each 0 before it, and they
 run only as far as g's support or x0's cell, where the outer Simpson rule
 and the reads take them.  Where only G(x, x) is wanted, resolvent_rows
 on the nodes (j, j + 1) of x's cell sweeps to that cell and no further,
-and its point read gives the value.
+and its point read gives the value: at any number of energies the call
+holds O(N + nz) numbers.
 
 The outer quadratures use _simpson, Simpson's rule written out with
 scipy.integrate.simpson's arithmetic for equal steps, so that they give
@@ -129,65 +132,44 @@ def _step_maps(c_left, c_mid, c_right, c_imag, h):
     )
 
 
-class _BandedSweep:
-    """RK4 sweeps of u'' = c u at nz energies over K intervals, growth (nz, K)
-    the growth of the local WKB wave over each in octaves, from u_0 = 1 and
-    u'_0 = v0 (nz,), solved on the first 2(K + 1) columns of band, a zeroed
-    (4, >= 2(K + 1)) complex array that sweeps may share: a solve reads only
-    entries it writes.
+def _sweep(maps, growth, v0, band, states, nodes, y, r):
+    """One energy's RK4 sweep of u'' = c u over K intervals from u_0 = 1 and
+    u'_0 = v0: the maps (a_re, a_im, ..., d_im) of _step_maps, (K,) each in
+    the order the sweep runs them, and growth (K,) the growth of the local
+    WKB wave over each interval in octaves.  Writes y = u'/u on nodes, a
+    slice of the K + 1, into y, and r_i = u_i / u_i+1 between them, in sweep
+    order, into r.
 
-    Interval k's 2x2 map T from _step_maps, scaled by 2^(E_k - E_k+1) from
-    _octaves, takes (u_k, u'_k) to (u_k+1, u'_k+1), so the states x = (u_0,
-    u'_0, u_1, u'_1, ...) solve a unit lower-triangular system of bandwidth
-    3: column 2k of the band holds -a and -c at offsets 2 and 3, column
-    2k+1 holds -b and -d at offsets 1 and 2.  Each energy is one BLAS forward
-    substitution (ztbsv) in place on a Fortran-ordered band, which f2py
-    would copy on every call if it were C-ordered.  The states are plain
-    RK4's times 2^-E_k to round-off, and an energy's bits do not depend on
-    the batch.
+    E_k, the running sum of the growth rounded to whole octaves, scales
+    interval k's map by 2^(E_k - E_k+1), so that it takes (u_k, u'_k) to
+    (u_k+1, u'_k+1) times 2^-E.  The states x = (u_0, u'_0, u_1, u'_1, ...)
+    then solve a unit lower-triangular system of bandwidth 3: column 2k of
+    the band holds -a and -c at offsets 2 and 3, column 2k+1 holds -b and -d
+    at offsets 1 and 2.  It is one BLAS forward substitution (ztbsv) in
+    states, a complex buffer of at least 2(K + 1), on the first 2(K + 1)
+    columns of band, a zeroed (4, >= 2(K + 1)) complex array, Fortran-ordered
+    because f2py would copy a C-ordered one on every call.  A solve reads
+    only the band entries it writes, so the sweeps of a call share both.
+    The scaled states are plain RK4's times 2^-E_k to round-off, and r is
+    their ratio times 2^(E_i - E_i+1).
     """
-
-    def __init__(self, growth, v0, band):
-        nz, n = growth.shape[0], growth.shape[1] + 1
-        # int32 exponents: np.ldexp takes a slow path for int64 ones
-        self.octaves = _octaves(growth).astype(np.int32)
-        self.states = np.zeros((nz, n, 2), dtype=complex)
-        self.states[:, 0, 0] = 1.0
-        self.states[:, 0, 1] = v0
-        self.band = band[:, : 2 * n]
-        # the real and imaginary parts of a, b, c and d in the band
-        self.lanes = [(self.band.real[i, j:-2:2], self.band.imag[i, j:-2:2])
-                      for i, j in ((2, 0), (1, 1), (3, 0), (2, 1))]
-
-    def solve(self, k, maps):
-        """Energy k's sweep in place: the maps (a_re, a_im, ..., d_im) of its
-        intervals, in the order it runs them, go into the band times
-        -2^(E_k - E_k+1), and ztbsv solves for the states."""
-        scales = np.ldexp(-1.0, self.octaves[k, :-1] - self.octaves[k, 1:])
-        for (re_lane, im_lane), re, im in zip(self.lanes, maps[::2], maps[1::2]):
-            np.multiply(re, scales, out=re_lane)
-            np.multiply(im, scales, out=im_lane)
-        ztbsv(3, self.band, self.states[k].reshape(-1), lower=1, diag=1, overwrite_x=1)
-
-    def ratios(self, nodes):
-        """(r, y) on the sweep's nodes (a slice of M), formed in the states'
-        buffer: r_i = u_i / u_i+1 in sweep order, (nz, M - 1), the scaled
-        states' ratio times 2^(E_i - E_i+1), and y = u'/u, (nz, M)."""
-        u, up = self.states[:, nodes, 0], self.states[:, nodes, 1]
-        y = np.divide(up, u, out=up)
-        r = np.divide(u[:, :-1], u[:, 1:], out=u[:, :-1])
-        octaves = self.octaves[:, nodes]
-        r *= np.ldexp(1.0, octaves[:, :-1] - octaves[:, 1:])
-        return r, y
-
-
-def _octaves(growth):
-    """E_k, RK4's growth of the local WKB wave from x_0 to x_k in whole octaves,
-    (nz, N) with E_0 = 0: the running sum of the growth per interval (nz, N - 1),
-    rounded so the scales 2^-E are exact."""
-    octaves = np.zeros((growth.shape[0], growth.shape[1] + 1))
-    np.rint(np.cumsum(growth, axis=1, out=octaves[:, 1:]), out=octaves[:, 1:])
-    return octaves
+    n = growth.size + 1
+    octaves = np.zeros(n)
+    np.rint(np.cumsum(growth, out=octaves[1:]), out=octaves[1:])
+    # int32 exponents: np.ldexp takes a slow path for int64 ones
+    octaves = octaves.astype(np.int32)
+    scales = np.ldexp(-1.0, octaves[:-1] - octaves[1:])
+    for i, j, re, im in zip((2, 1, 3, 2), (0, 1, 0, 1), maps[::2], maps[1::2]):
+        np.multiply(re, scales, out=band.real[i, j : 2 * n - 2 : 2])
+        np.multiply(im, scales, out=band.imag[i, j : 2 * n - 2 : 2])
+    x = states[: 2 * n]
+    x.fill(0.0)
+    x[:2] = 1.0, v0
+    u, up = ztbsv(3, band[:, : 2 * n], x, lower=1, diag=1, overwrite_x=1).reshape(n, 2)[nodes].T
+    np.divide(up, u, out=y)
+    np.divide(u[:-1], u[1:], out=r)
+    octaves = octaves[nodes]
+    r *= np.ldexp(1.0, octaves[:-1] - octaves[1:])
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -395,71 +377,69 @@ class ResolventEvaluator:
         return complex(self.rows.element_and_vector(f, g)[0][0])
 
 
-def _sweep_pair(curve, zs, grid, stop, start):
-    """(zs, r-, y-, r+, y+) on nodes start..stop, as ResolventRows holds
-    them: u- swept from the left edge over nodes 0..stop, u+ from the right
-    edge over nodes start..N-1.  Per energy both sweeps read one call of
-    _step_maps."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
-        raise ValueError("resolvents require a finite z with Im z > 0")
-    x = grid.points
-    v_nodes = np.asarray(curve.evaluate(x), dtype=float)
-    v_mid = np.asarray(curve.evaluate(grid.midpoints), dtype=float)
-    _check_coverage(curve, zs, v_nodes, grid.dx)
-    m = curve.mass
-    # c = 2m(V - z): the real part varies along the grid, the imaginary
-    # part -2m Im z does not
-    c_nodes = 2.0 * m * (v_nodes[None, :] - zs.real[:, None])
-    c_mid = 2.0 * m * (v_mid[None, :] - zs.real[:, None])
-    c_imag = -(2.0 * m * zs.imag)
-
-    h = grid.dx
-    v0 = _wkb_log_derivative(c_nodes[:, 0] + 1j * c_imag, m, float(curve.gradient(x[0])))
-    v0r = _wkb_log_derivative(c_nodes[:, -1] + 1j * c_imag, m, -float(curve.gradient(x[-1])))
-    forward, backward = np.s_[:stop], np.s_[: start - 1 if start else None : -1]
-    band = np.zeros((4, 2 * max(stop + 1, grid.n - start)), dtype=complex, order="F")
-    # RK4's growth of the local WKB wave over each interval in octaves, both
-    # ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24, s = h Re sqrt(c)
-    s = np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag[:, None]) + c_mid))
-    growth = np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
-    minus = _BandedSweep(growth[:, forward], v0, band)
-    plus = _BandedSweep(growth[:, backward], v0r, band)
-    for k in range(zs.size):
-        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = _step_maps(
-            c_nodes[k, :-1], c_mid[k], c_nodes[k, 1:], c_imag[k], h
-        )
-        minus.solve(k, [t[forward] for t in (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im)])
-        # run backward, an interval's map is the forward one with a and d
-        # swapped, and c the same to round-off
-        plus.solve(k, [t[backward] for t in (d_re, d_im, b_re, b_im, c_re, c_im, a_re, a_im)])
-    r_minus, y_minus = minus.ratios(np.s_[start:])
-    # u+'s ratios in sweep order, u+_k+1 / u+_k from node N - 1 down, reversed
-    r_plus, y_plus = plus.ratios(np.s_[grid.n - 1 - stop :])
-    return zs, r_minus, y_minus, r_plus[:, ::-1], np.negative(y_plus, out=y_plus)[:, ::-1]
-
-
 def resolvent_rows(curve, zs, grid=None, nodes=None):
-    """ResolventRows of one curve at several z on grid, each row's drift
-    checked, and u- and u+ independent at the rows' first node: |y+ - y-| >=
+    """ResolventRows of one curve at several z on grid, one energy at a
+    time: u- swept from the left edge and u+ from the right one, both from
+    one call of _step_maps, their rows written, then checked for drift and
+    for u- and u+ independent at the rows' first node: |y+ - y-| >=
     WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) there.  Given nodes = (lo, hi), u- is
     swept only to node hi and u+ only to node lo, and the rows and the drift
     hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1) of x's cell."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
-    zs, r_minus, y_minus, r_plus, y_plus = _sweep_pair(curve, zs, grid, hi, lo)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
+        raise ValueError("resolvents require a finite z with Im z > 0")
+    x, h, m = grid.points, grid.dx, curve.mass
+    v_nodes = np.asarray(curve.evaluate(x), dtype=float)
+    v_mid = np.asarray(curve.evaluate(grid.midpoints), dtype=float)
+    _check_coverage(curve, zs, v_nodes, h)
+    # c = 2m(V - z): the real part varies along the grid, the imaginary
+    # part -2m Im z does not
+    c_imag = -(2.0 * m * zs.imag)
+    v0 = _wkb_log_derivative(2.0 * m * (v_nodes[0] - zs.real) + 1j * c_imag, m,
+                             float(curve.gradient(x[0])))
+    v0r = _wkb_log_derivative(2.0 * m * (v_nodes[-1] - zs.real) + 1j * c_imag, m,
+                              -float(curve.gradient(x[-1])))
+    forward, backward = np.s_[:hi], np.s_[: lo - 1 if lo else None : -1]
+    n = max(hi + 1, grid.n - lo)
+    band = np.zeros((4, 2 * n), dtype=complex, order="F")
+    states = np.empty(2 * n, dtype=complex)
+    width = hi - lo + 1
+    y_minus, y_plus = np.empty((2, zs.size, width), dtype=complex)
+    r_minus, r_plus = np.empty((2, zs.size, width - 1), dtype=complex)
     drift = np.empty(zs.size)
     for k, z in enumerate(zs):
+        c_nodes = 2.0 * m * (v_nodes - z.real)
+        c_mid = 2.0 * m * (v_mid - z.real)
+        # RK4's growth of the local WKB wave over each interval in octaves,
+        # both ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24,
+        # s = h Re sqrt(c)
+        s = np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag[k]) + c_mid))
+        growth = np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
+        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = _step_maps(
+            c_nodes[:-1], c_mid, c_nodes[1:], c_imag[k], h
+        )
+        _sweep([t[forward] for t in (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im)],
+               growth[forward], v0[k], band, states, np.s_[lo:], y_minus[k], r_minus[k])
+        # run backward, an interval's map is the forward one with a and d
+        # swapped, and c the same to round-off; u+'s rows fill from node hi
+        # down, and its y is in the sweep's variable -x
+        _sweep([t[backward] for t in (d_re, d_im, b_re, b_im, c_re, c_im, a_re, a_im)],
+               growth[backward], v0r[k], band, states, np.s_[grid.n - 1 - hi :],
+               y_plus[k, ::-1], r_plus[k, ::-1])
+        np.negative(y_plus[k], out=y_plus[k])
         p, q = y_plus[k, 0], y_minus[k, 0]
         if not abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)):
             raise DegenerateWronskianError(f"u- and u+ at node {lo} are not independent "
                                            f"at z = {z}")
         # W = u- u+ (y+ - y-) is constant for the exact solutions; the drift
         # is the largest |W_k / W_0 - 1|, with W_k / W_0 = (dy_k / dy_0) times
-        # the running product of r+ / r-, dy = y+ - y-
-        dy = y_plus[k] - y_minus[k]
+        # the running product of r+ / r-, dy = y+ - y-, both formed in the
+        # state buffer that the sweeps are done with
+        dy = np.subtract(y_plus[k], y_minus[k], out=states[:width])
         dy /= dy[0]
-        w = np.divide(r_plus[k], r_minus[k])
+        w = np.divide(r_plus[k], r_minus[k], out=states[width : 2 * width - 1])
         np.cumprod(w, out=w)
         w *= dy[1:]
         w -= 1.0
@@ -487,7 +467,7 @@ def _check_coverage(curve, zs, v_nodes, dx):
     exempt because the WKB seed is the exact outgoing solution there.  The
     grid must also resolve the fastest local oscillation at the top of the
     scan: k_max dx <= MAX_K_DX."""
-    z_top = float(np.max(zs.real))
+    z_top = float(np.max(zs.real, initial=-np.inf))  # no energies, nothing to cover
     if isinstance(curve, HarmonicCurve):
         bad = v_nodes[0] <= z_top or v_nodes[-1] <= z_top
     elif isinstance(curve, MorseCurve):

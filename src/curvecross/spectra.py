@@ -16,8 +16,9 @@ seeds are forgotten (_window, metadata["window"]).  Per chunk of energies
 the allowed surface is swept from the window's edges to the hull's far
 ends only, and its rows hold the hull's nodes, where the quadratures run
 once per chunk, each on its states' own support.  The forbidden surface
-gives only G2(x_c, x_c): resolvent_rows on x_c's cell, swept to that cell
-on the curve's own window (_diagonal, metadata["forbidden_window"]).
+gives only G2(x_c, x_c): one resolvent_rows call for all the energies on
+x_c's cell, each swept to that cell on the curve's own window (_diagonal,
+metadata["forbidden_window"]).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
 from .resolvent import SUPPORT_FLOOR, _check_coverage, resolvent_rows
 
+# Energies per allowed-surface chunk of a scan: the hull's rows and the
+# quadratures' temporaries grow with the energies of a call.  Unchunked,
+# the default 401-energy scan peaked at 124 MB RSS, against 69 MB chunked.
 SCAN_CHUNK = 64
 # Largest |chi| at a grid edge, relative to max |chi|, that a scan accepts
 # for the initial and final vibrational states.  On the default grid the
@@ -93,16 +97,12 @@ def _window(curves, zs, lo, hi, grid):
 
 def _diagonal(curve, zs, x, grid):
     """(G(x, x) of curve at the energies zs, its window): the window is
-    _window's from x's cell, and per chunk of SCAN_CHUNK energies the rows
-    hold that cell's two nodes only, each sweep stopping there."""
+    _window's from x's cell, and the rows hold that cell's two nodes only,
+    each sweep stopping there."""
     j = grid.index_below(x)
     window = _window((curve,), zs, j, j + 1, grid)
     k = window.index_below(x)
-    values = np.empty(zs.size, dtype=complex)
-    for start in range(0, zs.size, SCAN_CHUNK):
-        chunk = np.s_[start : start + SCAN_CHUNK]
-        values[chunk] = resolvent_rows(curve, zs[chunk], window, (k, k + 1)).point(x, x)
-    return values, window
+    return resolvent_rows(curve, zs, window, (k, k + 1)).point(x, x), window
 
 
 def coupling_diagonals(model, omega_grid, grid=None):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,15 +106,15 @@ def test_drift_is_round_off_and_catches_a_broken_sweep(config, model, grid, monk
         for start in range(0, zs.size, spectra.SCAN_CHUNK):
             rows = resolvent.resolvent_rows(curve, zs[start : start + spectra.SCAN_CHUNK], grid)
             assert np.max(rows.wronskian_drift) < 1e-12
-    solve = resolvent._BandedSweep.solve
+    sweep = resolvent._sweep
 
-    def broken(self, k, maps):
+    def broken(maps, *args):
         maps = [np.array(part) for part in maps]
         for part in maps[2:4]:  # b_re, b_im
             part[5] *= 1.0 + 1e-6
-        return solve(self, k, maps)
+        return sweep(maps, *args)
 
-    monkeypatch.setattr(resolvent._BandedSweep, "solve", broken)
+    monkeypatch.setattr(resolvent, "_sweep", broken)
     for curve in (model.allowed, model.forbidden):
         with pytest.raises(DegenerateWronskianError, match="drift"):
             resolvent.resolvent_rows(curve, zs[::100], grid)
@@ -298,10 +299,12 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     # without its scales a default-grid sweep leaves float64; the NaN drift
     # must raise in batches of one and six energies instead of returning
     # numbers
-    def no_octaves(growth):
-        return np.zeros((growth.shape[0], growth.shape[1] + 1))
+    sweep = resolvent._sweep
 
-    monkeypatch.setattr(resolvent, "_octaves", no_octaves)
+    def unscaled(maps, growth, *args):
+        return sweep(maps, np.zeros_like(growth), *args)
+
+    monkeypatch.setattr(resolvent, "_sweep", unscaled)
     for nz in (1, 6):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
@@ -318,10 +321,12 @@ def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the one-sided sweeps of the point path leave float64 on the Morse
     # wall without their scales; y at x_c's cell is then not finite, and
     # the point path must raise for one energy and for a scan chunk
-    def no_octaves(growth):
-        return np.zeros((growth.shape[0], growth.shape[1] + 1))
+    sweep = resolvent._sweep
 
-    monkeypatch.setattr(resolvent, "_octaves", no_octaves)
+    def unscaled(maps, growth, *args):
+        return sweep(maps, np.zeros_like(growth), *args)
+
+    monkeypatch.setattr(resolvent, "_sweep", unscaled)
     for nz in (1, spectra.SCAN_CHUNK):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
@@ -349,6 +354,25 @@ def test_point_path_is_the_evaluator_diagonal(model, grid, nz):
         for x in (model.coupling.location, 0.3, grid.x_min, grid.x_max - 0.1 * grid.dx):
             values = _point_path(curve, zs, x, grid)
             assert np.array_equal(values, [ev.point(x, x) for ev in evs])
+
+
+def test_point_path_memory_does_not_grow_with_the_energies(config, model, grid):
+    # the rows on x_c's cell are swept one energy at a time, so the default
+    # 401 energies take at most twice the traced peak of one energy; rows
+    # of whole sweeps for every energy would take about 100 times it
+    zs = model.resolvent_argument(config.omega_grid())
+    j = grid.index_below(model.coupling.location)
+
+    def peak(energies):
+        tracemalloc.start()
+        try:
+            resolvent.resolvent_rows(model.forbidden, energies, grid, (j, j + 1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert zs.size == 401
+    assert peak(zs) <= 2 * peak(zs[:1])
 
 
 def test_rejects_nonpositive_damping(model, grid):

@@ -196,6 +196,15 @@ def test_scan_determinism_across_chunking(model, grid, monkeypatch):
         assert np.array_equal(a.intensity, b.intensity)
 
 
+def test_empty_energy_grid_gives_empty_results(model, grid):
+    for coupled, uncoupled in (absorption_spectra(model, [], grid=grid),
+                               raman_profiles(model, 1, [], grid=grid)):
+        for spec in (coupled, uncoupled):
+            assert spec.omega.shape == spec.intensity.shape == (0,)
+    diagonals = spectra.coupling_diagonals(model, [], grid)
+    assert diagonals.shape == (2, 0) and diagonals.dtype == complex
+
+
 def test_metadata_records_run(model, grid):
     omega = np.arange(10700.0, 11000.0, 100.0)
     coupled, uncoupled = raman_profiles(model, 2, omega, grid=grid)
@@ -217,7 +226,8 @@ def test_metadata_records_run(model, grid):
 
 def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, monkeypatch):
     # coupled and uncoupled tables come from the same sweeps: 11 energies in
-    # chunks of 4 make 3 allowed-surface and 3 forbidden-surface builds
+    # chunks of 4 make 3 allowed-surface builds, and the forbidden surface's
+    # point path is one build of all 11
     monkeypatch.setattr(spectra, "SCAN_CHUNK", 4)
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[scan]\nomega_min_cm1 = 10700\nomega_max_cm1 = 10800\nomega_step_cm1 = 10\n")
@@ -225,8 +235,8 @@ def test_cli_jobs_sweep_each_surface_once_per_chunk(model, builds, tmp_path, mon
         builds.clear()
         assert cli.main([job, "--config", str(cfg), "--out", str(tmp_path / job)]) == 0
         assert [nz for curve, nz in builds if curve == model.allowed] == [4, 4, 3]
-        assert [nz for curve, nz in builds if curve == model.forbidden] == [4, 4, 3]
-        assert len(builds) == 6
+        assert [nz for curve, nz in builds if curve == model.forbidden] == [11]
+        assert len(builds) == 4
 
 
 def test_zero_coupling_scan_is_the_same_scan(model, grid, builds):
@@ -450,13 +460,13 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     # cell; summed, against four full sweeps (two per surface) on the
     # shared window
     steps = []
-    octaves = resolvent._octaves
+    sweep = resolvent._sweep
 
-    def counted(growth):
+    def counted(maps, growth, *args):
         steps.append(growth.size)
-        return octaves(growth)
+        return sweep(maps, growth, *args)
 
-    monkeypatch.setattr(resolvent, "_octaves", counted)
+    monkeypatch.setattr(resolvent, "_sweep", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
     coupled, _ = raman_profiles(model, 1, omega, grid=grid)
     a, b, lo, hi, f_a, f_b = (
@@ -466,6 +476,9 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     )
     j = grid.index_below(model.coupling.location)
     nz = omega.size
+    # one sweep per energy and direction, the forbidden surface's energies
+    # first: summed per surface and direction
+    steps = np.reshape(steps, (2, nz, 2)).sum(axis=1).ravel().tolist()
     assert steps == [nz * (j + 1 - f_a), nz * (f_b - j), nz * (hi - a), nz * (b - lo)]
     shared = 4 * (coupled.metadata["window"][2] - 1)
     assert sum(steps) / nz <= 0.65 * shared
