@@ -9,21 +9,22 @@ derivative.  The Green's function is then
     G(x, x0) = 2m u-(min(x, x0)) u+(max(x, x0)) / W,   W = u- u+' - u-' u+,
 
 symmetric by construction.  The equation is linear, so one RK4 step over
-an interval is an exact 2x2 map of (u, u'); per energy the sweeps compute
-these maps in closed form for all intervals, once for both directions, and
-apply them in turn as one compiled forward substitution of a banded
-triangular system (_sweep).  resolvent_rows takes the energies one at a
-time, sweeping, reading and checking each before the next, so its
-solutions are bit for bit the same in any batch and a batch holds only
-its rows and one energy's sweep.
+an interval is an exact 2x2 map of (u, u'); per energy _step_band writes
+these maps in closed form into one banded unit lower-triangular system.
+u- is its compiled forward substitution, and u+, whose backward maps are
+the transposed rows, the compiled back substitution of its transpose.
+resolvent_rows takes the energies one at a time, solving, reading
+and checking each before the next, so its solutions are bit for bit the
+same in any batch and a batch holds only its rows and one energy's band.
 
 Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
-the power of two that cancels RK4's growth of the local WKB wave, and each
-solution is stored as y = u'/u per node (B. R. Johnson's log-derivative,
-J. Comput. Phys. 13, 445 (1973)) and as the ratio of each node's value to
-the next one's in its sweep's direction, r-_k = u-_k / u-_k+1 and
-r+_k = u+_k+1 / u+_k, so everything is bounded:
+the power of two that cancels RK4's growth of the local WKB wave; one
+sequence of octaves serves both solves, since u- grows the way u+ decays.
+Each solution is stored as y = u'/u per node (B. R. Johnson's
+log-derivative, J. Comput. Phys. 13, 445 (1973)) and as the ratio of each
+node's value to the next one's in its solve's direction, r-_k = u-_k /
+u-_k+1 and r+_k = u+_k+1 / u+_k, so everything is bounded:
 
     G(x_j, x_j) = 2m / (y+ - y-)                         on the nodes,
     G(x, x0)    = G(x_j, x_j) u-(x)/u-(x_j) u+(x0)/u+(x_j)   off them,
@@ -35,11 +36,11 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
     <f|G|x0> = G(x0, x0) (A + B)(x0),   <g|G|f> = integral of g G(x, x) (A + B),
 
-where A is a recurrence along the nodes in r- (_sums), like the sweeps
+where A is a recurrence along the nodes in r- (_sums), like u-'s solve
 one banded forward substitution per row, and B is the same sum on the
 reversed arrays, in r+.  ResolventRows holds y and the ratios of a batch
 of energies as (nz, M) and (nz, M - 1) rows, possibly a node range of the
-sweeps, and forms the matrix element, <f|G|x0> from its sums, vector (sums
+grid, and forms the matrix element, <f|G|x0> from its sums, vector (sums
 up to x0's cell only) and the point read on all rows at once, each row's
 values independent of the batch; a ResolventEvaluator is its one-row case.  The
 quadratures touch only the nodes their states occupy, a state's support
@@ -47,7 +48,7 @@ being the nodes where |f| >= SUPPORT_FLOOR max |f|: A is summed from the
 first node of f's support and B from its last, each 0 before it, and they
 run only as far as g's support or x0's cell, where the outer Simpson rule
 and the reads take them.  Where only G(x, x) is wanted, resolvent_rows
-on the nodes (j, j + 1) of x's cell sweeps to that cell and no further,
+on the nodes (j, j + 1) of x's cell solves to that cell and no further,
 and its point read gives the value: at any number of energies the call
 holds O(N + nz) numbers.
 
@@ -101,75 +102,66 @@ def _simpson(y, dx):
     return total
 
 
-def _step_maps(c_left, c_mid, c_right, c_imag, h):
-    """The RK4 step of u'' = c u over each interval, as an exact 2x2 map.
+def _step_band(c_nodes, c_mid, c_imag, h, growth, band):
+    """Write one energy's scaled RK4 step maps of u'' = c u over K intervals
+    into band, and return 2^(E_k - E_k+1) (K,), which undoes interval k's
+    scale in a ratio of neighbouring nodes.
 
-    c_left, c_mid and c_right are Re c at the intervals' left nodes,
-    midpoints and right nodes, of one shape; c_imag = -2m Im z is the
-    imaginary part, constant along the grid, broadcast against them.  One
-    step takes (u, u') to (a u + b u', c u + d u') with
+    c_nodes (K + 1,) and c_mid (K,) are Re c = 2m(V - Re z) on the nodes
+    and midpoints, c_imag = -2m Im z, and growth (K,) the growth of the
+    local WKB wave over each interval in octaves.  One step takes (u, u')
+    to (a u + b u', c u + d u') with
 
         a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
         b = h + h^3/6 c_m
         c = h/6 (c_l + 4 c_m + c_r) + h^3/12 c_m (c_l + c_r)
         d = 1 + h^2/6 (2 c_m + c_r) + h^4/24 c_m c_r
 
-    evaluated in real arithmetic.  Returns the real and imaginary parts
-    (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im), each of c_mid's shape.
+    in real arithmetic, scaled by 2^(E_k - E_k+1), E_k the running sum of
+    the growth rounded to whole octaves.  band is a zeroed (4, 2(K + 1))
+    complex array, Fortran-ordered because f2py would copy a C-ordered one
+    on every call.  Column 2k gets -a and -c at offsets 2 and 3, column
+    2k + 1 gets -b and -d at offsets 1 and 2, nothing else: a unit
+    lower-triangular system of bandwidth 3.  Solved forward from
+    x = (1, v0, 0, ...), its states are (u_0, u'_0, u_1, u'_1, ...) of u-
+    times 2^-E_k.  Its transpose, solved back from x_2K = v0r and
+    x_2K+1 = 1, has rows U_k = d U_k+1 + b W_k+1 (2k + 1) and W_k = c U_k+1
+    + a W_k+1 (2k), times the same scale: the backward map [[d, b], [c, a]]
+    of (u, -u'), RK4 run in -x.  So (W, U) is (-u+', u+) times
+    2^(E_k - E_K): the octaves that bound u- bound u+, which decays where
+    u- grows, both ratios of neighbours unscale by 2^(E_k - E_k+1), and the
+    scaled states' product is u- u+ times 2^-E_K on every node, so the
+    Wronskian drift needs no unscaling.  A solve on a node range reads
+    only the entries that its part of the system reaches.
     """
-    s1, s2, s3, s4 = h / 6.0, h * h / 6.0, h**3 / 6.0, h**4 / 24.0
-    g2 = c_imag * c_imag
-    return (
-        1.0 + s2 * (c_left + 2.0 * c_mid) + s4 * (c_left * c_mid - g2),
-        c_imag * (3.0 * s2 + s4 * (c_left + c_mid)),
-        h + s3 * c_mid,
-        np.broadcast_to(s3 * c_imag, np.shape(c_mid)),
-        s1 * (c_left + 4.0 * c_mid + c_right)
-        + 0.5 * s3 * (c_mid * (c_left + c_right) - 2.0 * g2),
-        c_imag * (h + 0.5 * s3 * (c_left + 2.0 * c_mid + c_right)),
-        1.0 + s2 * (2.0 * c_mid + c_right) + s4 * (c_mid * c_right - g2),
-        c_imag * (3.0 * s2 + s4 * (c_mid + c_right)),
-    )
-
-
-def _sweep(maps, growth, v0, band, states, nodes, y, r):
-    """One energy's RK4 sweep of u'' = c u over K intervals from u_0 = 1 and
-    u'_0 = v0: the maps (a_re, a_im, ..., d_im) of _step_maps, (K,) each in
-    the order the sweep runs them, and growth (K,) the growth of the local
-    WKB wave over each interval in octaves.  Writes y = u'/u on nodes, a
-    slice of the K + 1, into y, and r_i = u_i / u_i+1 between them, in sweep
-    order, into r.
-
-    E_k, the running sum of the growth rounded to whole octaves, scales
-    interval k's map by 2^(E_k - E_k+1), so that it takes (u_k, u'_k) to
-    (u_k+1, u'_k+1) times 2^-E.  The states x = (u_0, u'_0, u_1, u'_1, ...)
-    then solve a unit lower-triangular system of bandwidth 3: column 2k of
-    the band holds -a and -c at offsets 2 and 3, column 2k+1 holds -b and -d
-    at offsets 1 and 2.  It is one BLAS forward substitution (ztbsv) in
-    states, a complex buffer of at least 2(K + 1), on the first 2(K + 1)
-    columns of band, a zeroed (4, >= 2(K + 1)) complex array, Fortran-ordered
-    because f2py would copy a C-ordered one on every call.  A solve reads
-    only the band entries it writes, so the sweeps of a call share both.
-    The scaled states are plain RK4's times 2^-E_k to round-off, and r is
-    their ratio times 2^(E_i - E_i+1).
-    """
-    n = growth.size + 1
-    octaves = np.zeros(n)
+    octaves = np.zeros(growth.size + 1)
     np.rint(np.cumsum(growth, out=octaves[1:]), out=octaves[1:])
     # int32 exponents: np.ldexp takes a slow path for int64 ones
     octaves = octaves.astype(np.int32)
-    scales = np.ldexp(-1.0, octaves[:-1] - octaves[1:])
-    for i, j, re, im in zip((2, 1, 3, 2), (0, 1, 0, 1), maps[::2], maps[1::2]):
-        np.multiply(re, scales, out=band.real[i, j : 2 * n - 2 : 2])
-        np.multiply(im, scales, out=band.imag[i, j : 2 * n - 2 : 2])
-    x = states[: 2 * n]
-    x.fill(0.0)
-    x[:2] = 1.0, v0
-    u, up = ztbsv(3, band[:, : 2 * n], x, lower=1, diag=1, overwrite_x=1).reshape(n, 2)[nodes].T
-    np.divide(up, u, out=y)
-    np.divide(u[:-1], u[1:], out=r)
-    octaves = octaves[nodes]
-    r *= np.ldexp(1.0, octaves[:-1] - octaves[1:])
+    unscale = np.ldexp(1.0, octaves[:-1] - octaves[1:])
+    scale = np.negative(unscale)
+    # row k: band columns 2k and 2k + 1 as 16 floats, the real parts of
+    # -a, -c, -b and -d at 4, 6, 10 and 12, each imaginary part next
+    parts = band.T.view(float).reshape(-1, 16)[: growth.size]
+    c_left, c_right = c_nodes[:-1], c_nodes[1:]
+    s1, s2, s3, s4 = h / 6.0, h * h / 6.0, h**3 / 6.0, h**4 / 24.0
+    g2 = c_imag * c_imag
+    twice = 2.0 * c_mid
+    left = c_left + twice
+    np.multiply(1.0 + s2 * left + s4 * (c_left * c_mid - g2), scale, out=parts[:, 4])
+    np.multiply(s1 * (c_left + 4.0 * c_mid + c_right)
+                + 0.5 * s3 * (c_mid * (c_left + c_right) - 2.0 * g2), scale, out=parts[:, 6])
+    np.multiply(h + s3 * c_mid, scale, out=parts[:, 10])
+    np.multiply(1.0 + s2 * (twice + c_right) + s4 * (c_mid * c_right - g2), scale,
+                out=parts[:, 12])
+    # the imaginary parts are c_imag times a real factor: scaling c_imag
+    # by a power of two first rounds each product the same way
+    scale *= c_imag
+    np.multiply(scale, 3.0 * s2 + s4 * (c_left + c_mid), out=parts[:, 5])
+    np.multiply(scale, h + 0.5 * s3 * (left + c_right), out=parts[:, 7])
+    np.multiply(scale, s3, out=parts[:, 11])
+    np.multiply(scale, 3.0 * s2 + s4 * (c_mid + c_right), out=parts[:, 13])
+    return unscale
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -379,14 +371,19 @@ class ResolventEvaluator:
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
     """ResolventRows of one curve at several z on grid, one energy at a
-    time: u- swept from the left edge and u+ from the right one, both from
-    one call of _step_maps, their rows written, then checked for drift and
-    for u- and u+ independent at the rows' first node: |y+ - y-| >=
-    WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) there.  Given nodes = (lo, hi), u- is
-    swept only to node hi and u+ only to node lo, and the rows and the drift
-    hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1) of x's cell."""
+    time: one band of step maps (_step_band), u- solved forward from the
+    left edge and u+ by the transposed system from the right one, their
+    rows written, then checked for drift and for u- and u+ independent at
+    the rows' first node: |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|)
+    there.  Given nodes = (lo, hi), integers with 0 <= lo < hi <= N - 1,
+    u- is solved only to node hi and u+ only to node lo, and the rows and
+    the drift hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1)
+    of x's cell."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
+    if not (isinstance(lo, (int, np.integer)) and isinstance(hi, (int, np.integer))
+            and 0 <= lo < hi < grid.n):
+        raise ValueError(f"nodes must be integers with 0 <= lo < hi <= {grid.n - 1}, not {nodes}")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
         raise ValueError("resolvents require a finite z with Im z > 0")
@@ -401,11 +398,11 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
                              float(curve.gradient(x[0])))
     v0r = _wkb_log_derivative(2.0 * m * (v_nodes[-1] - zs.real) + 1j * c_imag, m,
                               -float(curve.gradient(x[-1])))
-    forward, backward = np.s_[:hi], np.s_[: lo - 1 if lo else None : -1]
-    n = max(hi + 1, grid.n - lo)
-    band = np.zeros((4, 2 * n), dtype=complex, order="F")
-    states = np.empty(2 * n, dtype=complex)
+    band = np.zeros((4, 2 * grid.n), dtype=complex, order="F")
     width = hi - lo + 1
+    minus = np.empty(2 * (hi + 1), dtype=complex)
+    plus = np.empty(2 * (grid.n - lo), dtype=complex)
+    work = np.empty(width, dtype=complex)
     y_minus, y_plus = np.empty((2, zs.size, width), dtype=complex)
     r_minus, r_plus = np.empty((2, zs.size, width - 1), dtype=complex)
     drift = np.empty(zs.size)
@@ -415,35 +412,38 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
         # RK4's growth of the local WKB wave over each interval in octaves,
         # both ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24,
         # s = h Re sqrt(c)
-        s = np.sqrt(0.5 * h * h * (np.hypot(c_mid, c_imag[k]) + c_mid))
+        s = np.sqrt(0.5 * h * h * (np.sqrt(c_mid * c_mid + c_imag[k] ** 2) + c_mid))
         growth = np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
-        a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im = _step_maps(
-            c_nodes[:-1], c_mid, c_nodes[1:], c_imag[k], h
-        )
-        _sweep([t[forward] for t in (a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im)],
-               growth[forward], v0[k], band, states, np.s_[lo:], y_minus[k], r_minus[k])
-        # run backward, an interval's map is the forward one with a and d
-        # swapped, and c the same to round-off; u+'s rows fill from node hi
-        # down, and its y is in the sweep's variable -x
-        _sweep([t[backward] for t in (d_re, d_im, b_re, b_im, c_re, c_im, a_re, a_im)],
-               growth[backward], v0r[k], band, states, np.s_[grid.n - 1 - hi :],
-               y_plus[k, ::-1], r_plus[k, ::-1])
+        unscale = _step_band(c_nodes, c_mid, c_imag[k], h, growth, band)[lo:hi]
+        # u- forward from (1, v0) on nodes 0..hi, u+ by the transposed
+        # system from (v0r, 1) on nodes lo..N - 1, as (-u+', u+)
+        minus.fill(0.0)
+        minus[:2] = 1.0, v0[k]
+        u, du = ztbsv(3, band[:, : minus.size], minus, lower=1, diag=1,
+                      overwrite_x=1).reshape(-1, 2)[lo:].T
+        plus.fill(0.0)
+        plus[-2:] = v0r[k], 1.0
+        dv, v = ztbsv(3, band[:, 2 * lo :], plus, lower=1, trans=1, diag=1,
+                      overwrite_x=1).reshape(-1, 2)[:width].T
+        np.divide(du, u, out=y_minus[k])
+        np.divide(u[:-1], u[1:], out=r_minus[k])
+        r_minus[k] *= unscale
+        np.divide(dv, v, out=y_plus[k])
         np.negative(y_plus[k], out=y_plus[k])
+        np.divide(v[1:], v[:-1], out=r_plus[k])
+        r_plus[k] *= unscale
         p, q = y_plus[k, 0], y_minus[k, 0]
         if not abs(p - q) >= WRONSKIAN_DRIFT_LIMIT * (abs(p) + abs(q)):
             raise DegenerateWronskianError(f"u- and u+ at node {lo} are not independent "
                                            f"at z = {z}")
-        # W = u- u+ (y+ - y-) is constant for the exact solutions; the drift
-        # is the largest |W_k / W_0 - 1|, with W_k / W_0 = (dy_k / dy_0) times
-        # the running product of r+ / r-, dy = y+ - y-, both formed in the
-        # state buffer that the sweeps are done with
-        dy = np.subtract(y_plus[k], y_minus[k], out=states[:width])
-        dy /= dy[0]
-        w = np.divide(r_plus[k], r_minus[k], out=states[width : 2 * width - 1])
-        np.cumprod(w, out=w)
-        w *= dy[1:]
-        w -= 1.0
-        drift[k] = np.max(np.abs(w), initial=0.0)
+        # W = u- u+ (y+ - y-) is constant for the exact solutions, and the
+        # scaled states' product is u- u+ times 2^-E_K on every node: the
+        # drift is the largest |W_k / W_lo - 1| from the scaled states
+        w = np.subtract(y_plus[k], y_minus[k], out=work)
+        w *= u
+        w *= v
+        w_lo = w[0]
+        drift[k] = np.max(np.abs(np.subtract(w, w_lo, out=w))) / abs(w_lo)
         if not drift[k] < WRONSKIAN_DRIFT_LIMIT:
             raise DegenerateWronskianError(f"Wronskian drift {drift[k]:.2e} at z = {z} "
                                            f"is not below {WRONSKIAN_DRIFT_LIMIT:.0e}")

@@ -12,7 +12,7 @@ from curvecross.model import DEFAULT_GRID, Grid, franck_condon_matrix, harmonic_
 from curvecross.resolvent import (
     HarmonicSpectralSum,
     _simpson,
-    _step_maps,
+    _step_band,
     build_resolvent,
     build_resolvent_batch,
 )
@@ -96,25 +96,27 @@ def test_wronskian_constancy(model, grid):
 
 def test_drift_is_round_off_and_catches_a_broken_sweep(config, model, grid, monkeypatch):
     # on the default 401 energies the drift of both curves' rows is
-    # round-off; a relative error of 1e-6 in b of one interval of each sweep
-    # (interval 5 of u- and interval N - 7 of u+) moves W by about 1e-7 and
-    # must raise.  Scaling b in _step_maps instead would go unseen: the
-    # backward map is the adjugate of the forward one, so both sweeps would
-    # conserve the same wrong W
+    # round-off; a relative error of 1e-6 in b of one interval of each solve
+    # (interval 5 in the forward solve's band, interval N - 7 in the
+    # transposed solve's) moves W by about 1e-7 and must raise.  An error in
+    # the band that both solves read (_step_band) would go unseen: the
+    # transposed map is the adjugate of the forward one, so both solutions
+    # would conserve the same wrong W.  test_step_maps_equal_rk4_step and
+    # the two plain-RK4 tests catch that
     zs = model.resolvent_argument(config.omega_grid())
     for curve in (model.allowed, model.forbidden):
         for start in range(0, zs.size, spectra.SCAN_CHUNK):
             rows = resolvent.resolvent_rows(curve, zs[start : start + spectra.SCAN_CHUNK], grid)
             assert np.max(rows.wronskian_drift) < 1e-12
-    sweep = resolvent._sweep
+    solve = resolvent.ztbsv
 
-    def broken(maps, *args):
-        maps = [np.array(part) for part in maps]
-        for part in maps[2:4]:  # b_re, b_im
-            part[5] *= 1.0 + 1e-6
-        return sweep(maps, *args)
+    def broken(k, band, x, **options):
+        if k == 3:  # the step maps' band, not the sums' bidiagonal one
+            band = np.array(band, order="F")
+            band[1, 2 * (grid.n - 7 if options.get("trans") else 5) + 1] *= 1.0 + 1e-6
+        return solve(k, band, x, **options)
 
-    monkeypatch.setattr(resolvent, "_sweep", broken)
+    monkeypatch.setattr(resolvent, "ztbsv", broken)
     for curve in (model.allowed, model.forbidden):
         with pytest.raises(DegenerateWronskianError, match="drift"):
             resolvent.resolvent_rows(curve, zs[::100], grid)
@@ -241,8 +243,11 @@ def _rk4_step(ci, cm, cn, h, u, v):
 
 
 def test_step_maps_equal_rk4_step(model, grid):
-    # the closed-form maps are the RK4 step applied to the unit vectors, at
-    # a confining energy and above the Morse dissociation limit
+    # the closed-form maps that the band holds are the RK4 step applied to
+    # the unit vectors, at a confining energy and above the Morse
+    # dissociation limit; with no growth every scale is 1, and the band
+    # holds -a, -c in rows 2 and 3 of interval k's column 2k and -b, -d in
+    # rows 1 and 2 of its column 2k + 1
     forbidden = model.forbidden
     h = grid.dx
     for omega in (11200.0, 1.2 * (forbidden.origin_energy + forbidden.well_depth)):
@@ -255,14 +260,19 @@ def test_step_maps_equal_rk4_step(model, grid):
             one, zero = np.ones_like(c_mid), np.zeros_like(c_mid)
             a, c = _rk4_step(ci, c_mid, cn, h, one, zero)
             b, d = _rk4_step(ci, c_mid, cn, h, zero, one)
-            parts = _step_maps(
-                ci.real[None], c_mid.real[None], cn.real[None],
-                np.array([[-2.0 * m * z.imag]]), h,
-            )
-            closed = [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
+            band = np.zeros((4, 2 * grid.n), dtype=complex, order="F")
+            unscale = _step_band(c_nodes.real, c_mid.real, -2.0 * m * z.imag, h,
+                                 np.zeros(grid.n - 1), band)
+            assert np.all(unscale == 1.0)
+            closed = -band[2, :-2:2], -band[1, 1:-2:2], -band[3, :-2:2], -band[2, 1:-2:2]
             for got, ref in zip(closed, (a, b, c, d)):
-                rel = np.abs(got[0] - ref) / np.abs(ref)
+                rel = np.abs(got - ref) / np.abs(ref)
                 assert np.max(rel) <= 1e-14
+            # nothing else is written: the diagonal, the entries off the
+            # band's pattern and the last node's columns stay 0
+            untouched = np.ones(band.shape, dtype=bool)
+            untouched[2:, :-2:2] = untouched[1:3, 1:-2:2] = False
+            assert not np.any(band[untouched])
 
 
 def test_sweep_is_plain_rk4(model):
@@ -295,16 +305,48 @@ def test_sweep_is_plain_rk4(model):
                 assert np.max(np.abs(ev.rows.y_minus[0] - y_k) / np.abs(y_k)) <= 1e-12
 
 
+def test_transposed_solve_is_plain_rk4(model):
+    # the transposed solve runs the backward map from the right edge: u+
+    # and y+ match plain complex RK4 run leftward from the right edge's
+    # seed, the step from x_k+1 to x_k taking c at x_k+1, the midpoint and
+    # x_k, in the variable -x where du/d(-x) = -u'
+    grid = Grid(-0.5, 0.7, 1639)
+    h = grid.dx
+    omegas = np.array([10300.0, 11200.0, 12400.0])
+    for batch in (omegas, np.resize(omegas, 6)):
+        zs = model.resolvent_argument(batch)
+        for curve in (model.allowed, model.forbidden):
+            evs = build_resolvent_batch(curve, zs, grid)
+            m = curve.mass
+            c_nodes = 2.0 * m * (curve.evaluate(grid.points)[:, None] - zs)
+            c_mid = 2.0 * m * (curve.evaluate(grid.midpoints)[:, None] - zs)
+            u = np.ones(zs.size, dtype=complex)
+            # the WKB seed -u'/u at x_N-1, u'' = c u in the variable -x
+            v = resolvent._wkb_log_derivative(c_nodes[-1], m, -curve.gradient(grid.x_max))
+            us, vs = [u], [v]
+            for k in range(grid.n - 2, -1, -1):
+                u, v = _rk4_step(c_nodes[k + 1], c_mid[k], c_nodes[k], h, u, v)
+                us.append(u)
+                vs.append(v)
+            u_ref = np.array(us[::-1]).T
+            y_ref = -np.array(vs[::-1]).T / u_ref
+            for ev, u_k, y_k in zip(evs, u_ref, y_ref):
+                # u from u_N-1 = 1 and the ratios r_k = u_k+1 / u_k
+                u = np.concatenate([np.cumprod(1.0 / ev.rows.r_plus[0, ::-1])[::-1], [1.0]])
+                assert np.max(np.abs(u / u_k - 1.0)) <= 1e-12
+                assert np.max(np.abs(ev.rows.y_plus[0] - y_k) / np.abs(y_k)) <= 1e-12
+
+
 def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     # without its scales a default-grid sweep leaves float64; the NaN drift
     # must raise in batches of one and six energies instead of returning
     # numbers
-    sweep = resolvent._sweep
+    fill = resolvent._step_band
 
-    def unscaled(maps, growth, *args):
-        return sweep(maps, np.zeros_like(growth), *args)
+    def unscaled(c_nodes, c_mid, c_imag, h, growth, band):
+        return fill(c_nodes, c_mid, c_imag, h, np.zeros_like(growth), band)
 
-    monkeypatch.setattr(resolvent, "_sweep", unscaled)
+    monkeypatch.setattr(resolvent, "_step_band", unscaled)
     for nz in (1, 6):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
@@ -321,16 +363,26 @@ def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the one-sided sweeps of the point path leave float64 on the Morse
     # wall without their scales; y at x_c's cell is then not finite, and
     # the point path must raise for one energy and for a scan chunk
-    sweep = resolvent._sweep
+    fill = resolvent._step_band
 
-    def unscaled(maps, growth, *args):
-        return sweep(maps, np.zeros_like(growth), *args)
+    def unscaled(c_nodes, c_mid, c_imag, h, growth, band):
+        return fill(c_nodes, c_mid, c_imag, h, np.zeros_like(growth), band)
 
-    monkeypatch.setattr(resolvent, "_sweep", unscaled)
+    monkeypatch.setattr(resolvent, "_step_band", unscaled)
     for nz in (1, spectra.SCAN_CHUNK):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
             _point_path(model.forbidden, zs, model.coupling.location, grid)
+
+
+def test_rows_reject_nodes_off_the_grid(model, grid):
+    # nodes are integers 0 <= lo < hi <= N - 1: an empty, reversed or
+    # overhanging range, or one that is not whole numbers, fails up front
+    # instead of giving one-node rows or solving the wrong columns
+    zs = model.resolvent_argument(np.array([11000.0]))
+    for nodes in ((10, 10), (3000, 2000), (0, grid.n), (-5, 100), (0.0, 10.0)):
+        with pytest.raises(ValueError, match=f"0 <= lo < hi <= {grid.n - 1}"):
+            resolvent.resolvent_rows(model.allowed, zs, grid, nodes)
 
 
 def test_point_path_rejects_a_dependent_pair(model, grid, monkeypatch):

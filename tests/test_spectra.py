@@ -454,19 +454,20 @@ def test_metadata_records_the_forbidden_window(model, grid):
 
 
 def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
-    # node steps nz (n - 1) of each sweep of one default 64-energy Raman
-    # chunk: on the allowed surface from the window's edges to the support
-    # hull's far ends, on the forbidden one from its window's edges to x_c's
-    # cell; summed, against four full sweeps (two per surface) on the
-    # shared window
+    # node steps nz (n - 1) of each solve of one default 64-energy Raman
+    # chunk, the intervals of the band it solves: on the allowed surface
+    # from the window's edges to the support hull's far ends, on the
+    # forbidden one from its window's edges to x_c's cell; summed, against
+    # four full sweeps (two per surface) on the shared window
     steps = []
-    sweep = resolvent._sweep
+    solve = resolvent.ztbsv
 
-    def counted(maps, growth, *args):
-        steps.append(growth.size)
-        return sweep(maps, growth, *args)
+    def counted(k, band, x, **options):
+        if k == 3:  # the step maps' band, not the sums' bidiagonal one
+            steps.append(band.shape[1] // 2 - 1)
+        return solve(k, band, x, **options)
 
-    monkeypatch.setattr(resolvent, "_sweep", counted)
+    monkeypatch.setattr(resolvent, "ztbsv", counted)
     omega = 9500.0 + 60.0 * np.arange(spectra.SCAN_CHUNK)
     coupled, _ = raman_profiles(model, 1, omega, grid=grid)
     a, b, lo, hi, f_a, f_b = (
@@ -476,8 +477,8 @@ def test_point_path_cuts_the_sweep_work_of_a_chunk(model, grid, monkeypatch):
     )
     j = grid.index_below(model.coupling.location)
     nz = omega.size
-    # one sweep per energy and direction, the forbidden surface's energies
-    # first: summed per surface and direction
+    # one forward and one transposed solve per energy, the forbidden
+    # surface's energies first: summed per surface and direction
     steps = np.reshape(steps, (2, nz, 2)).sum(axis=1).ravel().tolist()
     assert steps == [nz * (j + 1 - f_a), nz * (f_b - j), nz * (hi - a), nz * (b - lo)]
     shared = 4 * (coupled.metadata["window"][2] - 1)
