@@ -23,9 +23,7 @@ from .model import (
 )
 from .resolvent import (
     HarmonicSpectralSum,
-    ResolventEvaluator,
     build_resolvent,
-    build_resolvent_batch,
 )
 from .coupled import CoupledAmplitude, CoupledBlocks
 from .spectra import (
@@ -48,9 +46,7 @@ __all__ = [
     "harmonic_eigenstates",
     "huang_rhys_factor",
     "HarmonicSpectralSum",
-    "ResolventEvaluator",
     "build_resolvent",
-    "build_resolvent_batch",
     "CoupledAmplitude",
     "CoupledBlocks",
     "Spectrum",

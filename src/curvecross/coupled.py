@@ -8,8 +8,8 @@ With a point coupling K0 delta(x - x_c), block elimination closes exactly:
 The blocks share the two point values at x_c and the denominator, computed
 once per z.  At K0 = 0 the correction is exactly zero and the denominator
 exactly one, so G11 is the bare G1 bit for bit.  g11_rows forms G11 on
-(nz,) arrays, the energies of a ResolventRows; CoupledBlocks.g11 is its
-one-row case.
+arrays shaped like the energies of a ResolventRows, and CoupledBlocks
+forms the three blocks on rows of any batch shape.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ def _denominator(k0, g1_cc, g2_cc):
 
 def g11_rows(rows, k0, x_c, g2_cc, f, i, denominator=None):
     """<f|G11|i> at each energy of the allowed surface's rows, a
-    CoupledAmplitude of (nz,) arrays; the forbidden surface enters through
-    g2_cc = G2(x_c, x_c), (nz,), and the denominator is formed from them
+    CoupledAmplitude of arrays shaped like the rows' energies; the
+    forbidden surface enters through g2_cc = G2(x_c, x_c), shaped like
+    them too, and the denominator is formed from them
     unless given.  <f|G1|x_c> comes from the sums of f that <f|G1|i> forms;
     for f = i it serves both sides."""
     if denominator is None:
@@ -57,10 +58,12 @@ def g11_rows(rows, k0, x_c, g2_cc, f, i, denominator=None):
 
 
 class CoupledBlocks:
-    """The coupled block evaluators at one z, sharing cached point values."""
+    """The coupled blocks at the energies of two ResolventRows, one per
+    surface, sharing cached point values; each block is shaped like the
+    energies."""
 
     def __init__(self, ev1, ev2, k0, x_c):
-        if ev1.z != ev2.z:
+        if not np.array_equal(ev1.z, ev2.z):
             raise ValueError("both resolvents must be built at the same z")
         if ev1.grid != ev2.grid:
             raise ValueError("both resolvents must be built on the same grid")
@@ -68,13 +71,11 @@ class CoupledBlocks:
         self.k0, self.x_c = float(k0), float(x_c)
         self.g1_cc = ev1.point(x_c, x_c)
         self.g2_cc = ev2.point(x_c, x_c)
-        self.denominator = complex(_denominator(self.k0, np.array([self.g1_cc]), self.g2_cc)[0])
+        self.denominator = _denominator(self.k0, self.g1_cc, self.g2_cc)
 
     def g11(self, f, i):
-        """<f|G11|i>: g11_rows on ev1's one row."""
-        g2_cc, denominator = np.array([self.g2_cc]), np.array([self.denominator])
-        amplitude = g11_rows(self.ev1.rows, self.k0, self.x_c, g2_cc, f, i, denominator)
-        return CoupledAmplitude(*(complex(v[0]) for v in vars(amplitude).values()))
+        """<f|G11|i>: g11_rows on ev1's rows."""
+        return g11_rows(self.ev1, self.k0, self.x_c, self.g2_cc, f, i, self.denominator)
 
     def g12(self, f, i):
         return self.k0 * self.ev1.vector(f, self.x_c) * self.ev2.vector(i, self.x_c) / self.denominator

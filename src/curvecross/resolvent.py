@@ -38,16 +38,17 @@ B(x) = (integral of f u+ beyond x) / u+(x) give
 
 where A is a recurrence along the nodes in r- (_sums), like u-'s solve
 one banded forward substitution per row, and B is the same sum on the
-reversed arrays, in r+.  ResolventRows holds y and the ratios of a batch
-of energies as (nz, M) and (nz, M - 1) rows, possibly a node range of the
-grid, and forms the matrix element, <f|G|x0> from its sums, vector (sums
-up to x0's cell only) and the point read on all rows at once, each row's
-values independent of the batch; a ResolventEvaluator is its one-row case.  The
-quadratures touch only the nodes their states occupy, a state's support
-being the nodes where |f| >= SUPPORT_FLOOR max |f|: A is summed from the
-first node of f's support and B from its last, each 0 before it, and they
-run only as far as g's support or x0's cell, where the outer Simpson rule
-and the reads take them.  Where only G(x, x) is wanted, resolvent_rows
+reversed arrays, in r+.  ResolventRows holds y and the ratios of energies
+of any shape, a scalar z included, as zs.shape + (M,) and zs.shape +
+(M - 1,) rows, possibly a node range of the grid, and forms the matrix
+element, <f|G|x0> from its sums, vector (sums up to x0's cell only) and
+the point read on all rows at once, shaped like the energies and each
+row's values independent of the batch.  The quadratures touch only the
+nodes their states occupy, a state's support being the nodes where
+|f| >= SUPPORT_FLOOR max |f|: A is summed from the first node of f's
+support and B from its last, each 0 before it, and they run only as far
+as g's support or x0's cell, where the outer Simpson rule and the reads
+take them.  Where only G(x, x) is wanted, resolvent_rows
 on the nodes (j, j + 1) of x's cell solves to that cell and no further,
 and its point read gives the value: at any number of energies the call
 holds O(N + nz) numbers.
@@ -62,6 +63,7 @@ as an independent oracle for the same object.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -178,8 +180,8 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
 
 def _sums(f, ratios, h, stop=None):
     """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop,
-    by default every node, for (nz, M - 1) rows of ratios r_k = u_k / u_k+1
-    (f, on M nodes, broadcast against them): (nz, stop + 1).
+    by default every node, for rows of ratios r_k = u_k / u_k+1, shaped
+    (..., M - 1) (f, on M nodes, broadcast against them): (..., stop + 1).
 
     With r bounded however u grows, A_0 = 0 and A_k+1 = r_k A_k + q_k, q_k
     the integral of f u over interval k divided by u_k+1: the 4-point cubic
@@ -220,12 +222,20 @@ def _sums(f, ratios, h, stop=None):
     return sums.reshape(rows + (stop + 1,))
 
 
+def _product(*factors):
+    """The product of complex factors, left to right, by np.multiply: its
+    array loop rounds with fused multiply-adds where numpy's scalar `*`
+    does not, so the reads at a scalar z equal its row of a batch bit for
+    bit."""
+    return functools.reduce(np.multiply, factors)
+
+
 def _interpolate(e, t, h, v0, d0, v1, d1):
     """F(x) / u(x_j) at x = x_j + t h, e = u(x_j+1) / u(x_j) (per row): the
     cubic Hermite interpolant of F = v u and F' = d u at the cell's nodes."""
     c0, c1 = (1.0 + 2.0 * t) * (1.0 - t) ** 2, t * (1.0 - t) ** 2 * h
     c2, c3 = t**2 * (3.0 - 2.0 * t), t**2 * (t - 1.0) * h
-    return c0 * v0 + c1 * d0 + (c2 * v1 + c3 * d1) * e
+    return c0 * v0 + c1 * d0 + _product(c2 * v1 + c3 * d1, e)
 
 
 def _ratio(y, e, j, t, h):
@@ -234,12 +244,12 @@ def _ratio(y, e, j, t, h):
 
 
 class ResolventRows:
-    """G(x, x0; z) of one curve at nz energies on nodes first..first + M - 1
-    of grid: y = u'/u of u- and u+ as (nz, M) rows, the ratios r-_k =
-    u-_k / u-_k+1 and r+_k = u+_k+1 / u+_k as (nz, M - 1) rows, k counted
-    from the rows' first node, and each row's Wronskian drift.  The
-    quadratures and the point read give (nz,) arrays; a ResolventEvaluator
-    is the one-row case."""
+    """G(x, x0; z) of one curve at energies z of any shape on nodes
+    first..first + M - 1 of grid: y = u'/u of u- and u+ as z.shape + (M,)
+    rows, the ratios r-_k = u-_k / u-_k+1 and r+_k = u+_k+1 / u+_k as
+    z.shape + (M - 1,) rows, k counted from the rows' first node, and each
+    row's Wronskian drift, shaped like z.  The quadratures and the point
+    read are shaped like z too: complex scalars at a scalar z."""
 
     def __init__(self, curve, z, grid, first, y_minus, r_minus, y_plus, r_plus, drift):
         self.curve, self.z, self.grid, self.first = curve, z, grid, first
@@ -273,7 +283,7 @@ class ResolventRows:
         return f, (support[0], support[-1])
 
     def _sums_on(self, f, support, lo, hi):
-        """A and B of f on nodes lo..hi, (nz, hi - lo + 1) each: A summed from
+        """A and B of f on nodes lo..hi, (..., hi - lo + 1) each: A summed from
         the first node of f's support, B from its last, each 0 before it.
         Where a sum starts does not depend on lo and hi, so the sums on
         any nodes are the same bit for bit."""
@@ -302,7 +312,7 @@ class ResolventRows:
         r_plus = _ratio(self.y_plus, self.r_plus[..., i], i, s, self.grid.dx)
         # u+(x_i) / u+(x_j), the ratios of the cells between
         shift = np.prod(self.r_plus[..., j:i], axis=-1)
-        return self._node_value(j) * r_minus * r_plus * shift
+        return _product(self._node_value(j), r_minus, r_plus, shift)
 
     def vector(self, f, x0):
         """integral f(x) G(x, x0) dx = G(x0, x0) (A + B)(x0) for f on the
@@ -321,7 +331,7 @@ class ResolventRows:
         fj, fk = f[..., j], f[..., j + 1]
         a0 = _interpolate(e_minus, t, h, a[..., 0], fj, a[..., 1], fk)
         b0 = _interpolate(e_plus, t, h, b[..., 0], -fj, b[..., 1], -fk)
-        return self._node_value(j) * (a0 * r_plus + b0 * r_minus)
+        return _product(self._node_value(j), _product(a0, r_plus) + _product(b0, r_minus))
 
     def element_and_vector(self, f, g, x0=None):
         """The double integral of f(x) G(x, x0) g(x0) = integral of g G(x, x)
@@ -343,48 +353,29 @@ class ResolventRows:
         cell = np.s_[..., j - start : j - start + 2]
         return element, self._vector_at(f, j, t, minus[cell], plus[cell])
 
-
-class ResolventEvaluator:
-    """Immutable evaluator of G(x, x0; z) for one curve at one complex z:
-    row k of a ResolventRows, kept as one-row views."""
-
-    def __init__(self, rows, k):
-        one = np.s_[k : k + 1]
-        self.curve, self.z, self.grid = rows.curve, complex(rows.z[k]), rows.grid
-        self.wronskian_drift = float(rows.wronskian_drift[k])
-        self.rows = ResolventRows(rows.curve, rows.z[one], rows.grid, rows.first, rows.y_minus[one],
-                                  rows.r_minus[one], rows.y_plus[one], rows.r_plus[one],
-                                  rows.wronskian_drift[one])
-
-    def point(self, x, x0):
-        """G(x, x0), interpolating off-node arguments."""
-        return complex(self.rows.point(x, x0)[0])
-
-    def vector(self, f, x0):
-        """integral f(x) G(x, x0) dx for f sampled on the grid."""
-        return complex(self.rows.vector(f, x0)[0])
-
     def matrix_element(self, f, g):
-        """double integral f(x) G(x, x0) g(x0) dx dx0, O(N)."""
-        return complex(self.rows.element_and_vector(f, g)[0][0])
+        """The double integral of f(x) G(x, x0) g(x0), O(N)."""
+        return self.element_and_vector(f, g)[0]
 
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
-    """ResolventRows of one curve at several z on grid, one energy at a
-    time: one band of step maps (_step_band), u- solved forward from the
-    left edge and u+ by the transposed system from the right one, their
-    rows written, then checked for drift and for u- and u+ independent at
-    the rows' first node: |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|)
-    there.  Given nodes = (lo, hi), integers with 0 <= lo < hi <= N - 1,
+    """ResolventRows of one curve at energies zs of any shape on grid, one
+    energy at a time: one band of step maps (_step_band), u- solved forward
+    from the left edge and u+ by the transposed system from the right one,
+    their rows written, then checked for drift and for u- and u+
+    independent at the rows' first node: |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT
+    (|y+| + |y-|) there.  Given nodes = (lo, hi), integers with 0 <= lo < hi <= N - 1,
     u- is solved only to node hi and u+ only to node lo, and the rows and
     the drift hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1)
-    of x's cell."""
+    of x's cell.  The rows are zs.shape + (M,) and zs.shape + (M - 1,), so
+    a scalar z gives 1-D rows."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
     if not (isinstance(lo, (int, np.integer)) and isinstance(hi, (int, np.integer))
             and 0 <= lo < hi < grid.n):
         raise ValueError(f"nodes must be integers with 0 <= lo < hi <= {grid.n - 1}, not {nodes}")
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    zs = np.asarray(zs, dtype=complex)
+    shape, zs = zs.shape, zs.reshape(-1)
     if not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0.0):
         raise ValueError("resolvents require a finite z with Im z > 0")
     x, h, m = grid.points, grid.dx, curve.mass
@@ -447,18 +438,13 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
         if not drift[k] < WRONSKIAN_DRIFT_LIMIT:
             raise DegenerateWronskianError(f"Wronskian drift {drift[k]:.2e} at z = {z} "
                                            f"is not below {WRONSKIAN_DRIFT_LIMIT:.0e}")
-    return ResolventRows(curve, zs, grid, lo, y_minus, r_minus, y_plus, r_plus, drift)
-
-
-def build_resolvent_batch(curve, zs, grid=None):
-    """Evaluators for one curve at several z, one per row of resolvent_rows."""
-    rows = resolvent_rows(curve, zs, grid)
-    return [ResolventEvaluator(rows, k) for k in range(rows.z.size)]
+    rows = (a.reshape(shape + a.shape[1:]) for a in (y_minus, r_minus, y_plus, r_plus))
+    return ResolventRows(curve, zs.reshape(shape)[()], grid, lo, *rows, drift.reshape(shape)[()])
 
 
 def build_resolvent(curve, z, grid=None):
-    """Evaluator of G(x, x0; z) for a single complex energy."""
-    return build_resolvent_batch(curve, [z], grid)[0]
+    """ResolventRows of G(x, x0; z) at a single complex energy: 1-D rows."""
+    return resolvent_rows(curve, z, grid)
 
 
 def _check_coverage(curve, zs, v_nodes, dx):

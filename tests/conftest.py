@@ -3,7 +3,7 @@ import pytest
 
 from curvecross.config import RunConfig
 from curvecross.model import Grid
-from curvecross.resolvent import build_resolvent
+from curvecross.resolvent import resolvent_rows
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +28,9 @@ def fine_grid():
 
 @pytest.fixture(scope="session")
 def ev_allowed_fine(model, fine_grid):
-    """Allowed-curve evaluator at a mid-band energy on the fine grid."""
+    """Allowed-curve resolvent rows at a mid-band energy on the fine grid."""
     z = model.resolvent_argument(11200.0)
-    return build_resolvent(model.allowed, z, fine_grid)
+    return resolvent_rows(model.allowed, z, fine_grid)
 
 
 @pytest.fixture(scope="session")

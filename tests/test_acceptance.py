@@ -17,7 +17,7 @@ from curvecross.model import Grid, harmonic_eigenstates, huang_rhys_factor
 from curvecross.resolvent import (
     HarmonicSpectralSum,
     build_resolvent,
-    build_resolvent_batch,
+    resolvent_rows,
 )
 from curvecross.spectra import (
     absorption_spectra,
@@ -59,7 +59,8 @@ def test_criterion_1_resolvent_weak_form(setup, capsys):
     for curve in (model.allowed, model.forbidden):
         v = curve.evaluate(x)
         m = curve.mass
-        for ev in build_resolvent_batch(curve, zs, FINE):
+        for z in zs:
+            ev = resolvent_rows(curve, z, FINE)
             for _ in range(20):
                 center = rng.uniform(-0.15, 0.25)
                 width = rng.uniform(0.05, 0.12)
@@ -125,12 +126,11 @@ def test_criterion_3_morse_pole_positions(setup, capsys):
     scan = np.arange(10900.0, 11902.0, 2.0)
     probes = (-0.02, -0.07)
     mags = np.empty(scan.size)
-    pos = 0
     for chunk_start in range(0, scan.size, 128):
         chunk = scan[chunk_start : chunk_start + 128] + 5.0j
-        for ev in build_resolvent_batch(model.forbidden, chunk, grid):
-            mags[pos] = max(abs(ev.point(p, p)) for p in probes)
-            pos += 1
+        rows = resolvent_rows(model.forbidden, chunk, grid)
+        mags[chunk_start : chunk_start + 128] = np.max(
+            [np.abs(rows.point(p, p)) for p in probes], axis=0)
     peaks = local_maxima(scan, mags)
     offsets = [round(float(np.min(np.abs(peaks - e))), 2) for e in energies]
     elapsed = time.time() - start

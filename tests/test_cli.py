@@ -9,7 +9,7 @@ import curvecross
 from curvecross import cli
 from curvecross.cli import main
 from curvecross.config import load_config
-from curvecross.resolvent import build_resolvent_batch
+from curvecross.resolvent import resolvent_rows
 
 NARROW = """\
 [scan]
@@ -135,7 +135,7 @@ def test_greens_probe(tmp_path):
 
 def test_greens_probe_matches_full_grid_evaluators(tmp_path):
     # the probe reads G(x_c, x_c) through one-sided sweeps on each surface's
-    # own window; evaluators on the whole configured grid agree with it
+    # own window; rows on the whole configured grid agree with it
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(NARROW)
     assert main(["greens-probe", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -147,7 +147,7 @@ def test_greens_probe_matches_full_grid_evaluators(tmp_path):
     x_c = model.coupling.location
     for column, curve in ((1, model.allowed), (3, model.forbidden)):
         probe = table[:, column] + 1j * table[:, column + 1]
-        full = np.array([ev.point(x_c, x_c) for ev in build_resolvent_batch(curve, zs, grid)])
+        full = resolvent_rows(curve, zs, grid).point(x_c, x_c)
         assert np.max(np.abs(probe - full) / np.abs(full)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from curvecross.resolvent import (
     _simpson,
     _step_band,
     build_resolvent,
-    build_resolvent_batch,
+    resolvent_rows,
 )
 
 # Half the float64 exponent range in e-folds: a sum over nodes where u
@@ -74,10 +75,9 @@ def _derivative_jump(ev, x):
         slope = 6 * t * (t - 1) * (1 - e) + (1 - t) * (1 - 3 * t) * s0 + t * (3 * t - 2) * s1
         return value, slope
 
-    rows = ev.rows
-    r_minus, s_minus = ratio(rows.y_minus[0], 1.0 / rows.r_minus[0, j])
-    r_plus, s_plus = ratio(rows.y_plus[0], rows.r_plus[0, j])
-    diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0, j] - rows.y_minus[0, j])
+    r_minus, s_minus = ratio(ev.y_minus, 1.0 / ev.r_minus[j])
+    r_plus, s_plus = ratio(ev.y_plus, ev.r_plus[j])
+    diagonal = 2.0 * ev.curve.mass / (ev.y_plus[j] - ev.y_minus[j])
     return diagonal * (r_minus * s_plus - s_minus * r_plus) / h
 
 
@@ -90,8 +90,7 @@ def test_derivative_jump(ev_allowed_fine, model):
 def test_wronskian_constancy(model, grid):
     zs = model.resolvent_argument(np.array([10000.0, 11500.0, 13200.0]))
     for curve in (model.allowed, model.forbidden):
-        for ev in build_resolvent_batch(curve, zs, grid):
-            assert ev.wronskian_drift < 1e-8
+        assert np.max(resolvent_rows(curve, zs, grid).wronskian_drift) < 1e-8
 
 
 def test_drift_is_round_off_and_catches_a_broken_sweep(config, model, grid, monkeypatch):
@@ -122,22 +121,46 @@ def test_drift_is_round_off_and_catches_a_broken_sweep(config, model, grid, monk
             resolvent.resolvent_rows(curve, zs[::100], grid)
 
 
-def test_batch_matches_single_build(model, grid):
-    # each energy is its own banded solve, so a batch of two or six
-    # energies must give a single build's bits
+def test_rows_are_shaped_like_their_energies(model, grid):
+    # each energy is its own banded solve and the reads multiply in numpy's
+    # array loops at any shape: at a scalar z the rows are 1-D, point,
+    # vector and matrix_element complex scalars equal to row k of a batch
+    # of two or six energies bit for bit, and the drift a float; a 2-D
+    # batch gives rows and reads shaped like it, with the same bits
     chi0 = harmonic_eigenstates(model.ground, 0, grid.points)[0]
+    x_c = model.coupling.location
+
+    def reads(rows):
+        return (rows.point(0.1, -0.2), rows.vector(chi0, x_c), rows.matrix_element(chi0, chi0),
+                rows.wronskian_drift)
+
     for omega in (
         np.array([10800.0, 12000.0]),
         np.linspace(10000.0, 13000.0, 6),
     ):
         zs = model.resolvent_argument(omega)
         for curve in (model.allowed, model.forbidden):
-            batch = build_resolvent_batch(curve, zs, grid)
-            for z, ev in zip(zs, batch):
-                single = build_resolvent(curve, z, grid)
-                assert single.point(0.1, -0.2) == ev.point(0.1, -0.2)
-                assert single.matrix_element(chi0, chi0) == ev.matrix_element(chi0, chi0)
-                assert single.wronskian_drift == ev.wronskian_drift
+            batch = resolvent_rows(curve, zs, grid)
+            in_batch = reads(batch)
+            for k, z in enumerate(zs):
+                single = resolvent_rows(curve, z, grid)
+                assert single.y_minus.shape == single.y_plus.shape == (grid.n,)
+                assert single.r_minus.shape == single.r_plus.shape == (grid.n - 1,)
+                *values, drift = reads(single)
+                for value, row in zip(values, in_batch):
+                    assert isinstance(value, complex) and np.ndim(value) == 0
+                    assert value == row[k]
+                assert isinstance(drift, float) and drift == in_batch[-1][k]
+                json.dumps(drift)
+            # the name kept for single energies is the same call
+            assert build_resolvent(curve, zs[0], grid).point(0.1, -0.2) == in_batch[0][0]
+            square = zs.reshape(2, -1)
+            rows = resolvent_rows(curve, square, grid)
+            assert rows.y_minus.shape == rows.y_plus.shape == square.shape + (grid.n,)
+            assert rows.r_minus.shape == rows.r_plus.shape == square.shape + (grid.n - 1,)
+            for value, row in zip(reads(rows), in_batch):
+                assert value.shape == square.shape
+                assert np.array_equal(value, row.reshape(square.shape))
 
 
 def test_chunk_rows_equal_single_energy_sweeps(model, grid):
@@ -213,10 +236,10 @@ def test_values_survive_dynamic_range_beyond_float64(model, grid, monkeypatch):
             results.append((ev.matrix_element(chi[1], chi[0]), ev.point(x_c, x_c)))
         for default, widened in zip(*results):
             assert abs(widened - default) <= 1e-8 * abs(default)
-        rows, h, j = ev.rows, wide.dx, wide.index_below(x_c)
-        minus = _sequential_sums(wave, rows.r_minus[0], h)
-        plus = _sequential_sums(wave[::-1], rows.r_plus[0, ::-1], h)[::-1]
-        on_nodes = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0]) * (minus + plus)
+        h, j = wide.dx, wide.index_below(x_c)
+        minus = _sequential_sums(wave, ev.r_minus, h)
+        plus = _sequential_sums(wave[::-1], ev.r_plus[::-1], h)[::-1]
+        on_nodes = 2.0 * ev.curve.mass / (ev.y_plus - ev.y_minus) * (minus + plus)
         scale = np.max(np.abs(on_nodes))
         spans.clear()
         element = ev.matrix_element(wave, chi[0])
@@ -285,12 +308,12 @@ def test_sweep_is_plain_rk4(model):
     for batch in (omegas, np.resize(omegas, 6)):
         zs = model.resolvent_argument(batch)
         for curve in (model.allowed, model.forbidden):
-            evs = build_resolvent_batch(curve, zs, grid)
+            rows = resolvent_rows(curve, zs, grid)
             m = curve.mass
             c_nodes = 2.0 * m * (curve.evaluate(grid.points)[:, None] - zs)
             c_mid = 2.0 * m * (curve.evaluate(grid.midpoints)[:, None] - zs)
             u = np.ones(zs.size, dtype=complex)
-            v = np.array([ev.rows.y_minus[0, 0] for ev in evs])  # the WKB seed u'/u at x_0
+            v = rows.y_minus[:, 0]  # the WKB seed u'/u at x_0
             us, vs = [u], [v]
             for k in range(grid.n - 1):
                 u, v = _rk4_step(c_nodes[k], c_mid[k], c_nodes[k + 1], h, u, v)
@@ -298,11 +321,11 @@ def test_sweep_is_plain_rk4(model):
                 vs.append(v)
             u_ref = np.array(us).T
             y_ref = np.array(vs).T / u_ref
-            for ev, u_k, y_k in zip(evs, u_ref, y_ref):
+            for r_minus, y_minus, u_k, y_k in zip(rows.r_minus, rows.y_minus, u_ref, y_ref):
                 # u from u_0 = 1 and the ratios r_k = u_k / u_k+1
-                u = np.concatenate([[1.0], np.cumprod(1.0 / ev.rows.r_minus[0])])
+                u = np.concatenate([[1.0], np.cumprod(1.0 / r_minus)])
                 assert np.max(np.abs(u / u_k - 1.0)) <= 1e-12
-                assert np.max(np.abs(ev.rows.y_minus[0] - y_k) / np.abs(y_k)) <= 1e-12
+                assert np.max(np.abs(y_minus - y_k) / np.abs(y_k)) <= 1e-12
 
 
 def test_transposed_solve_is_plain_rk4(model):
@@ -316,7 +339,7 @@ def test_transposed_solve_is_plain_rk4(model):
     for batch in (omegas, np.resize(omegas, 6)):
         zs = model.resolvent_argument(batch)
         for curve in (model.allowed, model.forbidden):
-            evs = build_resolvent_batch(curve, zs, grid)
+            rows = resolvent_rows(curve, zs, grid)
             m = curve.mass
             c_nodes = 2.0 * m * (curve.evaluate(grid.points)[:, None] - zs)
             c_mid = 2.0 * m * (curve.evaluate(grid.midpoints)[:, None] - zs)
@@ -330,11 +353,11 @@ def test_transposed_solve_is_plain_rk4(model):
                 vs.append(v)
             u_ref = np.array(us[::-1]).T
             y_ref = -np.array(vs[::-1]).T / u_ref
-            for ev, u_k, y_k in zip(evs, u_ref, y_ref):
+            for r_plus, y_plus, u_k, y_k in zip(rows.r_plus, rows.y_plus, u_ref, y_ref):
                 # u from u_N-1 = 1 and the ratios r_k = u_k+1 / u_k
-                u = np.concatenate([np.cumprod(1.0 / ev.rows.r_plus[0, ::-1])[::-1], [1.0]])
+                u = np.concatenate([np.cumprod(1.0 / r_plus[::-1])[::-1], [1.0]])
                 assert np.max(np.abs(u / u_k - 1.0)) <= 1e-12
-                assert np.max(np.abs(ev.rows.y_plus[0] - y_k) / np.abs(y_k)) <= 1e-12
+                assert np.max(np.abs(y_plus - y_k) / np.abs(y_k)) <= 1e-12
 
 
 def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
@@ -350,7 +373,7 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     for nz in (1, 6):
         zs = model.resolvent_argument(np.linspace(10000.0, 13000.0, nz))
         with np.errstate(all="ignore"), pytest.raises(DegenerateWronskianError):
-            build_resolvent_batch(model.allowed, zs, grid)
+            resolvent_rows(model.allowed, zs, grid)
 
 
 def _point_path(curve, zs, x, grid):
@@ -402,10 +425,10 @@ def test_point_path_is_the_evaluator_diagonal(model, grid, nz):
     # the grid's first and last cells
     zs = model.resolvent_argument(np.linspace(9500.0, 13500.0, nz))
     for curve in (model.allowed, model.forbidden):
-        evs = build_resolvent_batch(curve, zs, grid)
+        rows = resolvent_rows(curve, zs, grid)
         for x in (model.coupling.location, 0.3, grid.x_min, grid.x_max - 0.1 * grid.dx):
             values = _point_path(curve, zs, x, grid)
-            assert np.array_equal(values, [ev.point(x, x) for ev in evs])
+            assert np.array_equal(values, rows.point(x, x))
 
 
 def test_point_path_memory_does_not_grow_with_the_energies(config, model, grid):
@@ -516,18 +539,18 @@ def test_blocked_sums_equal_sequential_recurrence(model, nodes):
     j_c = grid.index_below(model.coupling.location)
     blocked = set()
     for curve in (model.allowed, model.forbidden):
-        for ev in build_resolvent_batch(curve, zs, grid):
+        for z in zs:
+            ev = resolvent_rows(curve, z, grid)
             for state in states:
                 both = []
-                rows = ev.rows
-                for f, r in ((state, rows.r_minus[0]), (state[::-1], rows.r_plus[0, ::-1])):
+                for f, r in ((state, ev.r_minus), (state[::-1], ev.r_plus[::-1])):
                     expected = _sequential_sums(f, r, h)
                     scale = np.max(np.abs(expected))
                     assert np.max(np.abs(resolvent._sums(f, r, h) - expected)) <= 1e-12 * scale
                     blocked.add(np.max(np.abs(np.log(np.abs(r)))) * n > HALF_EXPONENT_RANGE)
                     both.append(expected)
                 # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes
-                diagonal = 2.0 * ev.curve.mass / (rows.y_plus[0] - rows.y_minus[0])
+                diagonal = 2.0 * ev.curve.mass / (ev.y_plus - ev.y_minus)
                 on_nodes = diagonal * (both[0] + both[1][::-1])
                 scale = np.max(np.abs(on_nodes))
                 for j in (0, 1, j_c, j_c + 1, n - 2, n - 1):
@@ -540,7 +563,7 @@ def test_rejects_nonfinite_z(model, grid):
     for z in (complex(np.nan, 450.0), complex(-np.inf, 450.0),
               complex(11000.0, np.inf), complex(np.inf, 450.0)):
         with pytest.raises(ValueError) as raised:
-            build_resolvent_batch(model.allowed, [z], grid)
+            resolvent_rows(model.allowed, [z], grid)
         assert not isinstance(raised.value, NumericsError)
 
 
@@ -628,13 +651,9 @@ def test_harmonic_pole_positions(model, grid):
     scan = np.arange(10800.0, 12120.0, 2.0)
     probe = model.allowed.minimum_position + 0.05
     mags = np.empty(scan.size)
-    pos = 0
     for start in range(0, scan.size, 128):
-        for ev in build_resolvent_batch(
-            model.allowed, scan[start : start + 128] + 5.0j, grid
-        ):
-            mags[pos] = abs(ev.point(probe, probe))
-            pos += 1
+        rows = resolvent_rows(model.allowed, scan[start : start + 128] + 5.0j, grid)
+        mags[start : start + 128] = np.abs(rows.point(probe, probe))
     peaks = scan[1:-1][(mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])]
     for n in range(3):
         expected = model.allowed.eigenvalue(n)
@@ -646,13 +665,9 @@ def test_morse_pole_positions(model, grid):
     scan = np.arange(10900.0, 11902.0, 2.0)
     probes = (-0.02, -0.07)
     mags = np.empty(scan.size)
-    pos = 0
     for start in range(0, scan.size, 128):
-        for ev in build_resolvent_batch(
-            model.forbidden, scan[start : start + 128] + 5.0j, grid
-        ):
-            mags[pos] = max(abs(ev.point(p, p)) for p in probes)
-            pos += 1
+        rows = resolvent_rows(model.forbidden, scan[start : start + 128] + 5.0j, grid)
+        mags[start : start + 128] = np.max([np.abs(rows.point(p, p)) for p in probes], axis=0)
     peaks = scan[1:-1][(mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])]
     for expected in energies:
         assert np.min(np.abs(peaks - expected)) <= 2.0

@@ -16,7 +16,7 @@ from curvecross.model import (
     harmonic_eigenstates,
     huang_rhys_factor,
 )
-from curvecross.resolvent import build_resolvent_batch, resolvent_rows
+from curvecross.resolvent import resolvent_rows
 from curvecross.spectra import (
     Spectrum,
     absorption_spectra,
@@ -255,8 +255,7 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     # the scan's quadratures run on the window's sweeps stopped at the
     # support hull's far ends, which equal the whole window's sweeps there
     # bit for bit: the array form on the same rows gives its uncoupled part
-    # bit for bit, and the window's single-energy evaluators agree within
-    # 1e-12
+    # bit for bit, and the whole window's rows agree within 1e-12
     omega = np.arange(10700.0, 11000.0, 100.0)
     value, direct, window, _, support = spectra.scan(model, omega, 1, grid)
     a = int(np.searchsorted(grid.points, window.x_min))
@@ -276,8 +275,7 @@ def test_scan_direct_is_allowed_matrix_element(model, grid):
     assert np.array_equal(direct, rows.element_and_vector(chi[1, hull], chi[0, hull])[0])
     with pytest.raises(ValueError, match="outside the rows' nodes"):
         rows.point(window.x_min, model.coupling.location)
-    evs = build_resolvent_batch(model.allowed, zs, window)
-    full = np.array([ev.matrix_element(chi[1, nodes], chi[0, nodes]) for ev in evs])
+    full = whole.matrix_element(chi[1, nodes], chi[0, nodes])
     assert np.max(np.abs(direct - full) / np.abs(full)) < 1e-12
     assert not np.array_equal(value, direct)
 
@@ -386,7 +384,7 @@ def test_window_holds_the_coupling_cell(model, grid, monkeypatch):
 @pytest.mark.parametrize("gamma", [50.0, 450.0])
 def test_point_path_matches_the_full_grid(config, grid, depth, gamma):
     # G1(x_c, x_c) and G2(x_c, x_c) from one-sided sweeps on each surface's
-    # own window against evaluators on the whole grid; D = 300 and 1000
+    # own window against rows on the whole grid; D = 300 and 1000
     # cm^-1 put the Morse dissociation limit inside the scan (an open side)
     settings = {"damping_cm1": gamma}
     if depth is not None:
@@ -397,7 +395,7 @@ def test_point_path_matches_the_full_grid(config, grid, depth, gamma):
     x_c = model.coupling.location
     diagonals = spectra.coupling_diagonals(model, omega, grid)
     for values, curve in zip(diagonals, (model.allowed, model.forbidden)):
-        full = np.array([ev.point(x_c, x_c) for ev in build_resolvent_batch(curve, zs, grid)])
+        full = resolvent_rows(curve, zs, grid).point(x_c, x_c)
         assert np.max(np.abs(values - full) / np.abs(full)) < 1e-12
 
 
@@ -535,8 +533,8 @@ def test_chunk_quadratures_take_one_sums_call_per_direction(model, grid, n_f, mo
 @pytest.mark.parametrize("gamma", [50.0, 450.0])
 @pytest.mark.parametrize("n_f", [0, 1])
 def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamma, n_f):
-    # the scan's array form on the support hull against g11_rows on one
-    # evaluator's row per energy on the whole window, with the same
+    # the scan's array form on the support hull against g11_rows on each
+    # energy's own rows, at a scalar z, on the whole window, with the same
     # G2(x_c, x_c): value and direct within 1e-12, on chunks of 1, 6 and
     # SCAN_CHUNK energies
     settings = {"damping_cm1": gamma}
@@ -553,12 +551,12 @@ def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamm
         g2 = resolvent_rows(model.forbidden, zs, forbidden, (k, k + 1)).point(x_c, x_c)
         a = int(np.searchsorted(grid.points, window.x_min))
         chi_i, chi_f = chi[:, a : a + window.n]
-        evs = build_resolvent_batch(model.allowed, zs, window)
         amplitudes = [
-            g11_rows(ev.rows, k0, x_c, g2[k : k + 1], chi_f, chi_i) for k, ev in enumerate(evs)
+            g11_rows(resolvent_rows(model.allowed, z, window), k0, x_c, g2[k], chi_f, chi_i)
+            for k, z in enumerate(zs)
         ]
         for got, attribute in ((value, "value"), (direct, "direct")):
-            want = np.concatenate([getattr(amplitude, attribute) for amplitude in amplitudes])
+            want = np.array([getattr(amplitude, attribute) for amplitude in amplitudes])
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
@@ -569,7 +567,7 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid, monkeypatch):
     # array form on the wide grid's whole (nz, N) rows, where u+- span
     # about 2100 e-folds, more than twice the float64 exponent range.  A
     # wave that fills the wide grid is summed over those whole rows, and
-    # its quadratures equal the single-energy evaluators' 
+    # its quadratures equal the single-energy rows' 
     pad = 1024 * grid.dx
     wide = Grid(grid.x_min - pad, grid.x_max + pad, grid.n + 2048)
     omega = photon_energies(9500.0, 13500.0, 40.0)
@@ -599,8 +597,8 @@ def test_scan_survives_dynamic_range_beyond_float64(model, grid, monkeypatch):
     monkeypatch.setattr(resolvent, "_sums", spanned)
     element, vector = rows.element_and_vector(wave, chi[0], x_c)
     assert len(spans) == 2 and min(spans) > HALF_EXPONENT_RANGE
-    evs = build_resolvent_batch(model.allowed, zs, wide)
-    for got, want in ((element, [ev.matrix_element(wave, chi[0]) for ev in evs]),
-                      (vector, [ev.vector(wave, x_c) for ev in evs])):
+    singles = [resolvent_rows(model.allowed, z, wide) for z in zs]
+    for got, want in ((element, [ev.matrix_element(wave, chi[0]) for ev in singles]),
+                      (vector, [ev.vector(wave, x_c) for ev in singles])):
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
