@@ -7,11 +7,16 @@ whose config echo reproduces the run when fed back through --config.
 Exit codes: 0 success, 1 validation failure, 2 config error (including a
 run too large to allocate), 3 numerical failure (a NumericsError,
 including a grid that cannot carry the scan).
+
+The parser is built once per process (build_parser is cached): main may
+run many jobs in one process, and each parse_args call returns a fresh
+namespace, so no job's options reach the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -111,6 +116,7 @@ def _run_greens_probe(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="curvecross",

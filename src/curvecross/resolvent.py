@@ -43,7 +43,9 @@ of any shape, a scalar z included, as zs.shape + (M,) and zs.shape +
 (M - 1,) rows, possibly a node range of the grid, and forms the matrix
 element, <f|G|x0> from its sums, vector (sums up to x0's cell only) and
 the point read on all rows at once, shaped like the energies and each
-row's values independent of the batch.  The quadratures touch only the
+row's values independent of the batch.  The quadratures take each state
+as complex once per read, so that every operation on it runs numpy's
+complex loop without a buffered cast, and they touch only the
 nodes their states occupy, a state's support being the nodes where
 |f| >= SUPPORT_FLOOR max |f|: A is summed from the first node of f's
 support and B from its last, each 0 before it, and they run only as far
@@ -195,7 +197,9 @@ def _sums(f, ratios, h, stop=None):
     the diagonal, so an earlier stop leaves A_k unchanged.  ResolventRows
     passes f and r- from the first node of f's support on, or f reversed
     from its last and r+ reversed from the interval before it, so that x_0
-    is that node and the sum skips the nodes where f is taken as 0.
+    is that node and the sum skips the nodes where f is taken as 0.  f
+    comes in complex, as ResolventRows casts it once per read, and 13 f,
+    which does not depend on the row, is formed once per call.
     """
     n = ratios.shape[-1] + 1
     stop = n - 1 if stop is None else stop
@@ -203,16 +207,19 @@ def _sums(f, ratios, h, stop=None):
     # intervals 1..last-1 take the 4-point rule, interval n-2 the end rule
     last = stop - 1 if stop == n - 1 else stop
     rows = ratios.shape[:-1]
-    f_rows = np.broadcast_to(f, rows + (n,)).reshape(-1, n)[:, :m]
+    f = f[..., :m]
+    f_rows = np.broadcast_to(f, rows + (m,)).reshape(-1, m)
+    # 13 f on nodes 1..last, formed once for every row that shares f
+    thirteen = np.broadcast_to(13.0 * f[..., 1 : last + 1], rows + (last,)).reshape(-1, last)
     sums = np.zeros((f_rows.shape[0], stop + 1), dtype=complex)
     band = np.zeros((2, stop + 1), dtype=complex, order="F")
-    for fk, r, a in zip(f_rows, ratios.reshape(-1, n - 1)[:, : m - 1], sums):
+    for fk, tk, r, a in zip(f_rows, thirteen, ratios.reshape(-1, n - 1)[:, : m - 1], sums):
         np.negative(r[:stop], out=band[1, :stop])
         fr = fk[:-1] * r
         q = a[1:]  # the right-hand side 24/h q_k
         q[0] = 2.0 * (5.0 * fr[0] + 8.0 * fk[1] - fk[2] / r[1])
-        q[1:last] = (r[1:last] * (13.0 * fk[1:last] - fr[: last - 1])
-                     + 13.0 * fk[2 : last + 1] - fk[3 : last + 2] / r[2 : last + 1])
+        q[1:last] = (r[1:last] * (tk[:-1] - fr[: last - 1])
+                     + tk[1:] - fk[3 : last + 2] / r[2 : last + 1])
         if last < stop:
             q[-1] = 2.0 * (5.0 * fk[-1] + 8.0 * fr[-1] - fr[-2] * r[-1])
         q *= h / 24.0
@@ -268,8 +275,11 @@ class ResolventRows:
         return j - self.first, (x - grid.points[j]) / grid.dx
 
     def _on_nodes(self, f):
-        """f on the rows' nodes, finite, and its support (first, last) there,
-        at least the three nodes that the sums' and Simpson's rules take."""
+        """f on the rows' nodes as complex, finite, and its support (first,
+        last) there, at least the three nodes that the sums' and Simpson's
+        rules take.  numpy casts a real operand to complex before every
+        complex loop, so the one cast here gives the quadratures the same
+        bits without a buffered cast per operation."""
         f = np.asarray(f)
         if f.shape[-1:] != self.y_minus.shape[-1:]:
             raise ValueError("wavefunction must be sampled on the resolvent's nodes")
@@ -280,7 +290,7 @@ class ResolventRows:
         support = np.flatnonzero(size >= SUPPORT_FLOOR * peak)
         if support[-1] - support[0] < 2:
             raise ValueError("wavefunction must span at least three nodes")
-        return f, (support[0], support[-1])
+        return f.astype(complex, copy=False), (support[0], support[-1])
 
     def _sums_on(self, f, support, lo, hi):
         """A and B of f on nodes lo..hi, (..., hi - lo + 1) each: A summed from

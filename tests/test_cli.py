@@ -120,6 +120,39 @@ def test_overrides_roundtrip_through_sidecar(tmp_path):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_runs_in_one_process_share_no_state(tmp_path):
+    # the parser is built once per process, and each job's options stay
+    # with that job: a default raman run after a --nf 2 run writes the
+    # n_f = 1 profile, and a default absorption run after a --k0 0 run the
+    # same bytes as a default run in a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(NARROW)
+    explicit, overtone, default = (tmp_path / name for name in ("nf1", "nf2", "default"))
+    assert main(["raman", "--nf", "1", "--config", str(cfg), "--out", str(explicit)]) == 0
+    assert main(["raman", "--nf", "2", "--config", str(cfg), "--out", str(overtone)]) == 0
+    assert main(["raman", "--config", str(cfg), "--out", str(default)]) == 0
+    for name in ("raman_coupled.csv", "raman_uncoupled.csv", "raman.meta.txt"):
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
+    assert (overtone / "raman_coupled.csv").read_bytes() != (
+        default / "raman_coupled.csv"
+    ).read_bytes()
+    uncoupled, after = tmp_path / "k0", tmp_path / "after"
+    assert main(["absorption", "--k0", "0", "--out", str(uncoupled)]) == 0
+    assert main(["absorption", "--out", str(after)]) == 0
+    fresh = tmp_path / "fresh"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvecross.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "curvecross.cli", "absorption", "--out", str(fresh)],
+                   env=env, check=True, capture_output=True)
+    for name in ("absorption_coupled.csv", "absorption_uncoupled.csv", "absorption.meta.txt"):
+        assert (after / name).read_bytes() == (fresh / name).read_bytes()
+    assert (uncoupled / "absorption_coupled.csv").read_bytes() != (
+        after / "absorption_coupled.csv"
+    ).read_bytes()
+
+
 def test_greens_probe(tmp_path):
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(NARROW)

@@ -328,6 +328,27 @@ def test_window_widening_leaves_spectra_unchanged(model, grid, n_f, monkeypatch)
     assert _worst_relative_change(wider, full) < 1e-12
 
 
+def test_seed_budget_leaves_round_off_only(model, grid, monkeypatch):
+    # a seed's error reaches x_c as about 1e-3 e^(-2E) after E e-folds:
+    # at SEED_EFOLDS G1 and G2(x_c, x_c) on their windows are the whole
+    # grid's to round-off (4.7e-15 measured), while at 8 e-folds the seeds
+    # still show (1.3e-10), so the window tests can see a budget too small
+    omega = photon_energies(9500.0, 13500.0, 10.0)
+    budget = spectra.SEED_EFOLDS
+
+    def diagonals(efolds):
+        monkeypatch.setattr(spectra, "SEED_EFOLDS", efolds)
+        return spectra.coupling_diagonals(model, omega, grid)
+
+    full = diagonals(math.inf)
+
+    def gap(efolds):
+        return float(np.max(np.abs(diagonals(efolds) - full) / np.abs(full)))
+
+    assert gap(budget) < 1e-13
+    assert gap(8.0) >= 1e-11
+
+
 def test_window_keeps_an_open_side(config, grid, monkeypatch):
     # D = 1000 cm^-1 puts the Morse curve's dissociation limit inside the
     # scan, so its left side is open and never builds the seed budget: the
