@@ -72,7 +72,7 @@ import numpy as np
 from scipy.linalg.blas import ztbsv
 
 from .errors import DegenerateWronskianError, GridError
-from .model import DEFAULT_GRID, HarmonicCurve, MorseCurve, harmonic_eigenstates
+from .model import DEFAULT_GRID, HarmonicCurve, harmonic_eigenstates
 
 # Largest Wronskian drift a build accepts (round-off gives about 1e-12).
 WRONSKIAN_DRIFT_LIMIT = 1e-8
@@ -458,19 +458,15 @@ def build_resolvent(curve, z, grid=None):
 
 
 def _check_coverage(curve, zs, v_nodes, dx):
-    """Edges where the curve confines must be classically forbidden; open
-    channels (a dissociative curve's flat side, free propagation) are
-    exempt because the WKB seed is the exact outgoing solution there.  The
-    grid must also resolve the fastest local oscillation at the top of the
-    scan: k_max dx <= MAX_K_DX."""
+    """Every curve's right edge, unless the curve is flat there, and a
+    harmonic curve's left edge must be classically forbidden at the top of
+    the scan; open channels (a Morse curve's left side, free propagation
+    on a flat edge) are exempt because the WKB seed is the exact outgoing
+    solution there.  The grid must also resolve the fastest local
+    oscillation at the top of the scan: k_max dx <= MAX_K_DX."""
     z_top = float(np.max(zs.real, initial=-np.inf))  # no energies, nothing to cover
-    if isinstance(curve, HarmonicCurve):
-        bad = v_nodes[0] <= z_top or v_nodes[-1] <= z_top
-    elif isinstance(curve, MorseCurve):
-        bad = v_nodes[-1] <= z_top
-    else:
-        bad = False
-    if bad:
+    right = v_nodes[-1] != v_nodes[-2] and v_nodes[-1] <= z_top
+    if right or (isinstance(curve, HarmonicCurve) and v_nodes[0] <= z_top):
         raise GridError(
             "grid does not cover the classically relevant region: potential at "
             "a confining grid edge lies below Re z"

@@ -78,35 +78,38 @@ def model_fingerprint(model, grid):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _window(curves, zs, lo, hi, grid):
-    """The node slice of grid that sweeps of curves at the energies zs cover
-    to read nodes lo..hi: widened on each side to the nearest node that is
-    classically forbidden on every curve and SEED_EFOLDS of Re kappa =
-    Re sqrt(2m(V - z_top)) away on each, z_top = max Re z + i Gamma; else to
-    the grid's edge.  Runs the coverage and k_max dx guards on the grid."""
-    if not zs.size:
-        return grid
-    z_top = zs[np.argmax(zs.real)]
-    ok = True
-    for curve in curves:
-        v = curve.evaluate(grid.points)
-        _check_coverage(curve, zs, v, grid.dx)
-        efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
-        far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
-        ok = ok & far & (v > z_top.real)
-    a, b = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
-    a, b = (a[-1] if a.size else 0), (hi + b[0] if b.size else grid.n - 1)
-    return Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
+def _window(curves, zs, lo, hi, grid, x):
+    """(window, a, nodes) for sweeps of curves at the energies zs that read
+    nodes lo..hi of grid and the point x.  The window, grid's nodes a..b,
+    widens lo..hi on each side to the nearest node classically forbidden on
+    every curve and SEED_EFOLDS of Re kappa = Re sqrt(2m(V - z_top)) away on
+    each, z_top = max Re z + i Gamma, else to the grid's edge.  nodes, the
+    rows' range in it, is lo..hi shifted by a and widened to x's cell by the
+    window's own index_below: its nodes match grid's only to an ulp.  Runs
+    the coverage and k_max dx guards on the grid."""
+    a, b = 0, grid.n - 1
+    if zs.size:
+        z_top = zs[np.argmax(zs.real)]
+        ok = True
+        for curve in curves:
+            v = curve.evaluate(grid.points)
+            _check_coverage(curve, zs, v, grid.dx)
+            efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
+            far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
+            ok = ok & far & (v > z_top.real)
+        left, right = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
+        a, b = (left[-1] if left.size else a), (hi + right[0] if right.size else b)
+    window = Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
+    k = window.index_below(x)
+    return window, int(a), (min(lo - a, k), max(hi - a, k + 1))
 
 
 def _diagonal(curve, zs, x, grid):
-    """(G(x, x) of curve at the energies zs, its window): the window is
-    _window's from x's cell, and the rows hold that cell's two nodes only,
-    each sweep stopping there."""
+    """(G(x, x) of curve at the energies zs, its window): the rows hold
+    _window's node range from x's cell only, each sweep stopping there."""
     j = grid.index_below(x)
-    window = _window((curve,), zs, j, j + 1, grid)
-    k = window.index_below(x)
-    return resolvent_rows(curve, zs, window, (k, k + 1)).point(x, x), window
+    window, _, nodes = _window((curve,), zs, j, j + 1, grid, x)
+    return resolvent_rows(curve, zs, window, nodes).point(x, x), window
 
 
 def coupling_diagonals(model, omega_grid, grid=None):
@@ -122,8 +125,8 @@ def coupling_diagonals(model, omega_grid, grid=None):
 def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
     and without it: per chunk of SCAN_CHUNK energies, the allowed surface
-    swept on _window's nodes up to the support hull's far ends, and the
-    forbidden one only toward x_c.
+    swept on its window up to the support hull's far ends, both planned by
+    _window, and the forbidden one only toward x_c.
 
     Returns (value, direct, window, forbidden, support): the coupled
     amplitudes, their uncoupled part (the allowed-surface matrix element),
@@ -148,18 +151,17 @@ def scan(model, omega_grid, n_f=0, grid=None):
     # the support hull: x_c's cell and max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR max
     chi = np.max(np.abs(states), axis=0)
     need, j = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi)), grid.index_below(x_c)
-    lo, hi = min(need[0], j), max(need[-1], j + 1)
-    window = _window((model.allowed,), zs, lo, hi, grid)
+    window, a, (lo, hi) = _window((model.allowed,), zs, min(need[0], j), max(need[-1], j + 1),
+                                  grid, x_c)
     g2, forbidden = _diagonal(model.forbidden, zs, x_c, grid)
-    a = int(np.searchsorted(grid.points, window.x_min))
-    chi_i, chi_f = states[:, lo : hi + 1]
+    chi_i, chi_f = states[:, a + lo : a + hi + 1]
     value, direct = np.empty((2, omega_grid.size), dtype=complex)
     for start in range(0, zs.size, SCAN_CHUNK):
         chunk = np.s_[start : start + SCAN_CHUNK]
-        rows = resolvent_rows(model.allowed, zs[chunk], window, (lo - a, hi - a))
+        rows = resolvent_rows(model.allowed, zs[chunk], window, (lo, hi))
         amplitude = g11_rows(rows, k0, x_c, g2[chunk], chi_f, chi_i)
         value[chunk], direct[chunk] = amplitude.value, amplitude.direct
-    support = Grid(float(grid.points[lo]), float(grid.points[hi]), int(hi - lo + 1))
+    support = Grid(float(grid.points[a + lo]), float(grid.points[a + hi]), int(hi - lo + 1))
     return value, direct, window, forbidden, support
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import simpson
 
 from curvecross import resolvent, spectra
 from curvecross.coupled import CoupledBlocks, g11_rows
-from curvecross.errors import DegenerateWronskianError, NumericsError
+from curvecross.errors import DegenerateWronskianError, GridError, NumericsError
 from curvecross.model import DEFAULT_GRID, Grid, franck_condon_matrix, harmonic_eigenstates
 from curvecross.resolvent import (
     HarmonicSpectralSum,
@@ -483,10 +484,25 @@ def test_rejects_nonpositive_damping(model, grid):
         build_resolvent(model.allowed, 11000.0 + 0.0j, grid)
 
 
-def test_rejects_undersized_grid(model):
-    # the right edge sits below Re z, inside the classically allowed zone
-    with pytest.raises(ValueError):
-        build_resolvent(model.allowed, 12700.0 + 450.0j, Grid(-1.5, 0.25, 1024))
+@pytest.mark.parametrize("surface, grid, depth, fails", [
+    ("allowed", Grid(-1.5, 0.25, 1024), None, True),
+    ("allowed", Grid(-0.05, 1.5, 1024), None, True),
+    ("forbidden", Grid(-1.5, 0.02, 1024), None, True),
+    ("forbidden", Grid(-1.5, 1.5, 4096), 1000.0, False),
+], ids=["harmonic-right", "harmonic-left", "morse-wall", "morse-open-left"])
+def test_rejects_undersized_grid(config, surface, grid, depth, fails):
+    # a confining edge, either edge of the harmonic curve or the Morse
+    # wall, that sits below Re z, inside the classically allowed zone, is
+    # rejected; the Morse curve's open left side below Re z (D = 1000
+    # cm^-1) is not confining and builds
+    settings = {} if depth is None else {"forbidden_well_depth_cm1": depth}
+    curve = getattr(replace(config, **settings).validate().to_model(), surface)
+    z = 12700.0 + 450.0j
+    if fails:
+        with pytest.raises(GridError, match="confining grid edge"):
+            build_resolvent(curve, z, grid)
+    else:
+        assert build_resolvent(curve, z, grid).wronskian_drift < 1e-8
 
 
 def test_point_outside_grid_rejected(ev_allowed_fine):

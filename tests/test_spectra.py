@@ -6,7 +6,7 @@ import pytest
 from closed_forms import harmonic_diagonal, morse_diagonal
 
 from curvecross import cli, resolvent, spectra
-from curvecross.coupled import g11_rows
+from curvecross.coupled import CoupledBlocks, g11_rows
 from curvecross.errors import GridError, GridMismatchError
 from curvecross.model import (
     DeltaCoupling,
@@ -461,6 +461,28 @@ def test_scan_matches_the_analytic_amplitude(config, grid, depth):
         assert np.max(np.abs(value - exact) / np.abs(exact)) < 1e-6
 
 
+@pytest.mark.parametrize("node", [1039, 2795])
+def test_scan_reads_x_c_on_a_grid_node(model, grid, node):
+    # x_c on a node of the configured grid outside the states' support: the
+    # window's linspace nodes match the grid's only to an ulp, so the cell
+    # that the window puts x_c in may be the grid's cell less or plus one.
+    # The rows' node range holds that cell, the scans run, and their coupled
+    # amplitudes are the whole grid's
+    k0, x_c = model.coupling.strength, float(grid.points[node])
+    model = replace(model, coupling=DeltaCoupling(k0, x_c))
+    omega = photon_energies(9500.0, 13500.0, 100.0)
+    jobs = absorption_spectra(model, omega, grid=grid), raman_profiles(model, 1, omega, grid=grid)
+    picked = [0, 13, 27, 40]
+    zs = model.resolvent_argument(omega[picked])
+    ev1, ev2 = (resolvent_rows(curve, zs, grid) for curve in (model.allowed, model.forbidden))
+    blocks = CoupledBlocks(ev1, ev2, k0, x_c)
+    chi = harmonic_eigenstates(model.ground, 1, grid.points)
+    for n_f, (spec, _) in enumerate(jobs):
+        amplitude = 1j * blocks.g11(chi[n_f], chi[0]).value
+        full = np.real(amplitude) if n_f == 0 else np.abs(amplitude) ** 2
+        assert np.max(np.abs(spec.intensity[picked] - full) / np.abs(full)) < 1e-12
+
+
 def test_metadata_records_the_forbidden_window(model, grid):
     # the forbidden surface is swept on its own window, which holds x_c's
     # cell and lies within the scan's window
@@ -513,9 +535,11 @@ def test_window_comes_from_the_allowed_curve_alone(model, grid, n_f):
     s_lo, s_hi, s_n = spec.metadata["support"]
     lo = int(np.searchsorted(grid.points, s_lo))
     zs = model.resolvent_argument(omega)
-    window = spectra._window((model.allowed,), zs, lo, lo + s_n - 1, grid)
+    x_c = model.coupling.location
+    window, _, _ = spectra._window((model.allowed,), zs, lo, lo + s_n - 1, grid, x_c)
     assert spec.metadata["window"] == (window.x_min, window.x_max, window.n)
-    shared = spectra._window((model.allowed, model.forbidden), zs, lo, lo + s_n - 1, grid)
+    shared, _, _ = spectra._window((model.allowed, model.forbidden), zs, lo, lo + s_n - 1,
+                                   grid, x_c)
     assert window.n < shared.n
 
 
