@@ -20,7 +20,11 @@ same in any batch and a batch holds only its rows and one energy's band.
 Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
 the power of two that cancels RK4's growth of the local WKB wave; one
-sequence of octaves serves both solves, since u- grows the way u+ decays.
+sequence of octaves serves both solves, since u- grows the way u+ decays,
+and a whole group of energies (_group_scales): taken from the least
+growth of any member, it leaves each member's states growing by at most
+OCTAVE_BUDGET octaves, and being exact powers of two it changes no bit of
+y, the ratios or the drift.
 Each solution is stored as y = u'/u per node (B. R. Johnson's
 log-derivative, J. Comput. Phys. 13, 445 (1973)) and as the ratio of each
 node's value to the next one's in its solve's direction, r-_k = u-_k /
@@ -85,6 +89,12 @@ MAX_K_DX = 0.5
 # f is taken as 0, which moves <g|G|f> by about SUPPORT_FLOOR times its
 # bound max |G f| integral |g|.
 SUPPORT_FLOOR = 1e-16
+# The most octaves by which a group of energies' scaled states may outgrow
+# the octaves that the group shares (_group_scales): half of float64's
+# exponent range.  On the default model's grid, pairs of energies from
+# -20000 to 60000 cm^-1 sharing one sequence keep their own bits up to a
+# bound of 989 octaves and overflow from 1016.
+OCTAVE_BUDGET = np.finfo(float).maxexp // 2
 
 
 def _simpson(y, dx):
@@ -106,23 +116,77 @@ def _simpson(y, dx):
     return total
 
 
-def _step_band(c_nodes, c_mid, c_imag, h, growth, band):
+def _growth(c_mid, c_imag, h):
+    """RK4's growth of the local WKB wave over each interval in octaves,
+    both ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24, s = h Re
+    sqrt(c) for c = c_mid + i c_imag on the midpoints (K,).  Re sqrt(c)
+    rises with c_mid and with |c_imag|, so the growth falls as Re z rises
+    and grows with Im z."""
+    s = np.sqrt(0.5 * h * h * (np.sqrt(c_mid * c_mid + c_imag**2) + c_mid))
+    return np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
+
+
+def _unscale(growth):
+    """2^(E_k - E_k+1) (K,) for E_k the running sum of growth (K,) rounded
+    to whole octaves, E_0 = 0: interval k's scale, which also undoes it in
+    a ratio of neighbouring nodes."""
+    octaves = np.zeros(growth.size + 1)
+    np.rint(np.cumsum(growth, out=octaves[1:]), out=octaves[1:])
+    # int32 exponents: np.ldexp takes a slow path for int64 ones
+    octaves = octaves.astype(np.int32)
+    return np.ldexp(1.0, octaves[:-1] - octaves[1:])
+
+
+def _group_scales(zs, v_mid, m, h):
+    """Per energy of zs (nz,), the _unscale array that its group of
+    energies shares, or None for an energy alone in its group, which takes
+    the octaves of its own growth.
+
+    The energies sorted by Re z are halved until each part fits
+    OCTAVE_BUDGET.  A group's reference growth is taken at (max Re z,
+    min Im z), the least growth of any member on every interval (_growth),
+    so every member's scaled states only grow relative to the reference's
+    and none falls toward the subnormals.  Against the octaves of its own
+    growth a member's u- is scaled up by at most the running sum of its
+    growth less the reference's, and u+ by the rest of that sum; with
+    every term nonnegative both are bounded by R, the sum over the window
+    of the growth at (min Re z, max Im z) less the reference's.  A group
+    fits if R <= OCTAVE_BUDGET.  The scales are exact powers of two, so
+    while the states stay in float64's normal range, y, the ratios and the
+    drift are the same bits with any octave sequence."""
+    scales = [None] * zs.size
+    parts = [np.argsort(zs.real, kind="stable")] if zs.size > 1 else []
+    while parts:
+        group = parts.pop()
+        re, im = zs.real[group], zs.imag[group]
+        least = _growth(2.0 * m * (v_mid - re.max()), 2.0 * m * im.min(), h)
+        most = _growth(2.0 * m * (v_mid - re.min()), 2.0 * m * im.max(), h)
+        if np.sum(most - least) <= OCTAVE_BUDGET:
+            unscale = _unscale(least)
+            for k in group:
+                scales[k] = unscale
+        else:
+            half = group.size // 2
+            parts += [part for part in (group[:half], group[half:]) if part.size > 1]
+    return scales
+
+
+def _step_band(c_nodes, c_mid, c_imag, h, unscale, band):
     """Write one energy's scaled RK4 step maps of u'' = c u over K intervals
-    into band, and return 2^(E_k - E_k+1) (K,), which undoes interval k's
-    scale in a ratio of neighbouring nodes.
+    into band.
 
     c_nodes (K + 1,) and c_mid (K,) are Re c = 2m(V - Re z) on the nodes
-    and midpoints, c_imag = -2m Im z, and growth (K,) the growth of the
-    local WKB wave over each interval in octaves.  One step takes (u, u')
-    to (a u + b u', c u + d u') with
+    and midpoints, c_imag = -2m Im z, and unscale (K,) = 2^(E_k - E_k+1)
+    for whole octaves E_k, E_0 = 0: _unscale of this energy's growth or of
+    its group's reference growth (_group_scales), which give the same bits.
+    One step takes (u, u') to (a u + b u', c u + d u') with
 
         a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
         b = h + h^3/6 c_m
         c = h/6 (c_l + 4 c_m + c_r) + h^3/12 c_m (c_l + c_r)
         d = 1 + h^2/6 (2 c_m + c_r) + h^4/24 c_m c_r
 
-    in real arithmetic, scaled by 2^(E_k - E_k+1), E_k the running sum of
-    the growth rounded to whole octaves.  band is a zeroed (4, 2(K + 1))
+    in real arithmetic, scaled by unscale_k.  band is a zeroed (4, 2(K + 1))
     complex array, Fortran-ordered because f2py would copy a C-ordered one
     on every call.  Column 2k gets -a and -c at offsets 2 and 3, column
     2k + 1 gets -b and -d at offsets 1 and 2, nothing else: a unit
@@ -133,20 +197,15 @@ def _step_band(c_nodes, c_mid, c_imag, h, growth, band):
     + a W_k+1 (2k), times the same scale: the backward map [[d, b], [c, a]]
     of (u, -u'), RK4 run in -x.  So (W, U) is (-u+', u+) times
     2^(E_k - E_K): the octaves that bound u- bound u+, which decays where
-    u- grows, both ratios of neighbours unscale by 2^(E_k - E_k+1), and the
+    u- grows, both ratios of neighbours unscale by unscale_k, and the
     scaled states' product is u- u+ times 2^-E_K on every node, so the
     Wronskian drift needs no unscaling.  A solve on a node range reads
     only the entries that its part of the system reaches.
     """
-    octaves = np.zeros(growth.size + 1)
-    np.rint(np.cumsum(growth, out=octaves[1:]), out=octaves[1:])
-    # int32 exponents: np.ldexp takes a slow path for int64 ones
-    octaves = octaves.astype(np.int32)
-    unscale = np.ldexp(1.0, octaves[:-1] - octaves[1:])
     scale = np.negative(unscale)
     # row k: band columns 2k and 2k + 1 as 16 floats, the real parts of
     # -a, -c, -b and -d at 4, 6, 10 and 12, each imaginary part next
-    parts = band.T.view(float).reshape(-1, 16)[: growth.size]
+    parts = band.T.view(float).reshape(-1, 16)[: unscale.size]
     c_left, c_right = c_nodes[:-1], c_nodes[1:]
     s1, s2, s3, s4 = h / 6.0, h * h / 6.0, h**3 / 6.0, h**4 / 24.0
     g2 = c_imag * c_imag
@@ -165,7 +224,6 @@ def _step_band(c_nodes, c_mid, c_imag, h, growth, band):
     np.multiply(scale, h + 0.5 * s3 * (left + c_right), out=parts[:, 7])
     np.multiply(scale, s3, out=parts[:, 11])
     np.multiply(scale, 3.0 * s2 + s4 * (c_mid + c_right), out=parts[:, 13])
-    return unscale
 
 
 def _wkb_log_derivative(c_edge, m, grad_edge):
@@ -354,10 +412,12 @@ class ResolventRows:
             j, t = self._cell(x0)
             start, stop = min(lo, j), max(hi, j + 1)
         minus, plus = self._sums_on(f, support, start, stop)
-        on = np.s_[..., lo : hi + 1]
-        diagonal = 2.0 * self.curve.mass / (self.y_plus[on] - self.y_minus[on])
-        summed = (minus + plus)[..., lo - start : hi + 1 - start]
-        element = _simpson(g[on] * diagonal * summed, self.grid.dx)
+        on, summed = np.s_[..., lo : hi + 1], np.s_[..., lo - start : hi + 1 - start]
+        # g G(x, x) (A + B) on g's support, in two buffers
+        work = np.subtract(self.y_plus[on], self.y_minus[on])
+        integrand = np.multiply(g[on], np.divide(2.0 * self.curve.mass, work, out=work))
+        integrand *= np.add(minus[summed], plus[summed], out=work)
+        element = _simpson(integrand, self.grid.dx)
         if x0 is None:
             return element, None
         cell = np.s_[..., j - start : j - start + 2]
@@ -370,9 +430,10 @@ class ResolventRows:
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
     """ResolventRows of one curve at energies zs of any shape on grid, one
-    energy at a time: one band of step maps (_step_band), u- solved forward
-    from the left edge and u+ by the transposed system from the right one,
-    their rows written, then checked for drift and for u- and u+
+    energy at a time after the octaves are planned once per group of
+    energies (_group_scales): one band of step maps (_step_band), u- solved
+    forward from the left edge and u+ by the transposed system from the
+    right one, their rows written, then checked for drift and for u- and u+
     independent at the rows' first node: |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT
     (|y+| + |y-|) there.  Given nodes = (lo, hi), integers with 0 <= lo < hi <= N - 1,
     u- is solved only to node hi and u+ only to node lo, and the rows and
@@ -407,15 +468,15 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
     y_minus, y_plus = np.empty((2, zs.size, width), dtype=complex)
     r_minus, r_plus = np.empty((2, zs.size, width - 1), dtype=complex)
     drift = np.empty(zs.size)
+    scales = _group_scales(zs, v_mid, m, h)
     for k, z in enumerate(zs):
         c_nodes = 2.0 * m * (v_nodes - z.real)
         c_mid = 2.0 * m * (v_mid - z.real)
-        # RK4's growth of the local WKB wave over each interval in octaves,
-        # both ways: log2 R(s), R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24,
-        # s = h Re sqrt(c)
-        s = np.sqrt(0.5 * h * h * (np.sqrt(c_mid * c_mid + c_imag[k] ** 2) + c_mid))
-        growth = np.log2(1.0 + s * (1.0 + s * (0.5 + s * (1.0 / 6.0 + s / 24.0))), out=s)
-        unscale = _step_band(c_nodes, c_mid, c_imag[k], h, growth, band)[lo:hi]
+        unscale = scales[k]
+        if unscale is None:  # alone in its group: the octaves of its own growth
+            unscale = _unscale(_growth(c_mid, c_imag[k], h))
+        _step_band(c_nodes, c_mid, c_imag[k], h, unscale, band)
+        unscale = unscale[lo:hi]
         # u- forward from (1, v0) on nodes 0..hi, u+ by the transposed
         # system from (v0r, 1) on nodes lo..N - 1, as (-u+', u+)
         minus.fill(0.0)
@@ -513,11 +574,26 @@ class HarmonicSpectralSum:
         return deficit / abs(self.z - self.energies[-1])
 
     def _overlaps(self, f):
-        return _simpson(self._table * np.asarray(f)[None, :], self.grid.dx)
+        """<phi_n|f> for n = 0..n_max, one pass over the table: a caller
+        that reads one state several times takes them once and passes them
+        to _vector_of and _element_of.  It runs on 16 rows at a time, so its
+        products take a sixteenth of the table, not a second table; each
+        row's sum is the same bits either way."""
+        f = np.asarray(f)
+        return np.concatenate([_simpson(self._table[n : n + 16] * f, self.grid.dx)
+                               for n in range(0, self.n_max + 1, 16)])
+
+    def _vector_of(self, p, x0):
+        """vector(f, x0) from f's overlaps p."""
+        phi0 = harmonic_eigenstates(self.curve, self.n_max, np.array([x0]))[:, 0]
+        return complex(np.sum(phi0 * p * self.weights))
+
+    def _element_of(self, p, q):
+        """matrix_element(f, g) from f's and g's overlaps p and q."""
+        return complex(np.sum(p * q * self.weights))
 
     def vector(self, f, x0):
-        phi0 = harmonic_eigenstates(self.curve, self.n_max, np.array([x0]))[:, 0]
-        return complex(np.sum(phi0 * self._overlaps(f) * self.weights))
+        return self._vector_of(self._overlaps(f), x0)
 
     def matrix_element(self, f, g):
-        return complex(np.sum(self._overlaps(f) * self._overlaps(g) * self.weights))
+        return self._element_of(self._overlaps(f), self._overlaps(g))

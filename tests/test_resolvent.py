@@ -216,6 +216,61 @@ def test_chunk_rows_equal_single_energy_sweeps(model, grid):
             assert single.vector(chi[0], x_c)[0] == own[k]
 
 
+def _counted(monkeypatch, name):
+    """The calls to resolvent's function name, recorded as (args, result)."""
+    calls, function = [], getattr(resolvent, name)
+
+    def counted(*args):
+        calls.append((args, function(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(resolvent, name, counted)
+    return calls
+
+
+def test_a_scan_chunk_plans_one_group(config, model, grid, monkeypatch):
+    # a default 64-energy chunk spans at most 17 octaves between its
+    # energies on the allowed window and the whole grid, far below
+    # OCTAVE_BUDGET: one group takes two growth evaluations, its reference
+    # and its bound, for all 64 sweeps.  One energy takes one, its own
+    omega = config.omega_grid()[: spectra.SCAN_CHUNK]
+    zs = model.resolvent_argument(omega)
+    _, _, window, _, _ = spectra.scan(model, omega, 0, grid)
+    growths = _counted(monkeypatch, "_growth")
+    plans = _counted(monkeypatch, "_group_scales")
+    for nodes in (window, grid):
+        for energies, evaluations in ((zs, 2), (zs[17], 1)):
+            growths.clear()
+            plans.clear()
+            resolvent.resolvent_rows(model.allowed, energies, nodes)
+            ((_, scales),) = plans
+            assert len(growths) == evaluations
+            if evaluations == 1:
+                assert scales == [None]
+            else:
+                assert scales[0] is not None and all(u is scales[0] for u in scales)
+
+
+def test_wide_point_path_shares_octaves_in_groups(model, grid, monkeypatch):
+    # the forbidden point path of the sum-rule scan, -20000 to 60000 cm^-1
+    # in 100 cm^-1 steps on its window, spans about 1000 octaves between
+    # its energies, past OCTAVE_BUDGET: it is planned in more than one
+    # group, and every energy's rows and drift equal its own sweep's bit
+    # for bit
+    zs = model.resolvent_argument(spectra.photon_energies(-20000.0, 60000.0, 100.0))
+    x_c = model.coupling.location
+    j = grid.index_below(x_c)
+    window, _, nodes = spectra._window((model.forbidden,), zs, j, j + 1, grid, x_c)
+    plans = _counted(monkeypatch, "_group_scales")
+    rows = resolvent.resolvent_rows(model.forbidden, zs, window, nodes)
+    ((_, scales),) = plans
+    assert len({id(unscale) for unscale in scales}) > 1
+    for k, z in enumerate(zs):
+        single = resolvent.resolvent_rows(model.forbidden, z, window, nodes)
+        for name in ("r_minus", "y_minus", "r_plus", "y_plus", "wronskian_drift"):
+            assert np.array_equal(getattr(single, name), getattr(rows, name)[k])
+
+
 def test_morse_quadrature_converges(model, grid):
     # <chi1|G2|chi0> on the default grid against a grid four times finer
     # with the same end points
@@ -313,9 +368,9 @@ def test_step_maps_equal_rk4_step(model, grid):
             a, c = _rk4_step(ci, c_mid, cn, h, one, zero)
             b, d = _rk4_step(ci, c_mid, cn, h, zero, one)
             band = np.zeros((4, 2 * grid.n), dtype=complex, order="F")
-            unscale = _step_band(c_nodes.real, c_mid.real, -2.0 * m * z.imag, h,
-                                 np.zeros(grid.n - 1), band)
+            unscale = resolvent._unscale(np.zeros(grid.n - 1))
             assert np.all(unscale == 1.0)
+            _step_band(c_nodes.real, c_mid.real, -2.0 * m * z.imag, h, unscale, band)
             closed = -band[2, :-2:2], -band[1, 1:-2:2], -band[3, :-2:2], -band[2, 1:-2:2]
             for got, ref in zip(closed, (a, b, c, d)):
                 rel = np.abs(got - ref) / np.abs(ref)
@@ -395,8 +450,8 @@ def test_unscaled_sweep_overflow_raises(model, grid, monkeypatch):
     # numbers
     fill = resolvent._step_band
 
-    def unscaled(c_nodes, c_mid, c_imag, h, growth, band):
-        return fill(c_nodes, c_mid, c_imag, h, np.zeros_like(growth), band)
+    def unscaled(c_nodes, c_mid, c_imag, h, unscale, band):
+        return fill(c_nodes, c_mid, c_imag, h, np.ones_like(unscale), band)
 
     monkeypatch.setattr(resolvent, "_step_band", unscaled)
     for nz in (1, 6):
@@ -417,8 +472,8 @@ def test_unscaled_point_sweep_overflow_raises(model, grid, monkeypatch):
     # the point path must raise for one energy and for a scan chunk
     fill = resolvent._step_band
 
-    def unscaled(c_nodes, c_mid, c_imag, h, growth, band):
-        return fill(c_nodes, c_mid, c_imag, h, np.zeros_like(growth), band)
+    def unscaled(c_nodes, c_mid, c_imag, h, unscale, band):
+        return fill(c_nodes, c_mid, c_imag, h, np.ones_like(unscale), band)
 
     monkeypatch.setattr(resolvent, "_step_band", unscaled)
     for nz in (1, spectra.SCAN_CHUNK):
