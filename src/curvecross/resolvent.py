@@ -24,7 +24,8 @@ sequence of octaves serves both solves, since u- grows the way u+ decays,
 and a whole group of energies (_group_scales): taken from the least
 growth of any member, it leaves each member's states growing by at most
 OCTAVE_BUDGET octaves, and being exact powers of two it changes no bit of
-y, the ratios or the drift.
+y, the ratios or the drift.  Every energy is planned so, a lone one as a
+group of one.
 Each solution is stored as y = u'/u per node (B. R. Johnson's
 log-derivative, J. Comput. Phys. 13, 445 (1973)) and as the ratio of each
 node's value to the next one's in its solve's direction, r-_k = u-_k /
@@ -59,6 +60,15 @@ on the nodes (j, j + 1) of x's cell solves to that cell and no further,
 and its point read gives the value: at any number of energies the call
 holds O(N + nz) numbers.
 
+Where a sweep runs is planned here too (_window): a caller that reads
+nodes lo..hi and a point x sweeps a window of its grid that widens them
+until the WKB seeds lie SEED_EFOLDS e-folds of attenuation away at the
+top energy of the sweep, where they are forgotten (Johnson's argument
+for the log-derivative), and the rows hold lo..hi and x's cell.  So a
+row depends on the top energy of its call's plan through the window.
+_window runs the coverage guard (_check_coverage) on the grid it is
+given, and resolvent_rows on the grid it sweeps.
+
 The outer quadratures use _simpson, Simpson's rule written out with
 scipy.integrate.simpson's arithmetic for equal steps, so that they give
 its values bit for bit without importing scipy.integrate.
@@ -76,7 +86,7 @@ import numpy as np
 from scipy.linalg.blas import ztbsv
 
 from .errors import DegenerateWronskianError, GridError
-from .model import DEFAULT_GRID, HarmonicCurve, harmonic_eigenstates
+from .model import DEFAULT_GRID, Grid, HarmonicCurve, harmonic_eigenstates
 
 # Largest Wronskian drift a build accepts (round-off gives about 1e-12).
 WRONSKIAN_DRIFT_LIMIT = 1e-8
@@ -95,6 +105,12 @@ SUPPORT_FLOOR = 1e-16
 # -20000 to 60000 cm^-1 sharing one sequence keep their own bits up to a
 # bound of 989 octaves and overflow from 1016.
 OCTAVE_BUDGET = np.finfo(float).maxexp // 2
+# The seeds' attenuation budget (_window).  A seed's error reaches the read
+# nodes as about 1e-3 e^(-2E) after E e-folds: on the default 401-energy
+# scan G1 and G2 at x_c moved from the whole grid's by 1.3e-10 at E = 8,
+# 1.6e-12 at 10, 2.0e-14 at 12 and at most 4.7e-15 (round-off) from 15 to
+# 40.  At 20 even an O(1) seed error is left at e^-40, about 4e-18.
+SEED_EFOLDS = 20.0
 
 
 def _simpson(y, dx):
@@ -139,8 +155,7 @@ def _unscale(growth):
 
 def _group_scales(zs, v_mid, m, h):
     """Per energy of zs (nz,), the _unscale array that its group of
-    energies shares, or None for an energy alone in its group, which takes
-    the octaves of its own growth.
+    energies shares.
 
     The energies sorted by Re z are halved until each part fits
     OCTAVE_BUDGET.  A group's reference growth is taken at (max Re z,
@@ -151,23 +166,25 @@ def _group_scales(zs, v_mid, m, h):
     growth less the reference's, and u+ by the rest of that sum; with
     every term nonnegative both are bounded by R, the sum over the window
     of the growth at (min Re z, max Im z) less the reference's.  A group
-    fits if R <= OCTAVE_BUDGET.  The scales are exact powers of two, so
+    fits if R <= OCTAVE_BUDGET; a lone energy, whose R is 0, takes only its
+    reference growth, its own.  The scales are exact powers of two, so
     while the states stay in float64's normal range, y, the ratios and the
     drift are the same bits with any octave sequence."""
     scales = [None] * zs.size
-    parts = [np.argsort(zs.real, kind="stable")] if zs.size > 1 else []
+    parts = [np.argsort(zs.real, kind="stable")] if zs.size else []
     while parts:
         group = parts.pop()
         re, im = zs.real[group], zs.imag[group]
         least = _growth(2.0 * m * (v_mid - re.max()), 2.0 * m * im.min(), h)
-        most = _growth(2.0 * m * (v_mid - re.min()), 2.0 * m * im.max(), h)
-        if np.sum(most - least) <= OCTAVE_BUDGET:
-            unscale = _unscale(least)
-            for k in group:
-                scales[k] = unscale
-        else:
-            half = group.size // 2
-            parts += [part for part in (group[:half], group[half:]) if part.size > 1]
+        if group.size > 1:  # a lone energy's R is 0: no bound to evaluate
+            most = _growth(2.0 * m * (v_mid - re.min()), 2.0 * m * im.max(), h)
+            if np.sum(most - least) > OCTAVE_BUDGET:
+                half = group.size // 2
+                parts += [group[:half], group[half:]]
+                continue
+        unscale = _unscale(least)
+        for k in group:
+            scales[k] = unscale
     return scales
 
 
@@ -177,8 +194,8 @@ def _step_band(c_nodes, c_mid, c_imag, h, unscale, band):
 
     c_nodes (K + 1,) and c_mid (K,) are Re c = 2m(V - Re z) on the nodes
     and midpoints, c_imag = -2m Im z, and unscale (K,) = 2^(E_k - E_k+1)
-    for whole octaves E_k, E_0 = 0: _unscale of this energy's growth or of
-    its group's reference growth (_group_scales), which give the same bits.
+    for whole octaves E_k, E_0 = 0: _unscale of its group's reference
+    growth (_group_scales), whose rows are the bits of its own growth's.
     One step takes (u, u') to (a u + b u', c u + d u') with
 
         a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
@@ -431,15 +448,16 @@ class ResolventRows:
 def resolvent_rows(curve, zs, grid=None, nodes=None):
     """ResolventRows of one curve at energies zs of any shape on grid, one
     energy at a time after the octaves are planned once per group of
-    energies (_group_scales): one band of step maps (_step_band), u- solved
-    forward from the left edge and u+ by the transposed system from the
-    right one, their rows written, then checked for drift and for u- and u+
-    independent at the rows' first node: |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT
-    (|y+| + |y-|) there.  Given nodes = (lo, hi), integers with 0 <= lo < hi <= N - 1,
-    u- is solved only to node hi and u+ only to node lo, and the rows and
-    the drift hold nodes lo..hi; G(x, x) alone takes the nodes (j, j + 1)
-    of x's cell.  The rows are zs.shape + (M,) and zs.shape + (M - 1,), so
-    a scalar z gives 1-D rows."""
+    energies, a lone energy its own group (_group_scales): one band of step
+    maps (_step_band), u- solved forward from the left edge and u+ by the
+    transposed system from the right one, their rows written, then checked
+    for drift and for u- and u+ independent at the rows' first node:
+    |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) there.  Given nodes =
+    (lo, hi), integers with 0 <= lo < hi <= N - 1, u- is solved only to
+    node hi and u+ only to node lo, and the rows and the drift hold nodes
+    lo..hi; G(x, x) alone takes the nodes (j, j + 1) of x's cell.  The
+    rows are zs.shape + (M,) and zs.shape + (M - 1,), so a scalar z gives
+    1-D rows."""
     grid = DEFAULT_GRID if grid is None else grid
     lo, hi = (0, grid.n - 1) if nodes is None else nodes
     if not (isinstance(lo, (int, np.integer)) and isinstance(hi, (int, np.integer))
@@ -472,11 +490,8 @@ def resolvent_rows(curve, zs, grid=None, nodes=None):
     for k, z in enumerate(zs):
         c_nodes = 2.0 * m * (v_nodes - z.real)
         c_mid = 2.0 * m * (v_mid - z.real)
-        unscale = scales[k]
-        if unscale is None:  # alone in its group: the octaves of its own growth
-            unscale = _unscale(_growth(c_mid, c_imag[k], h))
-        _step_band(c_nodes, c_mid, c_imag[k], h, unscale, band)
-        unscale = unscale[lo:hi]
+        _step_band(c_nodes, c_mid, c_imag[k], h, scales[k], band)
+        unscale = scales[k][lo:hi]
         # u- forward from (1, v0) on nodes 0..hi, u+ by the transposed
         # system from (v0r, 1) on nodes lo..N - 1, as (-u+', u+)
         minus.fill(0.0)
@@ -538,6 +553,32 @@ def _check_coverage(curve, zs, v_nodes, dx):
             f"grid too coarse for the scan: k_max*dx = {k_dx:.2f} at Re z = {z_top:.6g} "
             f"exceeds {MAX_K_DX}; use more grid points"
         )
+
+
+def _window(curve, zs, lo, hi, grid, x):
+    """(window, a, nodes) for sweeps of curve at the energies zs (nz,) that
+    read nodes lo..hi of grid and the point x.  The window, grid's nodes
+    a..b, widens lo..hi on each side to the nearest node classically
+    forbidden at the top energy z_top and SEED_EFOLDS of Re kappa = Re
+    sqrt(2m(V - z_top)) away, else to the grid's edge.  z_top is (max Re z,
+    min Im z), taken like a group's reference in _group_scales: it gives
+    every node its least Re kappa over zs.  nodes, the rows' range in the
+    window, is lo..hi shifted by a and widened to x's cell by the window's
+    own index_below: its nodes match grid's only to an ulp.  Runs the
+    coverage and k_max dx guards on grid."""
+    a, b = 0, grid.n - 1
+    if zs.size:
+        v = curve.evaluate(grid.points)
+        _check_coverage(curve, zs, v, grid.dx)
+        z_top = complex(zs.real.max(), zs.imag.min())
+        efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
+        far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
+        ok = far & (v > z_top.real)
+        left, right = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
+        a, b = (left[-1] if left.size else a), (hi + right[0] if right.size else b)
+    window = Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
+    k = window.index_below(x)
+    return window, int(a), (min(lo - a, k), max(hi - a, k + 1))
 
 
 class HarmonicSpectralSum:

@@ -12,10 +12,12 @@ the partitioning formula, from the same sweeps; `absorption_spectra` and
 separate uncoupled calculation: a K0 = 0 model gives two equal spectra.
 The support hull is the nodes where the states live and x_c's cell
 (metadata["support"]); the allowed curve's window widens it until the WKB
-seeds are forgotten (_window, metadata["window"]).  Per chunk of energies
-the allowed surface is swept from the window's edges to the hull's far
-ends only, and its rows hold the hull's nodes, where the quadratures run
-once per chunk, each on its states' own support.  The forbidden surface
+seeds are forgotten (resolvent._window, metadata["window"]), planned at
+the scan's top energy, so every row depends on that energy through its
+window.  Per chunk of energies the allowed surface is swept from the
+window's edges to the hull's far ends only, and its rows hold the hull's
+nodes, where the quadratures run once per chunk, each on its states' own
+support.  The forbidden surface
 gives only G2(x_c, x_c): one resolvent_rows call for all the energies on
 x_c's cell, each swept to that cell on the curve's own window (_diagonal,
 metadata["forbidden_window"]).
@@ -32,7 +34,7 @@ import numpy as np
 from .coupled import g11_rows
 from .errors import GridError, GridMismatchError
 from .model import DEFAULT_GRID, Grid, harmonic_eigenstates
-from .resolvent import SUPPORT_FLOOR, _check_coverage, resolvent_rows
+from .resolvent import SUPPORT_FLOOR, _window, resolvent_rows
 
 # Energies per allowed-surface chunk of a scan: the hull's rows and the
 # quadratures' temporaries grow with the energies of a call.  Unchunked,
@@ -42,12 +44,6 @@ SCAN_CHUNK = 64
 # for the initial and final vibrational states.  On the default grid the
 # worst state, n = 200, reaches 1.3e-70.
 MAX_EDGE_AMPLITUDE = 1e-8
-# The seeds' attenuation budget (_window).  A seed's error reaches the read
-# nodes as about 1e-3 e^(-2E) after E e-folds: on the default 401-energy
-# scan G1 and G2 at x_c moved from the whole grid's by 1.3e-10 at E = 8,
-# 1.6e-12 at 10, 2.0e-14 at 12 and at most 4.7e-15 (round-off) from 15 to
-# 40.  At 20 even an O(1) seed error is left at e^-40, about 4e-18.
-SEED_EFOLDS = 20.0
 
 
 @dataclass(frozen=True)
@@ -78,37 +74,20 @@ def model_fingerprint(model, grid):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _window(curves, zs, lo, hi, grid, x):
-    """(window, a, nodes) for sweeps of curves at the energies zs that read
-    nodes lo..hi of grid and the point x.  The window, grid's nodes a..b,
-    widens lo..hi on each side to the nearest node classically forbidden on
-    every curve and SEED_EFOLDS of Re kappa = Re sqrt(2m(V - z_top)) away on
-    each, z_top = max Re z + i Gamma, else to the grid's edge.  nodes, the
-    rows' range in it, is lo..hi shifted by a and widened to x's cell by the
-    window's own index_below: its nodes match grid's only to an ulp.  Runs
-    the coverage and k_max dx guards on the grid."""
-    a, b = 0, grid.n - 1
-    if zs.size:
-        z_top = zs[np.argmax(zs.real)]
-        ok = True
-        for curve in curves:
-            v = curve.evaluate(grid.points)
-            _check_coverage(curve, zs, v, grid.dx)
-            efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
-            far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS
-            ok = ok & far & (v > z_top.real)
-        left, right = np.flatnonzero(ok[:lo]), np.flatnonzero(ok[hi:])
-        a, b = (left[-1] if left.size else a), (hi + right[0] if right.size else b)
-    window = Grid(float(grid.points[a]), float(grid.points[b]), int(b - a + 1))
-    k = window.index_below(x)
-    return window, int(a), (min(lo - a, k), max(hi - a, k + 1))
+def _arguments(model, omega_grid):
+    """(omega_grid as floats, its resolvent arguments z); ValueError unless
+    the photon energies are a 1-d array."""
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1:
+        raise ValueError(f"photon energies must be a 1-d array, not shape {omega_grid.shape}")
+    return omega_grid, model.resolvent_argument(omega_grid)
 
 
 def _diagonal(curve, zs, x, grid):
     """(G(x, x) of curve at the energies zs, its window): the rows hold
     _window's node range from x's cell only, each sweep stopping there."""
     j = grid.index_below(x)
-    window, _, nodes = _window((curve,), zs, j, j + 1, grid, x)
+    window, _, nodes = _window(curve, zs, j, j + 1, grid, x)
     return resolvent_rows(curve, zs, window, nodes).point(x, x), window
 
 
@@ -116,7 +95,7 @@ def coupling_diagonals(model, omega_grid, grid=None):
     """(G1(x_c, x_c), G2(x_c, x_c)) over the photon-energy grid, each surface
     swept only toward x_c on its own window (_diagonal)."""
     grid = DEFAULT_GRID if grid is None else grid
-    zs = model.resolvent_argument(np.asarray(omega_grid, dtype=float))
+    _, zs = _arguments(model, omega_grid)
     x_c = model.coupling.location
     return np.array([_diagonal(curve, zs, x_c, grid)[0]
                      for curve in (model.allowed, model.forbidden)])
@@ -125,8 +104,9 @@ def coupling_diagonals(model, omega_grid, grid=None):
 def scan(model, omega_grid, n_f=0, grid=None):
     """<chi_f|G11(z)|chi_0> over the photon-energy grid, with the crossing
     and without it: per chunk of SCAN_CHUNK energies, the allowed surface
-    swept on its window up to the support hull's far ends, both planned by
-    _window, and the forbidden one only toward x_c.
+    swept on its window up to the support hull's far ends, the window
+    planned by resolvent._window at the scan's top energy, and the
+    forbidden one only toward x_c.  ValueError unless omega_grid is 1-d.
 
     Returns (value, direct, window, forbidden, support): the coupled
     amplitudes, their uncoupled part (the allowed-surface matrix element),
@@ -137,7 +117,7 @@ def scan(model, omega_grid, n_f=0, grid=None):
     if n_f < 0:
         raise ValueError("the final vibrational state must satisfy n_f >= 0")
     grid = DEFAULT_GRID if grid is None else grid
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid, zs = _arguments(model, omega_grid)
     states = harmonic_eigenstates(model.ground, n_f, grid.points)[[0, n_f]]
     for n, chi in zip((0, n_f), np.abs(states)):
         edge = max(chi[0], chi[-1]) / np.max(chi)
@@ -146,12 +126,11 @@ def scan(model, omega_grid, n_f=0, grid=None):
                 f"vibrational state n = {n} reaches the grid edges (|chi| there is "
                 f"{edge:.1e} of its maximum, above {MAX_EDGE_AMPLITUDE:.0e}); widen the grid"
             )
-    zs = model.resolvent_argument(omega_grid)
     k0, x_c = model.coupling.strength, model.coupling.location
     # the support hull: x_c's cell and max(|chi_i|, |chi_f|) >= SUPPORT_FLOOR max
     chi = np.max(np.abs(states), axis=0)
     need, j = np.flatnonzero(chi >= SUPPORT_FLOOR * np.max(chi)), grid.index_below(x_c)
-    window, a, (lo, hi) = _window((model.allowed,), zs, min(need[0], j), max(need[-1], j + 1),
+    window, a, (lo, hi) = _window(model.allowed, zs, min(need[0], j), max(need[-1], j + 1),
                                   grid, x_c)
     g2, forbidden = _diagonal(model.forbidden, zs, x_c, grid)
     chi_i, chi_f = states[:, a + lo : a + hi + 1]
@@ -212,6 +191,10 @@ def deviation_metric(coupled_spectrum, uncoupled_spectrum):
 def photon_energies(omega_min, omega_max, step):
     """The energies omega_min + step k, k = 0, 1, ..., that do not exceed
     omega_max.  One candidate past the rounded count is tried, so a window
-    ending on its last step keeps that endpoint."""
+    ending on its last step keeps that endpoint.  ValueError unless step is
+    positive and finite and both bounds are finite."""
+    if not (step > 0 and np.isfinite([omega_min, omega_max, step]).all()):
+        raise ValueError(f"photon energies need finite bounds and a positive, finite step, not "
+                         f"{omega_min}, {omega_max} and {step}")
     omega = omega_min + step * np.arange(math.floor((omega_max - omega_min) / step) + 2)
     return omega[omega <= omega_max]

@@ -232,7 +232,8 @@ def test_a_scan_chunk_plans_one_group(config, model, grid, monkeypatch):
     # a default 64-energy chunk spans at most 17 octaves between its
     # energies on the allowed window and the whole grid, far below
     # OCTAVE_BUDGET: one group takes two growth evaluations, its reference
-    # and its bound, for all 64 sweeps.  One energy takes one, its own
+    # and its bound, for all 64 sweeps.  One energy is a group of one with
+    # no bound: one evaluation, its own growth's octaves
     omega = config.omega_grid()[: spectra.SCAN_CHUNK]
     zs = model.resolvent_argument(omega)
     _, _, window, _, _ = spectra.scan(model, omega, 0, grid)
@@ -245,10 +246,13 @@ def test_a_scan_chunk_plans_one_group(config, model, grid, monkeypatch):
             resolvent.resolvent_rows(model.allowed, energies, nodes)
             ((_, scales),) = plans
             assert len(growths) == evaluations
-            if evaluations == 1:
-                assert scales == [None]
-            else:
-                assert scales[0] is not None and all(u is scales[0] for u in scales)
+            assert len(scales) == np.size(energies)
+            assert all(u is scales[0] for u in scales)
+        # the lone energy's plan, the last: its own growth's octaves
+        m = model.allowed.mass
+        c_mid = 2.0 * m * (model.allowed.evaluate(nodes.midpoints) - zs[17].real)
+        own = resolvent._unscale(resolvent._growth(c_mid, -(2.0 * m * zs[17].imag), nodes.dx))
+        assert np.array_equal(scales[0], own)
 
 
 def test_wide_point_path_shares_octaves_in_groups(model, grid, monkeypatch):
@@ -260,7 +264,7 @@ def test_wide_point_path_shares_octaves_in_groups(model, grid, monkeypatch):
     zs = model.resolvent_argument(spectra.photon_energies(-20000.0, 60000.0, 100.0))
     x_c = model.coupling.location
     j = grid.index_below(x_c)
-    window, _, nodes = spectra._window((model.forbidden,), zs, j, j + 1, grid, x_c)
+    window, _, nodes = resolvent._window(model.forbidden, zs, j, j + 1, grid, x_c)
     plans = _counted(monkeypatch, "_group_scales")
     rows = resolvent.resolvent_rows(model.forbidden, zs, window, nodes)
     ((_, scales),) = plans

@@ -205,6 +205,27 @@ def test_empty_energy_grid_gives_empty_results(model, grid):
     assert diagonals.shape == (2, 0) and diagonals.dtype == complex
 
 
+@pytest.mark.parametrize("omega", [11000.0, [[11000.0, 11010.0]]])
+def test_energies_that_are_not_1d_are_rejected(model, grid, omega):
+    # a scalar and a (1, 2) array of photon energies
+    for job in (lambda: spectra.scan(model, omega, 0, grid),
+                lambda: spectra.coupling_diagonals(model, omega, grid),
+                lambda: absorption_spectra(model, omega, grid=grid),
+                lambda: raman_profiles(model, 1, omega, grid=grid)):
+        with pytest.raises(ValueError, match="1-d"):
+            job()
+
+
+@pytest.mark.parametrize("omega_min, omega_max, step", [
+    (9500.0, 13500.0, 0.0), (9500.0, 13500.0, -10.0), (9500.0, 13500.0, math.inf),
+    (9500.0, 13500.0, math.nan), (9500.0, math.inf, 10.0), (-math.inf, 13500.0, 10.0),
+    (9500.0, math.nan, 10.0),
+])
+def test_photon_energies_reject_bad_steps_and_bounds(omega_min, omega_max, step):
+    with pytest.raises(ValueError, match="photon energies"):
+        photon_energies(omega_min, omega_max, step)
+
+
 def test_metadata_records_run(model, grid):
     omega = np.arange(10700.0, 11000.0, 100.0)
     coupled, uncoupled = raman_profiles(model, 2, omega, grid=grid)
@@ -298,7 +319,7 @@ def _job(model, omega, n_f, grid):
 
 
 def _windowed(model, omega, n_f, grid, monkeypatch, efolds):
-    monkeypatch.setattr(spectra, "SEED_EFOLDS", efolds)
+    monkeypatch.setattr(resolvent, "SEED_EFOLDS", efolds)
     return _job(model, omega, n_f, grid)
 
 
@@ -314,7 +335,7 @@ def test_window_widening_leaves_spectra_unchanged(model, grid, n_f, monkeypatch)
     # the scan's node window, one widened by 20 more e-folds of seed
     # attenuation, and the whole grid give the same spectra to round-off
     omega = photon_energies(9500.0, 13500.0, 40.0)
-    budget = spectra.SEED_EFOLDS
+    budget = resolvent.SEED_EFOLDS
     windowed = _windowed(model, omega, n_f, grid, monkeypatch, budget)
     wider = _windowed(model, omega, n_f, grid, monkeypatch, budget + 20.0)
     full = _windowed(model, omega, n_f, grid, monkeypatch, math.inf)
@@ -334,10 +355,10 @@ def test_seed_budget_leaves_round_off_only(model, grid, monkeypatch):
     # grid's to round-off (4.7e-15 measured), while at 8 e-folds the seeds
     # still show (1.3e-10), so the window tests can see a budget too small
     omega = photon_energies(9500.0, 13500.0, 10.0)
-    budget = spectra.SEED_EFOLDS
+    budget = resolvent.SEED_EFOLDS
 
     def diagonals(efolds):
-        monkeypatch.setattr(spectra, "SEED_EFOLDS", efolds)
+        monkeypatch.setattr(resolvent, "SEED_EFOLDS", efolds)
         return spectra.coupling_diagonals(model, omega, grid)
 
     full = diagonals(math.inf)
@@ -356,7 +377,7 @@ def test_window_keeps_an_open_side(config, grid, monkeypatch):
     # allowed surface's window, set by the allowed curve alone, need not
     shallow = replace(config, forbidden_well_depth_cm1=1000.0).validate().to_model()
     omega = photon_energies(9500.0, 13500.0, 40.0)
-    windowed = _windowed(shallow, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
+    windowed = _windowed(shallow, omega, 1, grid, monkeypatch, resolvent.SEED_EFOLDS)
     full = _windowed(shallow, omega, 1, grid, monkeypatch, math.inf)
     lo, hi, n = windowed[0].metadata["forbidden_window"]
     assert lo == grid.x_min and hi < grid.x_max
@@ -374,7 +395,7 @@ def test_window_edges_are_classically_forbidden(config, grid, monkeypatch, displ
         config, allowed_displacement_angstrom=displacement, damping_cm1=gamma
     ).validate().to_model()
     omega = np.linspace(9500.0, 13500.0, 5)
-    windowed = _windowed(wide, omega, 1, grid, monkeypatch, spectra.SEED_EFOLDS)
+    windowed = _windowed(wide, omega, 1, grid, monkeypatch, resolvent.SEED_EFOLDS)
     full = _windowed(wide, omega, 1, grid, monkeypatch, math.inf)
     lo, hi, n = windowed[0].metadata["window"]
     assert n < grid.n
@@ -390,7 +411,7 @@ def test_window_holds_the_coupling_cell(model, grid, monkeypatch):
     # and widens from there
     far = with_params(model, coupling=DeltaCoupling(model.coupling.strength, 0.9))
     omega = np.linspace(9500.0, 13500.0, 5)
-    budget = spectra.SEED_EFOLDS
+    budget = resolvent.SEED_EFOLDS
     _, default_hi, _ = _windowed(model, omega, 1, grid, monkeypatch, budget)[0].metadata["window"]
     windowed = _windowed(far, omega, 1, grid, monkeypatch, budget)
     full = _windowed(far, omega, 1, grid, monkeypatch, math.inf)
@@ -536,11 +557,8 @@ def test_window_comes_from_the_allowed_curve_alone(model, grid, n_f):
     lo = int(np.searchsorted(grid.points, s_lo))
     zs = model.resolvent_argument(omega)
     x_c = model.coupling.location
-    window, _, _ = spectra._window((model.allowed,), zs, lo, lo + s_n - 1, grid, x_c)
+    window, _, _ = resolvent._window(model.allowed, zs, lo, lo + s_n - 1, grid, x_c)
     assert spec.metadata["window"] == (window.x_min, window.x_max, window.n)
-    shared, _, _ = spectra._window((model.allowed, model.forbidden), zs, lo, lo + s_n - 1,
-                                   grid, x_c)
-    assert window.n < shared.n
 
 
 @pytest.mark.parametrize("n_f", [0, 1])
