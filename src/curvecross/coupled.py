@@ -8,8 +8,9 @@ With a point coupling K0 delta(x - x_c), block elimination closes exactly:
 The blocks share the two point values at x_c and the denominator, computed
 once per z.  At K0 = 0 the correction is exactly zero and the denominator
 exactly one, so G11 is the bare G1 bit for bit.  g11_rows forms G11 on
-arrays shaped like the energies of a ResolventRows, and CoupledBlocks
-forms the three blocks on rows of any batch shape.
+arrays shaped like the energies of a ResolventRows from both point values
+at x_c, and CoupledBlocks forms the three blocks on rows of any batch
+shape from its cached ones.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ def _denominator(k0, g1_cc, g2_cc):
     return denominator
 
 
-def g11_rows(rows, k0, x_c, g2_cc, f, i, denominator=None):
+def g11_rows(rows, k0, x_c, g1_cc, g2_cc, f, i):
     """<f|G11|i> at each energy of the allowed surface's rows, a
-    CoupledAmplitude of arrays shaped like the rows' energies; the
-    forbidden surface enters through g2_cc = G2(x_c, x_c), shaped like
-    them too, and the denominator is formed from them
-    unless given.  <f|G1|x_c> comes from the sums of f that <f|G1|i> forms;
-    for f = i it serves both sides."""
-    if denominator is None:
-        denominator = _denominator(k0, rows.point(x_c, x_c), g2_cc)
+    CoupledAmplitude of arrays shaped like the rows' energies, with the
+    denominator formed from the two point values at x_c, g1_cc = G1(x_c,
+    x_c) of the rows and g2_cc = G2(x_c, x_c) of the forbidden surface,
+    both shaped like the energies.  <f|G1|x_c> comes from the sums of f
+    that <f|G1|i> forms; for f = i it serves both sides."""
+    denominator = _denominator(k0, g1_cc, g2_cc)
     direct, left = rows.element_and_vector(f, i, x_c)
     right = left if np.array_equal(f, i) else rows.vector(i, x_c)
     correction = k0**2 * left * g2_cc * right / denominator
@@ -75,7 +75,7 @@ class CoupledBlocks:
 
     def g11(self, f, i):
         """<f|G11|i>: g11_rows on ev1's rows."""
-        return g11_rows(self.ev1, self.k0, self.x_c, self.g2_cc, f, i, self.denominator)
+        return g11_rows(self.ev1, self.k0, self.x_c, self.g1_cc, self.g2_cc, f, i)
 
     def g12(self, f, i):
         return self.k0 * self.ev1.vector(f, self.x_c) * self.ev2.vector(i, self.x_c) / self.denominator

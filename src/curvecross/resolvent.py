@@ -48,9 +48,10 @@ of any shape, a scalar z included, as zs.shape + (M,) and zs.shape +
 (M - 1,) rows, possibly a node range of the grid, and forms the matrix
 element, <f|G|x0> from its sums, vector (sums up to x0's cell only) and
 the point read on all rows at once, shaped like the energies and each
-row's values independent of the batch.  The quadratures take each state
-as complex once per read, so that every operation on it runs numpy's
-complex loop without a buffered cast, and they touch only the
+row's values independent of the batch.  A quadrature reads one state
+(M,), sampled on the rows' nodes, against every row, and takes it as
+complex once per read, so that every operation on it runs numpy's
+complex loop without a buffered cast; the quadratures touch only the
 nodes their states occupy, a state's support being the nodes where
 |f| >= SUPPORT_FLOOR max |f|: A is summed from the first node of f's
 support and B from its last, each 0 before it, and they run only as far
@@ -255,10 +256,10 @@ def _wkb_log_derivative(c_edge, m, grad_edge):
     return kappa - correction
 
 
-def _sums(f, ratios, h, stop=None):
-    """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop,
-    by default every node, for rows of ratios r_k = u_k / u_k+1, shaped
-    (..., M - 1) (f, on M nodes, broadcast against them): (..., stop + 1).
+def _sums(f, ratios, h, stop):
+    """A_k = (integral of f u from x_0 to x_k) / u(x_k) on nodes 0..stop for
+    one state f (M,) and each row of ratios r_k = u_k / u_k+1, shaped
+    (..., M - 1): (..., stop + 1).
 
     With r bounded however u grows, A_0 = 0 and A_k+1 = r_k A_k + q_k, q_k
     the integral of f u over interval k divided by u_k+1: the 4-point cubic
@@ -277,26 +278,23 @@ def _sums(f, ratios, h, stop=None):
     which does not depend on the row, is formed once per call.
     """
     n = ratios.shape[-1] + 1
-    stop = n - 1 if stop is None else stop
     m = min(stop + 2, n)  # the nodes that intervals 0..stop-1 reach
     # intervals 1..last-1 take the 4-point rule, interval n-2 the end rule
     last = stop - 1 if stop == n - 1 else stop
     rows = ratios.shape[:-1]
-    f = f[..., :m]
-    f_rows = np.broadcast_to(f, rows + (m,)).reshape(-1, m)
-    # 13 f on nodes 1..last, formed once for every row that shares f
-    thirteen = np.broadcast_to(13.0 * f[..., 1 : last + 1], rows + (last,)).reshape(-1, last)
-    sums = np.zeros((f_rows.shape[0], stop + 1), dtype=complex)
+    f = f[:m]
+    thirteen = 13.0 * f[1 : last + 1]  # 13 f on nodes 1..last
+    sums = np.zeros((math.prod(rows), stop + 1), dtype=complex)
     band = np.zeros((2, stop + 1), dtype=complex, order="F")
-    for fk, tk, r, a in zip(f_rows, thirteen, ratios.reshape(-1, n - 1)[:, : m - 1], sums):
+    for r, a in zip(ratios.reshape(-1, n - 1)[:, : m - 1], sums):
         np.negative(r[:stop], out=band[1, :stop])
-        fr = fk[:-1] * r
+        fr = f[:-1] * r
         q = a[1:]  # the right-hand side 24/h q_k
-        q[0] = 2.0 * (5.0 * fr[0] + 8.0 * fk[1] - fk[2] / r[1])
-        q[1:last] = (r[1:last] * (tk[:-1] - fr[: last - 1])
-                     + tk[1:] - fk[3 : last + 2] / r[2 : last + 1])
+        q[0] = 2.0 * (5.0 * fr[0] + 8.0 * f[1] - f[2] / r[1])
+        q[1:last] = (r[1:last] * (thirteen[:-1] - fr[: last - 1])
+                     + thirteen[1:] - f[3 : last + 2] / r[2 : last + 1])
         if last < stop:
-            q[-1] = 2.0 * (5.0 * fk[-1] + 8.0 * fr[-1] - fr[-2] * r[-1])
+            q[-1] = 2.0 * (5.0 * f[-1] + 8.0 * fr[-1] - fr[-2] * r[-1])
         q *= h / 24.0
         # f2py would solve a copy of a row that is not contiguous and aligned
         if not np.may_share_memory(ztbsv(1, band, a, lower=1, diag=1, overwrite_x=1), a):
@@ -330,8 +328,9 @@ class ResolventRows:
     first..first + M - 1 of grid: y = u'/u of u- and u+ as z.shape + (M,)
     rows, the ratios r-_k = u-_k / u-_k+1 and r+_k = u+_k+1 / u+_k as
     z.shape + (M - 1,) rows, k counted from the rows' first node, and each
-    row's Wronskian drift, shaped like z.  The quadratures and the point
-    read are shaped like z too: complex scalars at a scalar z."""
+    row's Wronskian drift, shaped like z.  Each quadrature reads one state
+    (M,) on the rows' nodes against every row; the quadratures and the
+    point read are shaped like z too: complex scalars at a scalar z."""
 
     def __init__(self, curve, z, grid, first, y_minus, r_minus, y_plus, r_plus, drift):
         self.curve, self.z, self.grid, self.first = curve, z, grid, first
@@ -350,15 +349,15 @@ class ResolventRows:
         return j - self.first, (x - grid.points[j]) / grid.dx
 
     def _on_nodes(self, f):
-        """f on the rows' nodes as complex, finite, and its support (first,
-        last) there, at least the three nodes that the sums' and Simpson's
-        rules take.  numpy casts a real operand to complex before every
-        complex loop, so the one cast here gives the quadratures the same
-        bits without a buffered cast per operation."""
+        """One state f (M,) on the rows' nodes as complex, finite, and its
+        support (first, last) there, at least the three nodes that the
+        sums' and Simpson's rules take.  numpy casts a real operand to
+        complex before every complex loop, so the one cast here gives the
+        quadratures the same bits without a buffered cast per operation."""
         f = np.asarray(f)
-        if f.shape[-1:] != self.y_minus.shape[-1:]:
+        if f.shape != self.y_minus.shape[-1:]:
             raise ValueError("wavefunction must be sampled on the resolvent's nodes")
-        size = np.abs(f).reshape(-1, f.shape[-1]).max(axis=0)
+        size = np.abs(f)
         peak = np.max(size)
         if not np.isfinite(peak):
             raise ValueError("wavefunction must be finite")
@@ -377,10 +376,10 @@ class ResolventRows:
         a = np.zeros(self.y_minus.shape[:-1] + (hi - lo + 1,), dtype=complex)
         b = np.zeros_like(a)
         if hi > first:
-            sums = _sums(f[..., first:], self.r_minus[..., first:], h, hi - first)
+            sums = _sums(f[first:], self.r_minus[..., first:], h, hi - first)
             a[..., max(first - lo, 0) :] = sums[..., max(lo - first, 0) :]
         if lo < last:
-            sums = _sums(f[..., last::-1], self.r_plus[..., last - 1 :: -1], h, last - lo)
+            sums = _sums(f[last::-1], self.r_plus[..., last - 1 :: -1], h, last - lo)
             end = min(last, hi) + 1 - lo
             b[..., :end] = sums[..., ::-1][..., :end]
         return a, b
@@ -413,7 +412,7 @@ class ResolventRows:
         r_minus = _ratio(self.y_minus, e_minus, j, t, h)
         r_plus = _ratio(self.y_plus, e_plus, j, t, h)
         # A u-(x0) / u-(x_j) and B u+(x0) / u+(x_j): (A u-)' = f u-, (B u+)' = -f u+
-        fj, fk = f[..., j], f[..., j + 1]
+        fj, fk = f[j], f[j + 1]
         a0 = _interpolate(e_minus, t, h, a[..., 0], fj, a[..., 1], fk)
         b0 = _interpolate(e_plus, t, h, b[..., 0], -fj, b[..., 1], -fk)
         return _product(self._node_value(j), _product(a0, r_plus) + _product(b0, r_minus))
@@ -432,7 +431,7 @@ class ResolventRows:
         on, summed = np.s_[..., lo : hi + 1], np.s_[..., lo - start : hi + 1 - start]
         # g G(x, x) (A + B) on g's support, in two buffers
         work = np.subtract(self.y_plus[on], self.y_minus[on])
-        integrand = np.multiply(g[on], np.divide(2.0 * self.curve.mass, work, out=work))
+        integrand = np.multiply(g[lo : hi + 1], np.divide(2.0 * self.curve.mass, work, out=work))
         integrand *= np.add(minus[summed], plus[summed], out=work)
         element = _simpson(integrand, self.grid.dx)
         if x0 is None:

@@ -138,7 +138,7 @@ def scan(model, omega_grid, n_f=0, grid=None):
     for start in range(0, zs.size, SCAN_CHUNK):
         chunk = np.s_[start : start + SCAN_CHUNK]
         rows = resolvent_rows(model.allowed, zs[chunk], window, (lo, hi))
-        amplitude = g11_rows(rows, k0, x_c, g2[chunk], chi_f, chi_i)
+        amplitude = g11_rows(rows, k0, x_c, rows.point(x_c, x_c), g2[chunk], chi_f, chi_i)
         value[chunk], direct[chunk] = amplitude.value, amplitude.direct
     support = Grid(float(grid.points[a + lo]), float(grid.points[a + hi]), int(hi - lo + 1))
     return value, direct, window, forbidden, support
@@ -146,8 +146,12 @@ def scan(model, omega_grid, n_f=0, grid=None):
 
 def _spectra(model, omega_grid, n_f, grid):
     """(coupled, uncoupled) spectra of one scan: the absorption spectrum
-    for n_f = 0, else the Raman profile into n_f."""
+    for n_f = 0, else the Raman profile into n_f.  Photon energies that are
+    not strictly increasing are rejected before the scan."""
     grid = DEFAULT_GRID if grid is None else grid
+    omega = np.asarray(omega_grid, dtype=float)
+    if omega.ndim == 1 and np.any(np.diff(omega) <= 0):
+        raise ValueError("photon energies must be strictly increasing")
     value, direct, window, forbidden, support = scan(model, omega_grid, n_f, grid)
     nodes = {"grid": grid, "window": window, "forbidden_window": forbidden, "support": support}
     spectra = []
@@ -192,9 +196,11 @@ def photon_energies(omega_min, omega_max, step):
     """The energies omega_min + step k, k = 0, 1, ..., that do not exceed
     omega_max.  One candidate past the rounded count is tried, so a window
     ending on its last step keeps that endpoint.  ValueError unless step is
-    positive and finite and both bounds are finite."""
-    if not (step > 0 and np.isfinite([omega_min, omega_max, step]).all()):
-        raise ValueError(f"photon energies need finite bounds and a positive, finite step, not "
-                         f"{omega_min}, {omega_max} and {step}")
-    omega = omega_min + step * np.arange(math.floor((omega_max - omega_min) / step) + 2)
+    positive and finite, both bounds are finite and so is the number of
+    steps between them."""
+    steps = (omega_max - omega_min) / step if step > 0 else math.nan
+    if not np.isfinite([omega_min, omega_max, step, steps]).all():
+        raise ValueError(f"photon energies need finite bounds a finite number of positive, finite "
+                         f"steps apart, not {omega_min}, {omega_max} and {step}")
+    omega = omega_min + step * np.arange(math.floor(steps) + 2)
     return omega[omega <= omega_max]

@@ -214,6 +214,21 @@ def test_non_finite_values_rejected(section, name, value):
     assert f"{name}: must be finite" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("[grid]\ngrid_points = 8\n", "grid_points: needs at least 16 points", 2),
+    ("[grid]\ngrid_x_min_angstrom = 1.0\ngrid_x_max_angstrom = 1.0\n",
+     "grid_x_max_angstrom: must exceed grid_x_min_angstrom", 3),
+    ("[scan]\nomega_min_cm1 = 13500\nomega_max_cm1 = 9500\n",
+     "omega_max_cm1: must exceed omega_min_cm1", 3),
+    ("[model]\n\nmass_amu\n", "expected 'key = value', got 'mass_amu'", 3),
+])
+def test_inconsistent_or_malformed_settings_rejected(text, message, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_overrides_rejected(value):
     for name in ("k0", "gamma", "displacement"):

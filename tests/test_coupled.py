@@ -105,15 +105,15 @@ def test_g11_vector_calls(pair, model, monkeypatch):
 
 
 def test_g11_from_the_point_value_of_g2(pair, model):
-    # given G2(x_c, x_c) as a number, g11_rows needs no forbidden-surface
-    # rows and forms its own denominator: the same amplitude as
+    # given G1 and G2 at (x_c, x_c) as numbers, g11_rows needs no
+    # forbidden-surface rows and forms the denominator: the same amplitude as
     # CoupledBlocks.g11, every field bit for bit
     ev1, ev2, chi = pair
     k0, x_c = model.coupling.strength, model.coupling.location
     full = CoupledBlocks(ev1, ev2, k0, x_c)
     g2_cc = ev2.point(x_c, x_c)
     for f, i in ((chi[1], chi[0]), (chi[0], chi[0])):
-        assert g11_rows(ev1, k0, x_c, g2_cc, f, i) == full.g11(f, i)
+        assert g11_rows(ev1, k0, x_c, ev1.point(x_c, x_c), g2_cc, f, i) == full.g11(f, i)
 
 
 def test_batched_blocks_equal_each_energys_blocks(model, grid):

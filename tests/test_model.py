@@ -64,6 +64,28 @@ def test_curve_validation():
         MorseCurve(mass=1.0, well_depth=0.0, alpha=1.0)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda model: HarmonicCurve(mass=0.0, frequency=400.0), ValueError, "mass must be positive"),
+    (lambda model: MorseCurve(mass=0.0, well_depth=1.0, alpha=1.0), ValueError,
+     "mass must be positive"),
+    (lambda model: MorseCurve(mass=1.0, well_depth=1.0, alpha=0.0), ValueError,
+     "alpha must be positive"),
+    (lambda model: Grid(1.0, 1.0, 64), ValueError, "x_max must exceed x_min"),
+    (lambda model: Grid(-1.0, 1.0, 15), ValueError, "grid needs at least 16 points"),
+    (lambda model: franck_condon_matrix(model.ground, model.forbidden, 0, 0),
+     UnsupportedCurveError, "Franck-Condon overlaps need harmonic curves"),
+    (lambda model: franck_condon_matrix(
+        model.ground, HarmonicCurve(mass=2.0 * model.ground.mass, frequency=400.0), 0, 0),
+     UnsupportedCurveError, "unequal masses are not supported"),
+    (lambda model: find_crossing(model.allowed, model.forbidden, (0.3, -0.3)), ValueError,
+     "bracket must satisfy x_lo < x_hi"),
+])
+def test_model_inputs_rejected(model, make, error, message):
+    with pytest.raises(error) as raised:
+        make(model)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 # -- eigenstates ----------------------------------------------------------
 
 

@@ -95,8 +95,8 @@ def _whole_grid(rows, f, g, x0):
     """<f|G|g>, <f|G|x0> and <f|G|x_j> on every node, from the sums of f
     over the whole rows and the outer Simpson rule over the whole grid."""
     h = rows.grid.dx
-    minus = resolvent._sums(f, rows.r_minus, h)
-    plus = resolvent._sums(f[::-1], rows.r_plus[..., ::-1], h)[..., ::-1]
+    minus = resolvent._sums(f, rows.r_minus, h, f.size - 1)
+    plus = resolvent._sums(f[::-1], rows.r_plus[..., ::-1], h, f.size - 1)[..., ::-1]
     on_nodes = 2.0 * rows.curve.mass / (rows.y_plus - rows.y_minus) * (minus + plus)
     j, t = rows._cell(x0)
     vector = rows._vector_at(f, j, t, minus[..., j : j + 2], plus[..., j : j + 2])

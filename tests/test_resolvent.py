@@ -168,8 +168,8 @@ def test_real_and_complex_states_give_the_same_bits(model, grid):
     # the quadratures take each state as complex once per read, as numpy
     # would cast it before each complex operation: a real state and the
     # same state cast to complex give equal reads bit for bit, at a scalar
-    # z and on a 64-energy batch (point takes no state, and g11_rows reads
-    # it for the denominator)
+    # z and on a 64-energy batch (point takes no state, and g11_rows takes
+    # its value for the denominator)
     chi0, chi1 = harmonic_eigenstates(model.ground, 1, grid.points)
     x_c = model.coupling.location
     omega = np.linspace(9500.0, 13500.0, spectra.SCAN_CHUNK)
@@ -178,7 +178,7 @@ def test_real_and_complex_states_give_the_same_bits(model, grid):
     k0 = model.coupling.strength
 
     def reads(rows, f, i, g2_cc):
-        amplitude = g11_rows(rows, k0, x_c, g2_cc, f, i)
+        amplitude = g11_rows(rows, k0, x_c, rows.point(x_c, x_c), g2_cc, f, i)
         return (rows.vector(f, x_c), rows.matrix_element(f, i),
                 *rows.element_and_vector(f, i, x_c), amplitude.value, amplitude.direct,
                 amplitude.crossing_correction, amplitude.denominator)
@@ -596,6 +596,33 @@ def test_quadratures_reject_states_off_the_grid(model, grid):
             blocks.g11(chi0, bad)
 
 
+def test_quadratures_reject_a_stack_of_states(model, grid):
+    # a read takes one state sampled on the rows' nodes: a (2, M) stack of
+    # states on either side is rejected at a scalar z and on two energies,
+    # where it would broadcast against the rows
+    chi = harmonic_eigenstates(model.ground, 1, grid.points)
+    x_c = model.coupling.location
+    zs = model.resolvent_argument(np.array([10400.0, 12100.0]))
+    for energies in (zs[0], zs):
+        rows = resolvent_rows(model.allowed, energies, grid)
+        reads = (lambda f: rows.vector(f, x_c),
+                 lambda f: rows.matrix_element(f, chi[0]),
+                 lambda f: rows.matrix_element(chi[0], f),
+                 lambda f: rows.element_and_vector(f, chi[0], x_c),
+                 lambda f: rows.element_and_vector(chi[0], f, x_c))
+        for read in reads:
+            with pytest.raises(ValueError, match="sampled on the resolvent's nodes"):
+                read(chi)
+
+
+@pytest.mark.parametrize("curve", ["morse", "flat"])
+def test_spectral_sum_needs_a_harmonic_curve(model, curve):
+    curve = model.forbidden if curve == "morse" else FlatCurve(model.ground.mass, 100.0)
+    with pytest.raises(ValueError) as raised:
+        HarmonicSpectralSum(curve, model.resolvent_argument(11200.0), 10)
+    assert str(raised.value) == "the spectral-sum oracle needs a harmonic curve"
+
+
 def _sequential_sums(f, rho, h):
     """A_{k+1} = rho_k A_k + q_k node by node, rho_k = u_k / u_{k+1} and q_k
     the integral of f u over interval k divided by u_{k+1}: the 4-point rule
@@ -649,7 +676,7 @@ def test_blocked_sums_equal_sequential_recurrence(model, nodes):
                 for f, r in ((state, ev.r_minus), (state[::-1], ev.r_plus[::-1])):
                     expected = _sequential_sums(f, r, h)
                     scale = np.max(np.abs(expected))
-                    assert np.max(np.abs(resolvent._sums(f, r, h) - expected)) <= 1e-12 * scale
+                    assert np.max(np.abs(resolvent._sums(f, r, h, n - 1) - expected)) <= 1e-12 * scale
                     blocked.add(np.max(np.abs(np.log(np.abs(r)))) * n > HALF_EXPONENT_RANGE)
                     both.append(expected)
                 # <f|G|x_j> = G(x_j, x_j) (A_j + B_j) on the nodes

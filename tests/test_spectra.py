@@ -219,11 +219,45 @@ def test_energies_that_are_not_1d_are_rejected(model, grid, omega):
 @pytest.mark.parametrize("omega_min, omega_max, step", [
     (9500.0, 13500.0, 0.0), (9500.0, 13500.0, -10.0), (9500.0, 13500.0, math.inf),
     (9500.0, 13500.0, math.nan), (9500.0, math.inf, 10.0), (-math.inf, 13500.0, 10.0),
-    (9500.0, math.nan, 10.0),
+    (9500.0, math.nan, 10.0), (-1e308, 1e308, 1e300), (0.0, 1e308, 1e-300),
 ])
 def test_photon_energies_reject_bad_steps_and_bounds(omega_min, omega_max, step):
     with pytest.raises(ValueError, match="photon energies"):
         photon_energies(omega_min, omega_max, step)
+
+
+@pytest.mark.parametrize("omega", [np.arange(13500.0, 9490.0, -10.0),
+                                   [10000.0, 10010.0, 10010.0, 10020.0]])
+def test_unordered_energies_are_rejected_before_the_scan(model, grid, monkeypatch, omega):
+    # descending and repeated photon energies: the spectra raise before a
+    # single sweep, while scan, which greens-probe runs in the given order,
+    # takes them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return resolvent_rows(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "resolvent_rows", counted)
+    for job in (lambda: absorption_spectra(model, omega, grid=grid),
+                lambda: raman_profiles(model, 1, omega, grid=grid)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            job()
+        assert calls == []
+    value, direct, *_ = spectra.scan(model, omega[:4], 0, grid)
+    assert calls and value.shape == direct.shape == (4,)
+
+
+@pytest.mark.parametrize("job, message", [
+    (lambda model, grid: Spectrum(np.array([1.0, 2.0]), np.array([1.0]), "absorption"),
+     "omega and intensity must be matching 1-d arrays"),
+    (lambda model, grid: spectra.scan(model, [11000.0], -1, grid),
+     "the final vibrational state must satisfy n_f >= 0"),
+])
+def test_spectra_inputs_rejected(model, grid, job, message):
+    with pytest.raises(ValueError) as raised:
+        job(model, grid)
+    assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 def test_metadata_records_run(model, grid):
@@ -614,10 +648,10 @@ def test_chunk_amplitudes_match_the_single_energy_path(config, grid, depth, gamm
         g2 = resolvent_rows(model.forbidden, zs, forbidden, (k, k + 1)).point(x_c, x_c)
         a = int(np.searchsorted(grid.points, window.x_min))
         chi_i, chi_f = chi[:, a : a + window.n]
-        amplitudes = [
-            g11_rows(resolvent_rows(model.allowed, z, window), k0, x_c, g2[k], chi_f, chi_i)
-            for k, z in enumerate(zs)
-        ]
+        amplitudes = []
+        for k, z in enumerate(zs):
+            rows = resolvent_rows(model.allowed, z, window)
+            amplitudes.append(g11_rows(rows, k0, x_c, rows.point(x_c, x_c), g2[k], chi_f, chi_i))
         for got, attribute in ((value, "value"), (direct, "direct")):
             want = np.array([getattr(amplitude, attribute) for amplitude in amplitudes])
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
