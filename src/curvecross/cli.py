@@ -5,8 +5,9 @@ write coupled and uncoupled two-column CSV tables plus a metadata sidecar
 whose config echo reproduces the run when fed back through --config.
 
 Exit codes: 0 success, 1 validation failure, 2 config error (including a
-run too large to allocate), 3 numerical failure (a NumericsError,
-including a grid that cannot carry the scan).
+run too large to allocate and an output that cannot be written), 3
+numerical failure (a NumericsError, including a grid that cannot carry
+the scan).
 
 The parser is built once per process (build_parser is cached): main may
 run many jobs in one process, and each parse_args call returns a fresh
@@ -16,6 +17,7 @@ namespace, so no job's options reach the next.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -31,8 +33,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing as UTF-8 text; an OSError from opening or
+    writing it becomes a ConfigError that names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header, columns):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _output(path) as handle:
         handle.write(header + "\n")
         row = ",".join(["{:.17g}"] * len(columns)) + "\n"
         for values in zip(*columns):
@@ -40,7 +53,7 @@ def _write_csv(path, header, columns):
 
 
 def _write_sidecar(path, config, command):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _output(path) as handle:
         handle.write("[meta]\n")
         handle.write(f"version = {__version__}\n")
         handle.write(f"command = {command}\n")

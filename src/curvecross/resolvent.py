@@ -21,11 +21,11 @@ Solutions grow through hundreds of e-folds in the forbidden regions, more
 than a float64 can span on a wide grid.  Each map is scaled in advance by
 the power of two that cancels RK4's growth of the local WKB wave; one
 sequence of octaves serves both solves, since u- grows the way u+ decays,
-and a whole group of energies (_group_scales): taken from the least
-growth of any member, it leaves each member's states growing by at most
-OCTAVE_BUDGET octaves, and being exact powers of two it changes no bit of
-y, the ratios or the drift.  Every energy is planned so, a lone one as a
-group of one.
+and all of a call's energies when that fits (_group_scales): taken from
+the least growth of any of them, it leaves each one's states growing by
+at most OCTAVE_BUDGET octaves; if they outgrow it, each energy takes the
+octaves of its own growth, as a lone energy does.  Being exact powers of
+two, the octaves change no bit of y, the ratios or the drift.
 Each solution is stored as y = u'/u per node (B. R. Johnson's
 log-derivative, J. Comput. Phys. 13, 445 (1973)) and as the ratio of each
 node's value to the next one's in its solve's direction, r-_k = u-_k /
@@ -67,8 +67,13 @@ until the WKB seeds lie SEED_EFOLDS e-folds of attenuation away at the
 top energy of the sweep, where they are forgotten (Johnson's argument
 for the log-derivative), and the rows hold lo..hi and x's cell.  So a
 row depends on the top energy of its call's plan through the window.
-_window runs the coverage guard (_check_coverage) on the grid it is
-given, and resolvent_rows on the grid it sweeps.
+_window only plans; the coverage guard (_check_coverage) runs once per
+sweep, in resolvent_rows on the nodes it sweeps.  A window's edge is a
+grid edge or a node forbidden at the top energy, and both sides of a
+harmonic curve and the Morse wall rise away from the minimum: the guard
+passes or fails on a window as on its grid wherever the window holds the
+curve's minimum, as it does unless the read nodes lie SEED_EFOLDS deep in
+a forbidden region, where k_max dx reads the swept nodes alone.
 
 The outer quadratures use _simpson, Simpson's rule written out with
 scipy.integrate.simpson's arithmetic for equal steps, so that they give
@@ -100,9 +105,9 @@ MAX_K_DX = 0.5
 # f is taken as 0, which moves <g|G|f> by about SUPPORT_FLOOR times its
 # bound max |G f| integral |g|.
 SUPPORT_FLOOR = 1e-16
-# The most octaves by which a group of energies' scaled states may outgrow
-# the octaves that the group shares (_group_scales): half of float64's
-# exponent range.  On the default model's grid, pairs of energies from
+# The most octaves by which a call's energies' scaled states may outgrow
+# the octaves that they share (_group_scales): half of float64's exponent
+# range.  On the default model's grid, pairs of energies from
 # -20000 to 60000 cm^-1 sharing one sequence keep their own bits up to a
 # bound of 989 octaves and overflow from 1016.
 OCTAVE_BUDGET = np.finfo(float).maxexp // 2
@@ -155,38 +160,28 @@ def _unscale(growth):
 
 
 def _group_scales(zs, v_mid, m, h):
-    """Per energy of zs (nz,), the _unscale array that its group of
-    energies shares.
+    """Per energy of zs (nz,), the _unscale array of its sweep: one array
+    that all the energies share if they fit OCTAVE_BUDGET, else each its
+    own growth's.
 
-    The energies sorted by Re z are halved until each part fits
-    OCTAVE_BUDGET.  A group's reference growth is taken at (max Re z,
-    min Im z), the least growth of any member on every interval (_growth),
-    so every member's scaled states only grow relative to the reference's
-    and none falls toward the subnormals.  Against the octaves of its own
-    growth a member's u- is scaled up by at most the running sum of its
-    growth less the reference's, and u+ by the rest of that sum; with
-    every term nonnegative both are bounded by R, the sum over the window
-    of the growth at (min Re z, max Im z) less the reference's.  A group
-    fits if R <= OCTAVE_BUDGET; a lone energy, whose R is 0, takes only its
-    reference growth, its own.  The scales are exact powers of two, so
-    while the states stay in float64's normal range, y, the ratios and the
-    drift are the same bits with any octave sequence."""
-    scales = [None] * zs.size
-    parts = [np.argsort(zs.real, kind="stable")] if zs.size else []
-    while parts:
-        group = parts.pop()
-        re, im = zs.real[group], zs.imag[group]
-        least = _growth(2.0 * m * (v_mid - re.max()), 2.0 * m * im.min(), h)
-        if group.size > 1:  # a lone energy's R is 0: no bound to evaluate
-            most = _growth(2.0 * m * (v_mid - re.min()), 2.0 * m * im.max(), h)
-            if np.sum(most - least) > OCTAVE_BUDGET:
-                half = group.size // 2
-                parts += [group[:half], group[half:]]
-                continue
-        unscale = _unscale(least)
-        for k in group:
-            scales[k] = unscale
-    return scales
+    The shared reference growth is taken at (max Re z, min Im z), the least
+    growth of any energy on every interval (_growth), so every energy's
+    scaled states only grow relative to the reference's and none falls
+    toward the subnormals.  Against the octaves of its own growth an
+    energy's u- is scaled up by at most the running sum of its growth less
+    the reference's, and u+ by the rest of that sum; with every term
+    nonnegative both are bounded by R, the sum over the window of the
+    growth at (min Re z, max Im z) less the reference's.  The energies fit
+    if R <= OCTAVE_BUDGET; a lone energy, whose R is 0, takes its own
+    growth's octaves with no bound evaluated.  The scales are exact powers
+    of two, so while the states stay in float64's normal range, y, the
+    ratios and the drift are the same bits with any octave sequence."""
+    if zs.size > 1:
+        least = _growth(2.0 * m * (v_mid - zs.real.max()), 2.0 * m * zs.imag.min(), h)
+        most = _growth(2.0 * m * (v_mid - zs.real.min()), 2.0 * m * zs.imag.max(), h)
+        if np.sum(most - least) <= OCTAVE_BUDGET:
+            return [_unscale(least)] * zs.size
+    return [_unscale(_growth(2.0 * m * (v_mid - z.real), 2.0 * m * z.imag, h)) for z in zs]
 
 
 def _step_band(c_nodes, c_mid, c_imag, h, unscale, band):
@@ -195,8 +190,9 @@ def _step_band(c_nodes, c_mid, c_imag, h, unscale, band):
 
     c_nodes (K + 1,) and c_mid (K,) are Re c = 2m(V - Re z) on the nodes
     and midpoints, c_imag = -2m Im z, and unscale (K,) = 2^(E_k - E_k+1)
-    for whole octaves E_k, E_0 = 0: _unscale of its group's reference
-    growth (_group_scales), whose rows are the bits of its own growth's.
+    for whole octaves E_k, E_0 = 0: _unscale of the reference growth that
+    its call's energies share, or of its own (_group_scales); either gives
+    the bits of its own growth's rows.
     One step takes (u, u') to (a u + b u', c u + d u') with
 
         a = 1 + h^2/6 (c_l + 2 c_m) + h^4/24 c_l c_m
@@ -446,10 +442,11 @@ class ResolventRows:
 
 def resolvent_rows(curve, zs, grid=None, nodes=None):
     """ResolventRows of one curve at energies zs of any shape on grid, one
-    energy at a time after the octaves are planned once per group of
-    energies, a lone energy its own group (_group_scales): one band of step
-    maps (_step_band), u- solved forward from the left edge and u+ by the
-    transposed system from the right one, their rows written, then checked
+    energy at a time after the swept grid is guarded (_check_coverage) and
+    the octaves are planned once per call, shared by all the energies or
+    each energy's own (_group_scales): one band of step maps (_step_band),
+    u- solved forward from the left edge and u+ by the transposed system
+    from the right one, their rows written, then checked
     for drift and for u- and u+ independent at the rows' first node:
     |y+ - y-| >= WRONSKIAN_DRIFT_LIMIT (|y+| + |y-|) there.  Given nodes =
     (lo, hi), integers with 0 <= lo < hi <= N - 1, u- is solved only to
@@ -560,15 +557,14 @@ def _window(curve, zs, lo, hi, grid, x):
     a..b, widens lo..hi on each side to the nearest node classically
     forbidden at the top energy z_top and SEED_EFOLDS of Re kappa = Re
     sqrt(2m(V - z_top)) away, else to the grid's edge.  z_top is (max Re z,
-    min Im z), taken like a group's reference in _group_scales: it gives
+    min Im z), taken like the shared reference in _group_scales: it gives
     every node its least Re kappa over zs.  nodes, the rows' range in the
     window, is lo..hi shifted by a and widened to x's cell by the window's
-    own index_below: its nodes match grid's only to an ulp.  Runs the
-    coverage and k_max dx guards on grid."""
+    own index_below: its nodes match grid's only to an ulp.  It only plans:
+    resolvent_rows guards the nodes that it sweeps (_check_coverage)."""
     a, b = 0, grid.n - 1
     if zs.size:
         v = curve.evaluate(grid.points)
-        _check_coverage(curve, zs, v, grid.dx)
         z_top = complex(zs.real.max(), zs.imag.min())
         efolds = np.cumsum(np.sqrt(2.0 * curve.mass * (v - z_top)).real) * grid.dx
         far = np.maximum(efolds[lo] - efolds, efolds - efolds[hi]) >= SEED_EFOLDS

@@ -60,6 +60,8 @@ class Spectrum:
         intensity = np.asarray(self.intensity, dtype=float)
         if omega.shape != intensity.shape or omega.ndim != 1:
             raise ValueError("omega and intensity must be matching 1-d arrays")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("photon energies must be finite")
         if not np.all(np.diff(omega) > 0):
             raise ValueError("photon energies must be strictly increasing")
         if not np.all(np.isfinite(intensity)):
@@ -76,10 +78,12 @@ def model_fingerprint(model, grid):
 
 def _arguments(model, omega_grid):
     """(omega_grid as floats, its resolvent arguments z); ValueError unless
-    the photon energies are a 1-d array."""
+    the photon energies are a 1-d array of finite numbers."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1:
         raise ValueError(f"photon energies must be a 1-d array, not shape {omega_grid.shape}")
+    if not np.all(np.isfinite(omega_grid)):
+        raise ValueError("photon energies must be finite")
     return omega_grid, model.resolvent_argument(omega_grid)
 
 

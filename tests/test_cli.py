@@ -218,6 +218,19 @@ def test_unusable_out_exits_2(tmp_path, capsys, job):
         assert main([job, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(out) in err
+    # a directory where the job's first CSV table or its sidecar goes: the
+    # write fails with the path in the message, not with a traceback.  One
+    # energy keeps the scans short
+    cfg = tmp_path / "top.cfg"
+    cfg.write_text("[scan]\nomega_min_cm1 = 13500\nomega_max_cm1 = 13505\n")
+    stem = {"absorption": "absorption", "raman": "raman", "greens-probe": "greens_probe"}[job]
+    first = "greens_probe.csv" if job == "greens-probe" else f"{stem}_coupled.csv"
+    for name in (first, f"{stem}.meta.txt"):
+        taken = tmp_path / name / name
+        taken.mkdir(parents=True)
+        assert main([job, "--config", str(cfg), "--out", str(taken.parent)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {taken}" in err
 
 
 def test_missing_config_exits_2(tmp_path):

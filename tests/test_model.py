@@ -66,6 +66,8 @@ def test_curve_validation():
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda model: HarmonicCurve(mass=0.0, frequency=400.0), ValueError, "mass must be positive"),
+    (lambda model: HarmonicCurve(mass=1.0, frequency=0.0), ValueError,
+     "frequency must be positive"),
     (lambda model: MorseCurve(mass=0.0, well_depth=1.0, alpha=1.0), ValueError,
      "mass must be positive"),
     (lambda model: MorseCurve(mass=1.0, well_depth=1.0, alpha=0.0), ValueError,

@@ -258,9 +258,9 @@ def test_a_scan_chunk_plans_one_group(config, model, grid, monkeypatch):
 def test_wide_point_path_shares_octaves_in_groups(model, grid, monkeypatch):
     # the forbidden point path of the sum-rule scan, -20000 to 60000 cm^-1
     # in 100 cm^-1 steps on its window, spans about 1000 octaves between
-    # its energies, past OCTAVE_BUDGET: it is planned in more than one
-    # group, and every energy's rows and drift equal its own sweep's bit
-    # for bit
+    # its energies, past OCTAVE_BUDGET: every energy takes its own growth's
+    # octaves, in an array of its own, and its rows and drift equal its own
+    # sweep's bit for bit
     zs = model.resolvent_argument(spectra.photon_energies(-20000.0, 60000.0, 100.0))
     x_c = model.coupling.location
     j = grid.index_below(x_c)
@@ -269,6 +269,12 @@ def test_wide_point_path_shares_octaves_in_groups(model, grid, monkeypatch):
     rows = resolvent.resolvent_rows(model.forbidden, zs, window, nodes)
     ((_, scales),) = plans
     assert len({id(unscale) for unscale in scales}) > 1
+    assert len({id(unscale) for unscale in scales}) == zs.size == 801
+    m, v_mid = model.forbidden.mass, model.forbidden.evaluate(window.midpoints)
+    for z, unscale in zip(zs, scales):
+        c_mid = 2.0 * m * (v_mid - z.real)
+        own = resolvent._unscale(resolvent._growth(c_mid, -(2.0 * m * z.imag), window.dx))
+        assert np.array_equal(unscale, own)
     for k, z in enumerate(zs):
         single = resolvent.resolvent_rows(model.forbidden, z, window, nodes)
         for name in ("r_minus", "y_minus", "r_plus", "y_plus", "wronskian_drift"):
@@ -562,6 +568,29 @@ def test_rejects_undersized_grid(config, surface, grid, depth, fails):
             build_resolvent(curve, z, grid)
     else:
         assert build_resolvent(curve, z, grid).wronskian_drift < 1e-8
+
+
+EDGE_BELOW_Z = ("grid does not cover the classically relevant region: potential at a "
+                "confining grid edge lies below Re z")
+
+
+@pytest.mark.parametrize("grid, message", [
+    (Grid(-1.5, 0.25, 1024), EDGE_BELOW_Z),
+    (Grid(-0.05, 1.5, 1024), EDGE_BELOW_Z),
+    (Grid(-1.5, 0.02, 1024), EDGE_BELOW_Z),
+    (Grid(-1.5, 1.5, 256), "grid too coarse for the scan: k_max*dx = 0.93 at Re z = 13700 "
+                           "exceeds 0.5; use more grid points"),
+], ids=["harmonic-right", "harmonic-left", "morse-wall", "coarse"])
+def test_point_paths_are_guarded_on_their_windows(config, model, grid, message):
+    # _window only plans, and resolvent_rows guards the nodes that it
+    # sweeps.  A window edge is a grid edge or a node forbidden at the top
+    # energy, and every window holds the curve's minimum: the default
+    # energies' point paths on the undersized grids of
+    # test_rejects_undersized_grid and on a coarse grid fail as the whole
+    # grid does, the allowed curve first
+    with pytest.raises(GridError) as raised:
+        spectra.coupling_diagonals(model, config.omega_grid(), grid)
+    assert str(raised.value) == message
 
 
 def test_point_outside_grid_rejected(ev_allowed_fine):

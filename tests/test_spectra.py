@@ -248,9 +248,37 @@ def test_unordered_energies_are_rejected_before_the_scan(model, grid, monkeypatc
     assert calls and value.shape == direct.shape == (4,)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_energies_are_rejected_before_the_scan(model, grid, monkeypatch, bad):
+    # an infinite or NaN photon energy, sorted to its end of the array so
+    # that the energies still increase: every entry point raises a plain
+    # ValueError, not a GridError (a ValueError too), before a single sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return resolvent_rows(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "resolvent_rows", counted)
+    omega = np.sort([11000.0, bad])
+    for job in (lambda: spectra.scan(model, omega, 0, grid),
+                lambda: spectra.coupling_diagonals(model, omega, grid),
+                lambda: absorption_spectra(model, omega, grid=grid),
+                lambda: raman_profiles(model, 1, omega, grid=grid)):
+        with pytest.raises(ValueError) as raised:
+            job()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "photon energies must be finite"
+        assert calls == []
+
+
 @pytest.mark.parametrize("job, message", [
     (lambda model, grid: Spectrum(np.array([1.0, 2.0]), np.array([1.0]), "absorption"),
      "omega and intensity must be matching 1-d arrays"),
+    (lambda model, grid: Spectrum(np.array([1.0, np.inf]), np.array([1.0, 1.0]), "absorption"),
+     "photon energies must be finite"),
+    (lambda model, grid: Spectrum(np.array([1.0, np.nan]), np.array([1.0, 1.0]), "absorption"),
+     "photon energies must be finite"),
     (lambda model, grid: spectra.scan(model, [11000.0], -1, grid),
      "the final vibrational state must satisfy n_f >= 0"),
 ])

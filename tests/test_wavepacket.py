@@ -223,6 +223,14 @@ def test_half_fourier_linearity(model):
     assert np.allclose(b, 2.0 * a, rtol=1e-14)
 
 
+def test_half_fourier_rejects_an_empty_series():
+    # an empty list and an exhausted generator: no state to transform
+    for states in ([], iter(())):
+        with pytest.raises(ValueError) as raised:
+            half_fourier(states, [11000.0], 1.0, 0.1)
+        assert type(raised.value) is ValueError and str(raised.value) == "empty state series"
+
+
 def test_half_fourier_truncation_warning_threshold(model):
     grid = WAVEPACKET_GRID
     gamma = model.damping
